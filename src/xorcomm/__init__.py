@@ -11,7 +11,7 @@ from .protocols import (FullSendProtocol, HamConfig, HamProtocol,
                         XorProtocolConfig, make_protocol)
 from .spectral import (WeightSpectrum, deterministic_bounds,
                        krawtchouk_coefficient, lemma_window_check,
-                       rank_of_xor_matrix, weight_spectrum)
+                       weight_spectrum)
 from .symfun import (GapParams, InputPair, SymmetricProfile, TrivialClass,
                      classify, conjectured_unbounded_measure, evaluate_F,
                      flip_reduction, gap_params, parity_decompose,

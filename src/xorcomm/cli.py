@@ -3,7 +3,8 @@
 Subcommands: analyze (JSON report), verify (oracle cross-checks), simulate
 (protocol runs as JSON lines), sweep (CSV experiment grid).  Big integers are
 serialized as decimal strings so no toolchain rounds them.  Seed precedence:
---seed flag, then XORCOMM_SEED, then 0.
+--seed flag, then XORCOMM_SEED, then 0.  analyze accepts n up to
+MAX_ANALYZE_N.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from . import engine, oracle, protocols, spectral, symfun
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# An exact report costs O(n^2) operations on O(n)-bit integers, so its time
+# grows as n^3 (README gives measured times).  A larger n is refused rather
+# than left to run for minutes.
+MAX_ANALYZE_N = 4096
 
 
 def _resolve_seed(args) -> int:
@@ -42,7 +48,7 @@ def analysis_report(profile: symfun.SymmetricProfile, spec: str) -> dict:
     gp = symfun.gap_params(profile)
     spectrum = spectral.weight_spectrum(profile)
     holds, witness = spectral.lemma_window_check(spectrum)
-    lower, upper = spectral.deterministic_bounds(profile)
+    lower, upper = spectral.deterministic_bounds(profile, spectrum)
     return {
         "profile": spec,
         "n": profile.n,
@@ -63,6 +69,9 @@ def analysis_report(profile: symfun.SymmetricProfile, spec: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    if args.n > MAX_ANALYZE_N:
+        raise ValueError(f"analyze --n {args.n} is above the limit "
+                         f"of {MAX_ANALYZE_N}")
     profile = symfun.parse_profile(args.profile, args.n)
     _emit(analysis_report(profile, args.profile))
     return EXIT_OK
@@ -206,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomness seed (default: $XORCOMM_SEED or 0)")
 
     p = sub.add_parser("analyze", help="exact spectral/gap analysis report")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of input bits, at most {MAX_ANALYZE_N}")
     p.add_argument("--profile", required=True)
     p.set_defaults(func=cmd_analyze)
 

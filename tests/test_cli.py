@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from xorcomm.cli import main
+from xorcomm.cli import MAX_ANALYZE_N, main
+from xorcomm.spectral import CACHE_MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +43,40 @@ class TestAnalyze:
                             "--profile", "exact:0")
         report = json.loads(out)
         assert report["spectrum"]["rank"] == str(1 << 80)
+
+    def test_large_n_exact(self, capsys):
+        n, d = 1024, 300
+        assert n > CACHE_MAX_N  # the spectrum is streamed
+        code, out, _ = run_cli(capsys, "analyze", "--n", str(n),
+                               "--profile", f"threshold:{d}")
+        assert code == 0
+        report = json.loads(out)
+        coeffs = [int(c) for c in report["spectrum"]["coeffs"]]
+        support = [k for k, c in enumerate(coeffs) if c != 0]
+        assert report["spectrum"]["support"] == support
+        assert report["spectrum"]["rank"] == str(
+            sum(math.comb(n, k) for k in support))
+        # exact Parseval: sum_k C(n,k) c_k^2 = 2^n |S^{-1}(1)|
+        ones = sum(math.comb(n, s) for s in range(d + 1, n + 1))
+        assert sum(math.comb(n, k) * c * c
+                   for k, c in enumerate(coeffs)) == (ones << n)
+        # spot checks against the alternating sum
+        # c_k = sum_t (-1)^t C(k,t) sum_{s>d} C(n-k,s-t)
+        for k in (0, 1, 511, 512, 1023, 1024):
+            tail = [0] * (d + 2)  # tail[j] = sum_{u>=j} C(n-k,u), j <= d+1
+            tail[d + 1] = sum(math.comb(n - k, u) for u in range(d + 1, n - k + 1))
+            for j in range(d, -1, -1):
+                tail[j] = tail[j + 1] + math.comb(n - k, j)
+            want = sum((-1) ** t * math.comb(k, t) * tail[max(0, d + 1 - t)]
+                       for t in range(k + 1))
+            assert coeffs[k] == want, f"k={k}"
+
+    def test_n_above_limit_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--n",
+                                 str(MAX_ANALYZE_N + 1), "--profile", "const0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(MAX_ANALYZE_N) in err
 
     def test_bad_profile_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--n", "8",

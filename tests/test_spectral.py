@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from xorcomm import spectral
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_symmetric_fourier_matrix)
-from xorcomm.spectral import (binom, deterministic_bounds,
-                              krawtchouk_coefficient, krawtchouk_matrix_i64,
-                              lemma_window_check, parseval_check,
-                              rank_of_xor_matrix, weight_spectrum,
-                              window_bounds)
+from xorcomm.spectral import (CACHE_MAX_N, binom, deterministic_bounds,
+                              krawtchouk_coefficient, krawtchouk_matrix,
+                              krawtchouk_matrix_i64, lemma_window_check,
+                              parseval_check, weight_spectrum, window_bounds)
 from xorcomm.symfun import SymmetricProfile, parse_profile
 
 
@@ -45,6 +45,12 @@ class TestKrawtchouk:
                             for y in range(1 << n)
                             if bin(y).count("1") == s)
                 assert krawtchouk_coefficient(n, k, s) == total
+
+    def test_recurrence_matches_coefficient(self):
+        for n in range(41):
+            assert krawtchouk_matrix(n) == tuple(
+                tuple(krawtchouk_coefficient(n, k, s) for s in range(n + 1))
+                for k in range(n + 1)), f"n={n}"
 
 
 class TestWeightSpectrum:
@@ -88,16 +94,27 @@ class TestWeightSpectrum:
                     vals.add(brute_fourier(table, w))
             assert vals == {sp.coeffs[k]}
 
+    @pytest.mark.parametrize("spec", ["threshold:200", "exact:0", "parity",
+                                      "mod:3:1"])
+    def test_streamed_equals_cached(self, spec, monkeypatch):
+        n = CACHE_MAX_N + 1
+        p = parse_profile(spec, n)
+        before = krawtchouk_matrix.cache_info()
+        streamed = weight_spectrum(p)
+        # the streamed build never calls the cached matrix
+        assert krawtchouk_matrix.cache_info() == before
+        monkeypatch.setattr(spectral, "CACHE_MAX_N", n)
+        assert weight_spectrum(p) == streamed
+        assert parseval_check(p, streamed)
+
 
 class TestRank:
     def test_equality_full_rank(self):
         for n in (3, 6, 9):
-            sp = weight_spectrum(parse_profile("exact:0", n))
-            assert rank_of_xor_matrix(sp) == 1 << n
+            assert weight_spectrum(parse_profile("exact:0", n)).rank == 1 << n
 
     def test_parity_rank_two(self):
-        sp = weight_spectrum(parse_profile("parity", 4))
-        assert rank_of_xor_matrix(sp) == 2
+        assert weight_spectrum(parse_profile("parity", 4)).rank == 2
 
     def test_rank_zero_iff_const0(self):
         for n in (2, 5):
@@ -137,13 +154,16 @@ class TestWindow:
 
 class TestBounds:
     def test_parity(self):
-        assert deterministic_bounds(parse_profile("parity", 8)) == (1, 1)
+        p = parse_profile("parity", 8)
+        assert deterministic_bounds(p, weight_spectrum(p)) == (1, 1)
 
     def test_equality(self):
-        assert deterministic_bounds(parse_profile("exact:0", 10)) == (10, 11)
+        p = parse_profile("exact:0", 10)
+        assert deterministic_bounds(p, weight_spectrum(p)) == (10, 11)
 
     def test_const0(self):
-        assert deterministic_bounds(parse_profile("const0", 8)) == (0, 0)
+        p = parse_profile("const0", 8)
+        assert deterministic_bounds(p, weight_spectrum(p)) == (0, 0)
 
     def test_binom_edges(self):
         assert binom(5, -1) == 0
