@@ -4,7 +4,8 @@ Subcommands: analyze (JSON report), verify (oracle cross-checks), simulate
 (protocol runs as JSON lines), sweep (CSV experiment grid).  Big integers are
 serialized as decimal strings so no toolchain rounds them.  Seed precedence:
 --seed flag, then XORCOMM_SEED, then 0.  analyze accepts n up to
-MAX_ANALYZE_N.
+MAX_ANALYZE_N; verify refuses, before any work, an n above the limit of the
+oracle its suite runs.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -128,7 +130,23 @@ def _verify_ham_onesided(args, seed) -> tuple[int, int]:
     return checked, bad
 
 
+def _check_verify_limits(args) -> None:
+    """Refuse, before any work, an n that a suite would only reject (or
+    take hours over) after running every smaller n."""
+    if args.suite == "rank" and args.n_max > oracle.MAX_RANK_N:
+        raise ValueError(f"verify --suite rank --n-max {args.n_max} is above "
+                         f"the limit of {oracle.MAX_RANK_N}")
+    if args.suite == "fourier" and args.n_max > oracle.MAX_TABLE_N:
+        raise ValueError(f"verify --suite fourier --n-max {args.n_max} is "
+                         f"above the limit of {oracle.MAX_TABLE_N}")
+    if (args.suite == "lemma" and not args.exhaustive
+            and args.n > spectral.CACHE_MAX_N):
+        raise ValueError(f"verify --suite lemma --n {args.n} is above the "
+                         f"limit of {spectral.CACHE_MAX_N}")
+
+
 def cmd_verify(args) -> int:
+    _check_verify_limits(args)
     seed = _resolve_seed(args)
     if args.suite == "fourier":
         checked, bad = _verify_fourier(args)
@@ -204,6 +222,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xorcomm",

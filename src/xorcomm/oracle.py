@@ -8,6 +8,7 @@ something to be validated against.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ def trivial_profile_indices(n: int) -> tuple[int, int, int, int]:
 # Exact rank of the XOR matrix
 
 
-def _primes_above(start: int, count: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _primes_above(start: int, count: int) -> tuple[int, ...]:
     out, cand = [], start | 1
     while len(out) < count:
         p, is_p = cand, True
@@ -113,13 +115,16 @@ def _primes_above(start: int, count: int) -> list[int]:
         if is_p:
             out.append(p)
         cand += 2
-    return out
+    return tuple(out)
 
 
-def _rank_mod_p(M: np.ndarray, p: int) -> int:
+def _echelon_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of M mod p (p < 2^31): the pivot rows, each scaled
+    to 1 at its pivot, and their pivot columns."""
     A = np.mod(M, p).astype(np.int64)
     m, ncols = A.shape
     rank = 0
+    pivots = []
     for col in range(ncols):
         piv = np.nonzero(A[rank:, col])[0]
         if piv.size == 0:
@@ -128,14 +133,20 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
         if i != rank:
             A[[rank, i]] = A[[i, rank]]
         inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = A[rank] * inv % p
+        A[rank, col:] = A[rank, col:] * inv % p
         below = np.nonzero(A[rank + 1:, col])[0] + rank + 1
-        if below.size:
-            A[below] = (A[below] - np.outer(A[below, col], A[rank])) % p
+        if below.size:  # columns left of col are already zero there
+            A[below, col:] = (A[below, col:]
+                              - np.outer(A[below, col], A[rank, col:])) % p
+        pivots.append(col)
         rank += 1
         if rank == m:
             break
-    return rank
+    return A[:rank], pivots
+
+
+def _rank_mod_p(M: np.ndarray, p: int) -> int:
+    return len(_echelon_mod_p(M, p)[1])
 
 
 def xor_matrix(table: TruthTable) -> np.ndarray:
@@ -144,17 +155,84 @@ def xor_matrix(table: TruthTable) -> np.ndarray:
     return vals[np.bitwise_xor.outer(idx, idx)]
 
 
-def brute_rank(table: TruthTable) -> int:
-    """Exact rank over the rationals of [f(x xor y)].
+def _rational_lift(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rational reconstruction of every residue in U (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 5.10): arrays (a, b) with
+    a = U*b mod p, |a|, b <= isqrt(p/2) and gcd(a, b) = 1, or None if some
+    entry has no such fraction.  2*isqrt(p/2)^2 < p makes each one unique.
 
-    Computed as the max of ranks modulo enough distinct 31-bit primes: some
-    nonzero maximal minor has absolute value at most (m+1)^((m+1)/2) / 2^m
-    (0/1 determinant bound), so it is divisible by fewer primes than we try,
-    and the max is exactly the rational rank.
+    Runs the half-extended Euclidean algorithm on (p, u) for all entries at
+    once and stops each at the first remainder <= the bound.
     """
-    if table.n > MAX_RANK_N:
-        raise ValueError(f"brute_rank limited to n <= {MAX_RANK_N}")
-    M = xor_matrix(table)
+    bound = math.isqrt(p // 2)
+    r0 = np.full(U.size, p, dtype=np.int64)
+    r1 = U.ravel().astype(np.int64)
+    t0 = np.zeros(U.size, dtype=np.int64)
+    t1 = np.ones(U.size, dtype=np.int64)
+    idx = np.flatnonzero(r1 > bound)
+    while idx.size:
+        q = r0[idx] // r1[idx]
+        r0[idx], r1[idx] = r1[idx], r0[idx] - q * r1[idx]
+        t0[idx], t1[idx] = t1[idx], t0[idx] - q * t1[idx]
+        idx = idx[r1[idx] > bound]
+    sign = np.where(t1 < 0, -1, 1)
+    a, b = (sign * r1).reshape(U.shape), (sign * t1).reshape(U.shape)
+    if np.any(b > bound) or np.any(np.gcd(a, b) != 1):
+        return None
+    return a, b
+
+
+def _kernel_certificate(M: np.ndarray, p: int) -> int | None:
+    """The rank of the integer matrix M over the rationals, proved from one
+    elimination mod p, or None if p does not prove it.
+
+    The rank mod p, r_p, is at most the rational rank.  Below full column
+    rank, the reduced echelon form mod p gives ncols - r_p kernel vectors
+    (1 at a free column, -R[i, j] at the pivots).  Their entries are lifted
+    to fractions, each vector is scaled by the lcm of its denominators, and
+    M V = 0 is checked exactly.  The free-column block of V is diagonal and
+    nonzero, so V has full column rank, and a passing check proves the
+    rational rank is at most r_p.
+    """
+    R, pivots = _echelon_mod_p(M, p)
+    rank, ncols = len(pivots), M.shape[1]
+    if rank == ncols:
+        return rank
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    # Back-substitute to reduced form.  Only the free columns change: row i
+    # is zero left of its pivot, so it never touches an earlier pivot column.
+    X = R[:, free]
+    for i in range(rank - 1, 0, -1):
+        above = np.nonzero(R[:i, pivots[i]])[0]
+        if above.size:
+            X[above] = (X[above] - np.outer(R[above, pivots[i]], X[i])) % p
+    lifted = _rational_lift((-X) % p, p)
+    if lifted is None:
+        return None
+    a, b = lifted
+    lcms = [math.lcm(*col.tolist()) for col in b.T]
+    wide = max(lcms) >= 1 << 31  # else |a| * lcm / b < 2^46
+    dtype = object if wide else np.int64
+    L = np.array(lcms, dtype=dtype)
+    V = np.zeros((ncols, free.size), dtype=dtype)
+    V[free, np.arange(free.size)] = L
+    V[pivots] = a.astype(dtype) * (L // b.astype(dtype))
+    vmax = int(np.abs(V).max())
+    if not wide and ncols * int(np.abs(M).max()) * vmax < 1 << 62:
+        residual = M @ V
+    else:
+        residual = M.astype(object) @ V.astype(object)
+    return rank if not np.any(residual) else None
+
+
+def _max_rank_mod_primes(M: np.ndarray) -> int:
+    """The max of the ranks of a 0/1 matrix modulo enough distinct 31-bit
+    primes: some nonzero maximal minor has absolute value at most
+    (m+1)^((m+1)/2) / 2^m (0/1 determinant bound), so it is divisible by
+    fewer primes than are tried, and the max is exactly the rational rank.
+    """
     m = M.shape[0]
     log2_bound = (m + 1) * 0.5 * np.log2(m + 1) - m
     nprimes = max(1, int(log2_bound // 30) + 1)
@@ -165,6 +243,29 @@ def brute_rank(table: TruthTable) -> int:
         if best == m:
             break
     return best
+
+
+def _exact_rank(M: np.ndarray, p: int) -> int:
+    rank = _kernel_certificate(M, p)
+    return _max_rank_mod_primes(M) if rank is None else rank
+
+
+def brute_rank(table: TruthTable) -> int:
+    """Exact rank over the rationals of [f(x xor y)], proved from both sides.
+
+    Lower bound: one elimination modulo the first prime p above 2^30; the
+    rank mod p, r_p, never exceeds the rational rank, so r_p = 2^n ends it.
+    Upper bound: below full rank, the 2^n - r_p kernel vectors of the mod-p
+    echelon form are lifted to integers by rational reconstruction and
+    M V = 0 is checked exactly, which proves the rank is at most r_p.
+    Fallback: if the lift or the check fails (p divides a minor it should
+    not), the answer is the max of the ranks modulo enough primes that no
+    nonzero maximal minor is divisible by all of them.  No Fourier or
+    Krawtchouk formula is used.
+    """
+    if table.n > MAX_RANK_N:
+        raise ValueError(f"brute_rank limited to n <= {MAX_RANK_N}")
+    return _exact_rank(xor_matrix(table), _primes_above(1 << 30, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from xorcomm.cli import MAX_ANALYZE_N, main
+from xorcomm.cli import MAX_ANALYZE_N, build_parser, main
+from xorcomm.oracle import MAX_RANK_N, MAX_TABLE_N
 from xorcomm.spectral import CACHE_MAX_N
 
 
@@ -112,6 +113,21 @@ class TestVerify:
                                "--n", "8", "--trials", "20", "--seed", "1")
         assert code == 0
 
+    # Each limit is checked before any work: above it, a suite used to run
+    # every smaller n (hours for rank) before failing, or cached an exact
+    # matrix that grows as n^3 bits (sampled lemma).
+    @pytest.mark.parametrize("argv, limit", [
+        (("--suite", "rank", "--n-max", str(MAX_RANK_N + 1)), MAX_RANK_N),
+        (("--suite", "fourier", "--n-max", str(MAX_TABLE_N + 1)), MAX_TABLE_N),
+        (("--suite", "lemma", "--n", str(CACHE_MAX_N + 1), "--samples", "1"),
+         CACHE_MAX_N),
+    ])
+    def test_n_above_limit_exit_2(self, capsys, argv, limit):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(limit) in err
+
 
 class TestSimulate:
     def test_parity_aggregate(self, capsys):
@@ -168,6 +184,22 @@ class TestSweep:
             main(["sweep", "--protocol", "parity", "--profile", "parity",
                   "--n", "2", "--trials", "1",
                   "--out", "/nonexistent-dir/x.csv"])
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_repeats(self, capsys):
+        # the shared parser keeps no state between calls
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "bogus"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert "invalid choice: 'bogus'" in errors[0]
+        assert errors[0] == errors[1]
 
 
 class TestSubprocessDeterminism:

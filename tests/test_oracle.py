@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xorcomm import oracle, spectral
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, mc_error_estimate,
@@ -100,6 +101,93 @@ class TestBruteRank:
                 vals = tuple(int(b) for b in rng.integers(0, 2, 1 << n))
                 t = TruthTable(n, vals)
                 assert brute_rank(t) == bareiss_rank(xor_matrix(t))
+
+
+def symmetric_profiles(n):
+    for i in range(1 << (n + 1)):
+        yield SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+
+
+class TestRankCertificate:
+    # det = -3: p = 3 divides it, p = 5 does not
+    M = np.array([[1, 1], [1, -2]], dtype=np.int64)
+
+    def test_prime_dividing_determinant(self):
+        assert oracle._kernel_certificate(self.M, 3) is None
+        assert oracle._kernel_certificate(self.M, 5) == 2
+
+    def test_unlucky_prime_reaches_fallback(self, monkeypatch):
+        calls = []
+        fallback = oracle._max_rank_mod_primes
+
+        def spy(M):
+            calls.append(M.shape)
+            return fallback(M)
+        monkeypatch.setattr(oracle, "_max_rank_mod_primes", spy)
+        assert oracle._exact_rank(self.M, 3) == 2
+        assert calls == [(2, 2)]
+        calls.clear()
+        assert oracle._exact_rank(self.M, 5) == 2
+        assert calls == []
+
+    def test_object_array_check(self):
+        # ncols * max|M| * max|V| reaches 2^62, so the check runs on
+        # Python ints
+        big = 1 << 61
+        p = oracle._primes_above(1 << 30, 1)[0]
+        assert oracle._kernel_certificate(np.full((2, 2), big), p) == 1
+        # mod p both columns agree, over Q the kernel is not (-1, 1)
+        M = np.array([[big, big + p]], dtype=np.int64)
+        assert oracle._kernel_certificate(M, p) is None
+        assert oracle._exact_rank(M, p) == 1
+        # kernel vector (-1/q1, -1/q2, -1/q3, 1): its lcm q1*q2*q3 > 2^31
+        q1, q2, q3 = 20000, 20001, 20003
+        M = np.array([[q1, 0, 0, 1], [0, q2, 0, 1], [0, 0, q3, 1]])
+        assert oracle._kernel_certificate(M, p) == 3
+
+    def test_rational_lift(self):
+        p = 101  # bound isqrt(50) = 7
+        U = np.array([[0, 1, p - 1], [3 * pow(4, -1, p) % p, 50, 7]])
+        a, b = oracle._rational_lift(U, p)
+        assert a.tolist() == [[0, 1, -1], [3, -1, 7]]  # 50 = -1/2 mod 101
+        assert b.tolist() == [[1, 1, 1], [4, 2, 1]]
+        # 10 = a/b would need |a| or b above 7
+        assert oracle._rational_lift(np.array([[10 * pow(9, -1, p) % p]]),
+                                     p) is None
+
+    def test_primes_found_once(self):
+        primes = oracle._primes_above(1 << 30, 3)
+        assert isinstance(primes, tuple)
+        assert primes is oracle._primes_above(1 << 30, 3)
+        assert primes[0] == (1 << 30) + 3
+        assert oracle._primes_above(1 << 30, 1) == primes[:1]
+
+    def test_matches_fallback_symmetric(self):
+        for n in range(1, 6):
+            for p in symmetric_profiles(n):
+                t = TruthTable.from_profile(p)
+                M = xor_matrix(t)
+                assert brute_rank(t) == oracle._max_rank_mod_primes(M), p
+
+    def test_matches_fallback_random(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            t = TruthTable(5, tuple(int(b) for b in rng.integers(0, 2, 32)))
+            assert brute_rank(t) == oracle._max_rank_mod_primes(xor_matrix(t))
+
+    def test_independent_of_spectral(self, monkeypatch):
+        profiles = [*symmetric_profiles(4), *symmetric_profiles(6)]
+        want = [weight_spectrum(p).rank for p in profiles]
+        assert any(w < 1 << p.n for w, p in zip(want, profiles))
+        tables = [TruthTable.from_profile(p) for p in profiles]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("brute_rank used a spectral formula")
+        for name in ("weight_spectrum", "krawtchouk_matrix", "krawtchouk_rows",
+                     "krawtchouk_matrix_i64"):
+            monkeypatch.setattr(spectral, name, forbidden)
+        monkeypatch.setattr(oracle, "krawtchouk_matrix_i64", forbidden)
+        assert [brute_rank(t) for t in tables] == want
 
 
 class TestScans:

@@ -1,0 +1,35 @@
+"""One checked, traced pass of each benchmark workload on this checkout.
+
+Runs ``perfbench/worker.py`` as the benchmark runs it, in a fresh
+interpreter, and asserts that the pass exits 0, fails none of its checks and
+reports every per-layer metric that ``BENCHMARK.json`` declares.  The one
+exception is ``trace.overhead_frac``: ``perfbench/run.py`` computes it from
+traced and untraced passes together, so a single pass does not have it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    BENCHMARK = json.load(fh)
+LAYERS = [m["name"] for m in BENCHMARK["per_layer"]
+          if m["name"] != "trace.overhead_frac"]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_worker_pass(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"),
+         "--workload", workload, "--seed", "1", "--check", "--trace"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]
+    missing = [name for name in LAYERS if name not in result["layers"]]
+    assert not missing, f"per-layer metrics missing: {missing}"
