@@ -1,11 +1,11 @@
 """Exact analysis and protocol simulation for symmetric XOR communication
 problems F(x, y) = S(|x xor y|)."""
 
-from .engine import (Channel, Protocol, ProtocolReport, RandomTape,
-                     ScheduleViolation, Transcript, run_protocol, sweep)
-from .oracle import (MCResult, TruthTable, brute_fourier, brute_rank,
-                     exhaustive_lemma_scan, mc_error_estimate,
-                     sampled_lemma_scan)
+from .engine import (Channel, MCResult, Protocol, ProtocolReport, RandomTape,
+                     ScheduleViolation, Transcript, mc_error_estimate,
+                     run_protocol, sweep)
+from .oracle import (TruthTable, brute_fourier, brute_rank,
+                     exhaustive_lemma_scan, sampled_lemma_scan)
 from .protocols import (FullSendProtocol, HamConfig, HamProtocol,
                         OneWayXorProtocol, ParityProtocol, TwoWayXorProtocol,
                         XorProtocolConfig, make_protocol)

@@ -3,16 +3,16 @@
 Subcommands: analyze (JSON report), verify (oracle cross-checks), simulate
 (protocol runs as JSON lines), sweep (CSV experiment grid).  Big integers are
 serialized as decimal strings so no toolchain rounds them.  Seed precedence:
---seed flag, then XORCOMM_SEED, then 0.  analyze accepts n up to
-MAX_ANALYZE_N; verify refuses, before any work, an n above the limit of the
-oracle its suite runs.  The parser is built once per process.
+--seed flag, then XORCOMM_SEED, then 0; a seed, --trials and --samples
+must be non-negative.  analyze accepts n up to MAX_ANALYZE_N; verify refuses, before
+any work, an n above the limit of the oracle or the protocol runs its suite
+uses.  The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -28,17 +28,28 @@ EXIT_USAGE = 2
 # grows as n^3 (README gives measured times).  A larger n is refused rather
 # than left to run for minutes.
 MAX_ANALYZE_N = 4096
+# verify --suite ham-onesided runs (n+1)(n+2)/2 * --trials protocol runs of
+# O(n) work each, so its time grows as n^3 (README gives measured times).
+MAX_HAM_ONESIDED_N = 64
+
+
+def _non_negative(name: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _non_negative("--seed", args.seed)
     env = os.environ.get("XORCOMM_SEED")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
-            raise SystemExit(f"XORCOMM_SEED is not an integer: {env!r}")
+            raise ValueError(
+                f"XORCOMM_SEED is not an integer: {env!r}") from None
+        return _non_negative("XORCOMM_SEED", value)
     return 0
 
 
@@ -123,7 +134,7 @@ def _verify_ham_onesided(args, seed) -> tuple[int, int]:
         proto = protocols.HamProtocol(protocols.HamConfig(d=d))
         profile = symfun.parse_profile(f"threshold:{d}", n)
         for m in range(d + 1):
-            res = oracle.mc_error_estimate(proto, profile, m, args.trials,
+            res = engine.mc_error_estimate(proto, profile, m, args.trials,
                                            (seed, d, m))
             checked += res.trials
             bad += res.trials - res.successes
@@ -143,9 +154,14 @@ def _check_verify_limits(args) -> None:
             and args.n > spectral.CACHE_MAX_N):
         raise ValueError(f"verify --suite lemma --n {args.n} is above the "
                          f"limit of {spectral.CACHE_MAX_N}")
+    if args.suite == "ham-onesided" and args.n > MAX_HAM_ONESIDED_N:
+        raise ValueError(f"verify --suite ham-onesided --n {args.n} is above "
+                         f"the limit of {MAX_HAM_ONESIDED_N}")
 
 
 def cmd_verify(args) -> int:
+    _non_negative("--trials", args.trials)
+    _non_negative("--samples", args.samples)
     _check_verify_limits(args)
     seed = _resolve_seed(args)
     if args.suite == "fourier":
@@ -164,6 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _non_negative("--trials", args.trials)
     seed = _resolve_seed(args)
     profile = symfun.parse_profile(args.profile, args.n)
     if not 0 <= args.weight <= args.n:
@@ -173,7 +190,7 @@ def cmd_simulate(args) -> int:
         repetitions=args.reps, region_reps=args.region_reps,
         search_rep_factor=args.search_rep_factor)
     if args.aggregate:
-        res = oracle.mc_error_estimate(protocol, profile, args.weight,
+        res = engine.mc_error_estimate(protocol, profile, args.weight,
                                        args.trials, seed)
         _emit({"protocol": protocol.name, "profile": args.profile,
                "n": args.n, "weight": args.weight, "trials": res.trials,
@@ -181,21 +198,17 @@ def cmd_simulate(args) -> int:
                "max_bits": res.max_bits, "rounds_mean": res.rounds_mean,
                "seed": seed, "params": protocol.params()})
         return EXIT_OK
-    import numpy as np
-    for t in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t, 0)))
-        pair = oracle.weighted_pair(args.n, args.weight, rng)
-        out, transcript = engine.run_protocol(protocol, pair, profile,
-                                              (seed, t, 1))
-        truth = symfun.evaluate_F(profile, pair)
+    trials = engine.run_trials(protocol, profile, args.weight, args.trials,
+                               seed)
+    for t, (out, truth, transcript) in enumerate(trials):
         report = engine.make_report(protocol, out, truth, transcript)
-        row = dataclasses.asdict(report)
-        row.update({"trial": t, "weight": args.weight, "seed": seed})
-        _emit(row)
+        # a shallow copy: the report holds no nested dataclass
+        _emit({**vars(report), "trial": t, "weight": args.weight, "seed": seed})
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    _non_negative("--trials", args.trials)
     seed = _resolve_seed(args)
     n_list = [int(tok) for tok in args.n.split(",") if tok != ""]
 

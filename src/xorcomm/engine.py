@@ -1,4 +1,5 @@
-"""Two-party protocol execution: shared tape, channel, transcripts, sweeps.
+"""Two-party protocol execution: shared tape, channel, transcripts, the
+Monte-Carlo trial loop and sweeps.
 
 Bits are accounted, not transmitted.  Bob is the output party for every
 protocol; the engine appends his 1-bit answer to the transcript so both
@@ -9,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from .symfun import InputPair, ProfileError, SymmetricProfile
+from .symfun import (InputPair, ProfileError, SymmetricProfile, evaluate_F,
+                     gap_params, parse_profile)
 
 
 class Direction(str, Enum):
@@ -133,11 +135,9 @@ def run_protocol(protocol: Protocol, pair: InputPair,
     """Execute one protocol run; deterministic given seed."""
     if pair.n != profile.n:
         raise ProfileError(f"pair length {pair.n} != profile n {profile.n}")
-    x = np.array(pair.x, dtype=np.int64)
-    y = np.array(pair.y, dtype=np.int64)
     tape = RandomTape(seed)
     channel = Channel(one_way=protocol.one_way)
-    out = int(protocol.run(x, y, profile, channel, tape))
+    out = int(protocol.run(pair.x, pair.y, profile, channel, tape))
     channel._final_answer(str(out))
     return out, Transcript(messages=channel.messages, seed=seed)
 
@@ -152,12 +152,64 @@ def make_report(protocol: Protocol, output: int, truth: int,
         rounds=transcript.rounds, params=protocol.params())
 
 
+@dataclass(frozen=True)
+class MCResult:
+    trials: int
+    successes: int
+    success_rate: float
+    mean_bits: float
+    max_bits: int
+    rounds_mean: float
+
+
+def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
+    """Uniform x and y = x xor (uniform weight-m mask), via a seeded shuffle."""
+    # The int64 draw fixes the stream; a uint8 draw would take other values.
+    x = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
+    y = x.copy()
+    y[rng.permutation(n)[:m]] ^= 1
+    return InputPair(x, y)
+
+
+def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
+               trials: int, seed) -> Iterator[tuple[int, int, Transcript]]:
+    """Yield (output, truth, transcript) for each trial at XOR-weight m.
+
+    Trial t draws its input from the seed (*seed, t, 0) and its tape from
+    (*seed, t, 1), so every trial is replayable on its own.
+    """
+    n = profile.n
+    if not 0 <= m <= n:
+        raise ValueError(f"weight m={m} out of range for n={n}")
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((*base, t, 0)))
+        pair = weighted_pair(n, m, rng)
+        out, transcript = run_protocol(protocol, pair, profile, (*base, t, 1))
+        yield out, evaluate_F(profile, pair), transcript
+
+
+def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
+                      trials: int, seed) -> MCResult:
+    """Empirical success rate and bit cost at exact XOR-weight m."""
+    successes = bits_sum = bits_max = rounds_sum = 0
+    for out, truth, transcript in run_trials(protocol, profile, m, trials,
+                                             seed):
+        bits = transcript.total_bits
+        successes += int(out == truth)
+        bits_sum += bits
+        bits_max = max(bits_max, bits)
+        rounds_sum += transcript.rounds
+    return MCResult(trials=trials, successes=successes,
+                    success_rate=successes / trials if trials else 0.0,
+                    mean_bits=bits_sum / trials if trials else 0.0,
+                    max_bits=bits_max,
+                    rounds_mean=rounds_sum / trials if trials else 0.0)
+
+
 def sweep(protocol_factory, family: str, n_list, trials: int, seed,
           weights=None) -> list[dict]:
     """Per-(n, weight) Monte-Carlo statistics rows for the CSV writer."""
-    from .oracle import mc_error_estimate
-    from .symfun import gap_params, parse_profile
-
     rows = []
     for n in n_list:
         profile = parse_profile(family, n)

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine as _engine
+# The Monte-Carlo trial loop lives in engine; these names stay importable here.
+from .engine import MCResult, mc_error_estimate, weighted_pair  # noqa: F401
 from .spectral import krawtchouk_matrix_i64, window_bounds
-from .symfun import InputPair, SymmetricProfile, TrivialClass, classify, evaluate_F
+from .symfun import SymmetricProfile
 
 MAX_TABLE_N = 16
-MAX_RANK_N = 10
+# verify --suite rank checks all 2^(n+1) profiles at each n; at n = 9 one
+# rank takes up to 0.26 s, so the 1,024 profiles there alone take minutes.
+MAX_RANK_N = 8
 MAX_SCAN_N = 22
 
 
@@ -334,58 +337,3 @@ def sampled_lemma_scan(n: int, samples: int, seed) -> int:
                    for k in range(lo, hi + 1)):
                 count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo protocol measurement
-
-
-@dataclass(frozen=True)
-class MCResult:
-    trials: int
-    successes: int
-    success_rate: float
-    mean_bits: float
-    max_bits: int
-    rounds_mean: float
-
-
-def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
-    """Uniform x and y = x xor (uniform weight-m mask), via a seeded shuffle."""
-    x = rng.integers(0, 2, size=n, dtype=np.int64)
-    y = x.copy()
-    pos = rng.permutation(n)[:m]
-    y[pos] ^= 1
-    return InputPair(tuple(int(b) for b in x), tuple(int(b) for b in y))
-
-
-def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
-                      trials: int, seed) -> MCResult:
-    """Empirical success rate and bit cost at exact XOR-weight m.
-
-    Each trial derives its own input randomness and tape from (seed, trial),
-    so results are replay-deterministic.
-    """
-    n = profile.n
-    if not 0 <= m <= n:
-        raise ValueError(f"weight m={m} out of range for n={n}")
-    base = seed if isinstance(seed, (tuple, list)) else (seed,)
-    successes = 0
-    bits_sum = 0
-    bits_max = 0
-    rounds_sum = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(tuple(base) + (t, 0)))
-        pair = weighted_pair(n, m, rng)
-        out, transcript = _engine.run_protocol(
-            protocol, pair, profile, tuple(base) + (t, 1))
-        truth = evaluate_F(profile, pair)
-        successes += int(out == truth)
-        bits_sum += transcript.total_bits
-        bits_max = max(bits_max, transcript.total_bits)
-        rounds_sum += transcript.rounds
-    return MCResult(trials=trials, successes=successes,
-                    success_rate=successes / trials if trials else 0.0,
-                    mean_bits=bits_sum / trials if trials else 0.0,
-                    max_bits=bits_max,
-                    rounds_mean=rounds_sum / trials if trials else 0.0)

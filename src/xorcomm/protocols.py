@@ -58,33 +58,33 @@ class XorProtocolConfig:
             raise ValueError("amplification parameters must be positive")
 
 
-def _bucket_parities(bits: np.ndarray, bucket_map: np.ndarray, b: int) -> np.ndarray:
-    return np.bincount(bucket_map[bits.astype(bool)], minlength=b) & 1
-
-
-def _ham_round(x: np.ndarray, y: np.ndarray, d: int, b: int,
-               channel: Channel, tape: RandomTape, flip: bool = False) -> bool:
-    """One bucket-parity repetition; returns the vote "|xa xor y| > d".
+def _amplified_ham(x: np.ndarray, y: np.ndarray, d: int, b: int, reps: int,
+                   channel: Channel, tape: RandomTape, flip: bool = False) -> bool:
+    """ANY-vote of `reps` bucket-parity repetitions of "|xa xor y| > d".
 
     With flip=True Alice uses the complement of x, turning a test on
     |x xor y| into one on n - |x xor y|.  When b >= n the bucket map is the
-    identity (no tape consumption) and the vote is exact.
+    identity (no tape consumption) and each vote is exact.  Otherwise the
+    maps of all repetitions come from one tape draw of reps*n values; for
+    PCG64 that is the same stream, and the same end state, as reps draws of
+    n values.  Alice sends one b-bit message per repetition.
     """
     n = len(x)
     if b >= n:
-        bucket_map = np.arange(n)
+        bucket_map = np.arange(n)  # broadcast over the repetitions
     else:
-        bucket_map = tape.integers(b, size=n)
-    xa = 1 - x if flip else x
-    pa = _bucket_parities(xa, bucket_map, b)
-    channel.a_to_b(_bits_to_str(pa))
-    pb = _bucket_parities(y, bucket_map, b)
-    return int(np.count_nonzero(pa != pb)) > d
-
-
-def _amplified_ham(x, y, d, b, reps, channel, tape, flip=False) -> bool:
-    votes = [_ham_round(x, y, d, b, channel, tape, flip=flip) for _ in range(reps)]
-    return any(votes)
+        bucket_map = tape.integers(b, size=reps * n).reshape(reps, n)
+    # Repetition i counts into buckets i*b .. i*b+b-1 (Alice) and, shifted
+    # by reps*b, Bob's; one bincount then gives every parity.
+    slot = bucket_map + b * np.arange(reps)[:, None]
+    # x != flip is Alice's bit vector: x, or its complement when flip
+    hits = np.concatenate((slot[:, x != flip].ravel(),
+                           slot[:, y != 0].ravel() + reps * b))
+    pa, pb = (np.bincount(hits, minlength=2 * reps * b) & 1).reshape(2, reps, b)
+    sent = _bits_to_str(pa)
+    for i in range(0, reps * b, b):
+        channel.a_to_b(sent[i:i + b])
+    return bool(((pa != pb).sum(axis=1) > d).any())
 
 
 class ParityProtocol(Protocol):

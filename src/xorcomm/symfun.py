@@ -11,6 +11,8 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class TrivialClass(str, Enum):
     CONST0 = "Const0"
@@ -61,27 +63,41 @@ class GapParams:
             assert self.r == 0
 
 
-@dataclass(frozen=True)
-class InputPair:
-    """One (x, y) input pair; bits stored as tuples."""
+def _bit_vector(bits) -> np.ndarray:
+    """A read-only uint8 copy of a 1-D 0/1 vector."""
+    a = np.asarray(bits)
+    if a.ndim != 1:
+        raise ProfileError("x and y must be 1-D bit vectors")
+    if not ((a == 0) | (a == 1)).all():
+        raise ProfileError("pair entries must be 0 or 1")
+    out = a.astype(np.uint8)
+    out.flags.writeable = False
+    return out
 
-    x: tuple[int, ...]
-    y: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class InputPair:
+    """One (x, y) input pair; bits stored as read-only uint8 arrays.
+
+    Pairs compare by identity: an array has no single truth value.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
+        x, y = _bit_vector(self.x), _bit_vector(self.y)
+        if x.size != y.size:
             raise ProfileError("x and y must have equal length")
-        if any(b not in (0, 1) for b in self.x) or any(b not in (0, 1) for b in self.y):
-            raise ProfileError("pair entries must be 0 or 1")
-        object.__setattr__(self, "x", tuple(int(b) for b in self.x))
-        object.__setattr__(self, "y", tuple(int(b) for b in self.y))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
-        return len(self.x)
+        return self.x.size
 
     def xor_weight(self) -> int:
-        return sum(a ^ b for a, b in zip(self.x, self.y))
+        return int(np.count_nonzero(self.x != self.y))
 
 
 def evaluate_F(profile: SymmetricProfile, pair: InputPair) -> int:
@@ -171,6 +187,8 @@ def parse_profile(spec: str, n: int) -> SymmetricProfile:
         s = tuple(1 - k % 2 for k in range(n + 1))
     elif name == "threshold":
         d = _parse_int(rest, spec)
+        if d < 0:
+            raise ProfileError(f"threshold:{d} must be non-negative")
         s = tuple(1 if k > d else 0 for k in range(n + 1))
     elif name == "exact":
         k0 = _parse_int(rest, spec)

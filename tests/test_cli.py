@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from xorcomm.cli import MAX_ANALYZE_N, build_parser, main
+from xorcomm.cli import (MAX_ANALYZE_N, MAX_HAM_ONESIDED_N, build_parser,
+                         main)
 from xorcomm.oracle import MAX_RANK_N, MAX_TABLE_N
 from xorcomm.spectral import CACHE_MAX_N
 
@@ -121,12 +123,51 @@ class TestVerify:
         (("--suite", "fourier", "--n-max", str(MAX_TABLE_N + 1)), MAX_TABLE_N),
         (("--suite", "lemma", "--n", str(CACHE_MAX_N + 1), "--samples", "1"),
          CACHE_MAX_N),
+        (("--suite", "ham-onesided", "--n", str(MAX_HAM_ONESIDED_N + 1)),
+         MAX_HAM_ONESIDED_N),
     ])
     def test_n_above_limit_exit_2(self, capsys, argv, limit):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and str(limit) in err
+
+
+SIM = ("simulate", "--protocol", "parity", "--profile", "parity", "--n", "8",
+       "--weight", "1")
+
+
+class TestBadNumericInput:
+    # Each used to run: a negative --trials printed success_rate -0.0, a
+    # negative --samples printed checked=-5 pass, a negative seed failed
+    # inside numpy naming no flag, and threshold:-5 silently meant const1.
+    @pytest.mark.parametrize("argv, name", [
+        (SIM + ("--trials", "-3"), "--trials"),
+        (SIM + ("--trials", "-3", "--aggregate"), "--trials"),
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
+          "--trials", "-1"), "--trials"),
+        (("verify", "--suite", "ham-onesided", "--n", "4", "--trials", "-2"),
+         "--trials"),
+        (("verify", "--suite", "lemma", "--n", "20", "--samples", "-5"),
+         "--samples"),
+        (SIM + ("--seed", "-1"), "--seed"),
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
+          "--seed", "-5"), "--seed"),
+        (("analyze", "--n", "8", "--profile", "threshold:-5"), "threshold:-5"),
+    ])
+    def test_exit_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize("value", ["-7", "seven"])
+    def test_bad_env_seed_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("XORCOMM_SEED", value)
+        code, out, err = run_cli(capsys, *SIM)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "XORCOMM_SEED" in err
 
 
 class TestSimulate:
@@ -184,6 +225,27 @@ class TestSweep:
             main(["sweep", "--protocol", "parity", "--profile", "parity",
                   "--n", "2", "--trials", "1",
                   "--out", "/nonexistent-dir/x.csv"])
+
+
+class TestGoldenOutput:
+    # sha256 of stdout, recorded when each Hamming-test repetition still drew
+    # its own bucket map and inputs were validated tuples.  Odd and even n,
+    # bucket maps drawn (b < n) and identity (b >= n), and flipped tests.
+    @pytest.mark.parametrize("argv, digest", [
+        (("sweep", "--protocol", "ham", "--profile", "threshold:2",
+          "--n", "33,64", "--trials", "5", "--reps", "3", "--seed", "21"),
+         "128a24993626389782a41fda9d125dc6b9d54c9a96d76b56ca8231c2137c7fe4"),
+        (("sweep", "--protocol", "xor1way", "--profile", "threshold:2",
+          "--n", "17,32", "--trials", "4", "--seed", "22"),
+         "88461369b08f71036a177e5af4813dacbc76070cb814765a25c9d664c70264a8"),
+        (("simulate", "--protocol", "xor2way", "--profile", "threshold:3",
+          "--n", "49", "--weight", "5", "--trials", "25", "--seed", "23"),
+         "5ee499b3478fd6d53d30e7932483705989824646bb7842078042a6c73531c4e0"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

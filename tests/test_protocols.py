@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from xorcomm.engine import Direction, run_protocol
+from xorcomm.engine import Channel, Direction, RandomTape, run_protocol
 from xorcomm.oracle import mc_error_estimate, weighted_pair
 from xorcomm.protocols import (FullSendProtocol, HamConfig, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, XorProtocolConfig,
-                               default_buckets, make_protocol)
+                               _amplified_ham, default_buckets,
+                               make_protocol)
 from xorcomm.symfun import InputPair, evaluate_F, parse_profile
 
 
@@ -113,6 +114,50 @@ class TestHam:
             res = mc_error_estimate(proto, p, m, trials, seed=17)
             rates.append(1.0 - res.success_rate)
         assert rates[0] >= rates[1] >= rates[2]
+
+
+def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
+    """The per-repetition loop: each repetition draws its own n bucket
+    indices and takes one bincount per party."""
+    n = len(x)
+    xa = 1 - x if flip else x
+    votes = []
+    for _ in range(reps):
+        bucket_map = np.arange(n) if b >= n else tape.integers(b, size=n)
+        pa = np.bincount(bucket_map[xa.astype(bool)], minlength=b) & 1
+        channel.a_to_b("".join(str(int(v)) for v in pa))
+        pb = np.bincount(bucket_map[y.astype(bool)], minlength=b) & 1
+        votes.append(int(np.count_nonzero(pa != pb)) > d)
+    return any(votes)
+
+
+class TestAmplifiedHam:
+    # b < n draws the bucket maps off the tape (odd and even n); b >= n is
+    # the identity map and draws nothing.
+    @pytest.mark.parametrize("n, b, reps", [
+        (33, 8, 3), (64, 18, 4), (7, 2, 5), (50, 49, 1), (20, 20, 3),
+        (21, 50, 2)])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_per_repetition_draws(self, n, b, reps, flip):
+        rng = np.random.default_rng((n, b, reps))
+        d = 2
+        for trial in range(6):
+            # Alice's input and y differ in `trial` places, so votes go
+            # both ways
+            x = rng.integers(0, 2, size=n).astype(np.uint8)
+            y = x ^ np.uint8(flip)
+            y[rng.permutation(n)[:trial]] ^= 1
+            got_ch, want_ch = Channel(), Channel()
+            got_tape, want_tape = RandomTape(trial), RandomTape(trial)
+            got = _amplified_ham(x, y, d, b, reps, got_ch, got_tape, flip=flip)
+            want = _reference_amplified_ham(x, y, d, b, reps, want_ch,
+                                            want_tape, flip=flip)
+            assert got == want
+            assert got_ch.messages == want_ch.messages
+            assert got_tape.position == want_tape.position
+            # the shared stream continues exactly where the loop left it
+            assert np.array_equal(got_tape.integers(1 << 40, size=3),
+                                  want_tape.integers(1 << 40, size=3))
 
 
 class TestTwoWay:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,29 @@ class TestEvaluate:
         p = parse_profile("parity", 4)
         with pytest.raises(ProfileError):
             evaluate_F(p, InputPair((0,) * 5, (1,) * 5))
+
+
+class TestInputPair:
+    @pytest.mark.parametrize("x, y", [
+        ((0, 2, 1), (0, 0, 1)),
+        ((0, 1), (0, -1)),
+        ((0, 1), (0, 1, 1)),
+        (((0, 1), (1, 0)), ((0, 1), (1, 0))),
+    ])
+    def test_rejects(self, x, y):
+        with pytest.raises(ProfileError):
+            InputPair(x, y)
+
+    def test_read_only_uint8_copy(self):
+        src = np.array([1, 0, 1, 1], dtype=np.int64)
+        pair = InputPair(src, [True, False, False, True])
+        assert pair.x.dtype == pair.y.dtype == np.uint8
+        assert (pair.n, pair.xor_weight()) == (4, 1)
+        for bits in (pair.x, pair.y):
+            with pytest.raises(ValueError):
+                bits[0] = 0
+        src[0] = 0  # the caller's array stays writable and is not shared
+        assert pair.x.tolist() == [1, 0, 1, 1]
 
 
 class TestClassify:
@@ -166,7 +190,8 @@ class TestParse:
         assert p.s == tuple(1 if k % 3 in (0, 2) else 0 for k in range(7))
 
     @pytest.mark.parametrize("bad", [
-        "nope", "threshold:x", "bits:01", "mod:0:1", "mod:3:", "exact:99"])
+        "nope", "threshold:x", "threshold:-5", "bits:01", "mod:0:1", "mod:3:",
+        "exact:99"])
     def test_rejects(self, bad):
         with pytest.raises(ProfileError):
             parse_profile(bad, 8)
