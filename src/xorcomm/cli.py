@@ -5,8 +5,10 @@ Subcommands: analyze (JSON report), verify (oracle cross-checks), simulate
 serialized as decimal strings so no toolchain rounds them.  Seed precedence:
 --seed flag, then XORCOMM_SEED, then 0; a seed, --trials and --samples
 must be non-negative.  analyze accepts n up to MAX_ANALYZE_N; verify refuses, before
-any work, an n above the limit of the oracle or the protocol runs its suite
-uses.  The parser is built once per process.
+any work, a run that would check nothing and an n above the limit of the
+oracle or the protocol runs its suite uses.  Bad input prints one
+`error: ...` line on stderr and exits 2.  The parser is built once per
+process.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ def _non_negative(name: str, value: int) -> int:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
+
+
+def _exit_usage(message: str):
+    """Print one error line and exit 2, as argparse does for a bad flag."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _resolve_seed(args) -> int:
@@ -142,8 +150,24 @@ def _verify_ham_onesided(args, seed) -> tuple[int, int]:
 
 
 def _check_verify_limits(args) -> None:
-    """Refuse, before any work, an n that a suite would only reject (or
-    take hours over) after running every smaller n."""
+    """Refuse, before any work, a run that would check nothing, and an n
+    that a suite would only reject (or take hours over) after running every
+    smaller n."""
+    if args.suite in ("rank", "fourier") and args.n_max < 1:
+        raise ValueError(f"verify --suite {args.suite} --n-max {args.n_max} "
+                         f"checks nothing; it must be at least 1")
+    # a sampled lemma scan needs a nontrivial profile, which n <= 1 lacks
+    least_n = {"lemma": 0 if args.exhaustive else 2,
+               "ham-onesided": 1}.get(args.suite)
+    if least_n is not None and args.n < least_n:
+        raise ValueError(f"verify --suite {args.suite} --n {args.n} "
+                         f"must be at least {least_n}")
+    if args.suite == "lemma" and not args.exhaustive and args.samples == 0:
+        raise ValueError("verify --suite lemma --samples 0 checks nothing; "
+                         "it must be at least 1")
+    if args.suite == "ham-onesided" and args.trials == 0:
+        raise ValueError("verify --suite ham-onesided --trials 0 checks "
+                         "nothing; it must be at least 1")
     if args.suite == "rank" and args.n_max > oracle.MAX_RANK_N:
         raise ValueError(f"verify --suite rank --n-max {args.n_max} is above "
                          f"the limit of {oracle.MAX_RANK_N}")
@@ -184,7 +208,8 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     profile = symfun.parse_profile(args.profile, args.n)
     if not 0 <= args.weight <= args.n:
-        raise SystemExit(f"weight {args.weight} out of range for n={args.n}")
+        _exit_usage(f"simulate --weight {args.weight} is out of range "
+                    f"for n={args.n}")
     protocol = protocols.make_protocol(
         args.protocol, profile, buckets=args.buckets,
         repetitions=args.reps, region_reps=args.region_reps,
@@ -224,7 +249,7 @@ def cmd_sweep(args) -> int:
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
-        raise SystemExit(f"cannot write {args.out}: {exc}")
+        _exit_usage(f"sweep --out cannot write {args.out}: {exc}")
     try:
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()

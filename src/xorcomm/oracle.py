@@ -15,14 +15,16 @@ import numpy as np
 
 # The Monte-Carlo trial loop lives in engine; these names stay importable here.
 from .engine import MCResult, mc_error_estimate, weighted_pair  # noqa: F401
-from .spectral import krawtchouk_matrix_i64, window_bounds
+from .spectral import krawtchouk_matrix, window_bounds
 from .symfun import SymmetricProfile
 
 MAX_TABLE_N = 16
 # verify --suite rank checks all 2^(n+1) profiles at each n; at n = 9 one
 # rank takes up to 0.26 s, so the 1,024 profiles there alone take minutes.
 MAX_RANK_N = 8
-MAX_SCAN_N = 22
+# exhaustive_lemma_scan holds two tables of 2^((n+1)/2) int64 fingerprints;
+# at n = 39 a fresh process took under 1 s and 76 MB, at n = 40 101 MB.
+MAX_SCAN_N = 39
 
 
 @dataclass(frozen=True)
@@ -275,27 +277,87 @@ def brute_rank(table: TruthTable) -> int:
 # Lemma window scans
 
 
+# Random-linear fingerprints of window vectors live mod this prime; a sum of
+# two residues stays below 2^62, inside int64.
+_FINGERPRINT_P = (1 << 61) - 1
+_FINGERPRINT_SEED = 0x5CA7
+
+
+def _subset_sums_mod(cols: list[int], p: int) -> np.ndarray:
+    """All 2^len(cols) subset sums of cols mod p, built by doubling in
+    place, so entry i is the sum over the set bits of i."""
+    f = np.zeros(1 << len(cols), dtype=np.int64)
+    for j, c in enumerate(cols):
+        m = 1 << j
+        np.add(f[:m], c, out=f[m:2 * m])
+        np.remainder(f[m:2 * m], p, out=f[m:2 * m])
+    return f
+
+
+def _window_matches(n: int, target) -> list[int]:
+    """Every profile index i (s[t] = bit t of i, as in all_profiles_matrix),
+    trivial profiles included, whose window vector
+    (sum_t s[t] C[k][t] for k in window_bounds(n)) equals target; ascending.
+
+    Meet in the middle (Horowitz & Sahni, JACM 1974): the window vector is
+    linear in s, so a random-linear fingerprint of it mod p is the sum of
+    the fingerprints of the set columns.  The subset sums of the low and the
+    high columns are tabulated separately, the low table is sorted, and each
+    high sum looks up the low sums that complete it to the target's
+    fingerprint.  Every true match collides whatever the random weights
+    are, so none is missed; every collision is rechecked exactly on Python
+    ints, so none is false.  The result does not depend on the seed.
+    """
+    lo, hi = window_bounds(n)
+    rows = krawtchouk_matrix(n)[lo:hi + 1]
+    target = [int(v) for v in target]
+    if len(target) != len(rows):
+        raise ValueError(f"target has {len(target)} entries, the window "
+                         f"at n={n} has {len(rows)}")
+    p = _FINGERPRINT_P
+    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
+        0, p, size=len(rows)).tolist()
+    cols = [sum(w * row[t] for w, row in zip(weights, rows)) % p
+            for t in range(n + 1)]
+    goal = sum(w * v for w, v in zip(weights, target)) % p
+    half = (n + 1) // 2
+    low = _subset_sums_mod(cols[:half], p)
+    high = _subset_sums_mod(cols[half:], p)
+    order = np.argsort(low, kind="stable")
+    low = low[order]
+    want = np.subtract(goal, high, out=high)
+    want %= p
+    first = np.searchsorted(low, want)
+    # first = low.size means want is above every low sum; clipped, it
+    # points at a smaller entry and still misses
+    np.minimum(first, low.size - 1, out=first)
+    hit = np.flatnonzero(low[first] == want)
+    count = np.searchsorted(low, want[hit], side="right") - first[hit]
+    starts = np.repeat(first[hit] - np.cumsum(count) + count, count)
+    low_idx = order[starts + np.arange(starts.size)]
+    candidates = (np.repeat(hit, count) << half) | low_idx
+    matches = []
+    for i in sorted(candidates.tolist()):
+        ones = [t for t in range(n + 1) if i >> t & 1]
+        if all(sum(row[t] for t in ones) == v
+               for row, v in zip(rows, target)):
+            matches.append(i)
+    return matches
+
+
 def exhaustive_lemma_scan(n: int) -> list[SymmetricProfile]:
-    """All nontrivial profiles at n whose support misses the middle window."""
+    """All nontrivial profiles at n whose support misses the middle window,
+    in ascending profile index, found by a meet-in-the-middle search for
+    the zero window vector."""
+    if n < 0:
+        raise ValueError(f"exhaustive scan needs n >= 0, got {n}")
     if n > MAX_SCAN_N:
         raise ValueError(f"exhaustive scan limited to n <= {MAX_SCAN_N}")
     lo, hi = window_bounds(n)
-    Cwin = krawtchouk_matrix_i64(n)[lo:hi + 1]
     skip = set(trivial_profile_indices(n))
-    total = 1 << (n + 1)
-    chunk = 1 << 18
-    shifts = np.arange(n + 1)
-    violations = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        P = ((idx[:, None] >> shifts) & 1).astype(np.int64)
-        empty = ~np.any(P @ Cwin.T, axis=1)
-        for i in idx[empty]:
-            if int(i) in skip:
-                continue
-            s = tuple(int((int(i) >> k) & 1) for k in range(n + 1))
-            violations.append(SymmetricProfile(n, s))
-    return violations
+    return [SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+            for i in _window_matches(n, [0] * max(0, hi - lo + 1))
+            if i not in skip]
 
 
 def sampled_lemma_scan(n: int, samples: int, seed) -> int:
@@ -306,28 +368,28 @@ def sampled_lemma_scan(n: int, samples: int, seed) -> int:
     profile; only profiles whose whole window vanishes mod p get the exact
     big-integer recheck.
     """
-    from .spectral import krawtchouk_matrix  # exact table, any n
-
+    if n < 2:  # the rejection loop would never end
+        raise ValueError(f"every profile at n={n} is trivial; "
+                         f"sampling needs n >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo, hi = window_bounds(n)
     C = krawtchouk_matrix(n)
     p = 2_147_483_647
     Cwin_mod = np.array([[c % p for c in C[k]] for k in range(lo, hi + 1)],
                         dtype=np.int64)
-    trivial = {tuple(k % 2 for k in range(n + 1)),
-               tuple(1 - k % 2 for k in range(n + 1)),
-               (0,) * (n + 1), (1,) * (n + 1)}
+    parity = np.arange(n + 1) % 2
     count = 0
     drawn = 0
     batch = 4096
     while drawn < samples:
         take = min(batch, 4 * (samples - drawn) + 16)
         P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
-        keep = [row for row in P if tuple(int(b) for b in row) not in trivial]
-        keep = keep[:samples - drawn]
-        if not keep:
+        ones = P.sum(axis=1)
+        trivial = ((ones == 0) | (ones == n + 1)
+                   | np.all(P == parity, axis=1) | np.all(P != parity, axis=1))
+        K = P[~trivial][:samples - drawn]
+        if not K.shape[0]:
             continue
-        K = np.array(keep, dtype=np.int64)
         drawn += K.shape[0]
         # sums of at most n+1 terms below 2^31 stay well inside int64
         suspect = ~np.any((K @ Cwin_mod.T) % p, axis=1)

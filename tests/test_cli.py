@@ -154,6 +154,18 @@ class TestBadNumericInput:
         (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
           "--seed", "-5"), "--seed"),
         (("analyze", "--n", "8", "--profile", "threshold:-5"), "threshold:-5"),
+        # each of these checked nothing and printed "checked=0 ... pass"
+        (("verify", "--suite", "rank", "--n-max", "0"), "--n-max 0"),
+        (("verify", "--suite", "fourier", "--n-max", "0"), "--n-max 0"),
+        (("verify", "--suite", "lemma", "--n", "64", "--samples", "0"),
+         "--samples 0"),
+        (("verify", "--suite", "ham-onesided", "--n", "8", "--trials", "0"),
+         "--trials 0"),
+        (("verify", "--suite", "ham-onesided", "--n", "-1"), "--n -1"),
+        # failed with "negative shift count"
+        (("verify", "--suite", "lemma", "--exhaustive", "--n", "-3"), "--n -3"),
+        # every profile at n <= 1 is trivial, so sampling never ended
+        (("verify", "--suite", "lemma", "--n", "1", "--samples", "5"), "--n 1"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -196,6 +208,15 @@ class TestSimulate:
             main(["simulate", "--protocol", "parity", "--profile", "parity",
                   "--n", "4", "--weight", "9"])
 
+    def test_weight_out_of_range_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--protocol", "parity", "--profile", "parity",
+                  "--n", "4", "--weight", "9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--weight 9" in captured.err
+
     def test_deterministic_output(self, capsys):
         args = ["simulate", "--protocol", "xor2way", "--profile", "exact:0",
                 "--n", "32", "--weight", "0", "--trials", "10",
@@ -225,6 +246,16 @@ class TestSweep:
             main(["sweep", "--protocol", "parity", "--profile", "parity",
                   "--n", "2", "--trials", "1",
                   "--out", "/nonexistent-dir/x.csv"])
+
+    def test_unwritable_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--protocol", "parity", "--profile", "parity",
+                  "--n", "2", "--trials", "1", "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(path) in captured.err
 
 
 class TestGoldenOutput:

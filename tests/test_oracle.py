@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from xorcomm import oracle, spectral
-from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
-                            brute_rank, brute_symmetric_fourier_matrix,
+from xorcomm.oracle import (MAX_SCAN_N, TruthTable, all_profiles_matrix,
+                            brute_fourier, brute_rank,
+                            brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, mc_error_estimate,
                             sampled_lemma_scan, trivial_profile_indices,
                             weighted_pair, xor_matrix)
@@ -186,7 +187,7 @@ class TestRankCertificate:
         for name in ("weight_spectrum", "krawtchouk_matrix", "krawtchouk_rows",
                      "krawtchouk_matrix_i64"):
             monkeypatch.setattr(spectral, name, forbidden)
-        monkeypatch.setattr(oracle, "krawtchouk_matrix_i64", forbidden)
+        monkeypatch.setattr(oracle, "krawtchouk_matrix", forbidden)
         assert [brute_rank(t) for t in tables] == want
 
 
@@ -214,7 +215,7 @@ class TestScans:
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError):
-            exhaustive_lemma_scan(23)
+            exhaustive_lemma_scan(MAX_SCAN_N + 1)
 
     def test_sampled_deterministic(self):
         a = sampled_lemma_scan(40, 2000, seed=5)
@@ -224,6 +225,104 @@ class TestScans:
     def test_sampled_counts_planted_violation_style(self):
         # sanity: at tiny n random nontrivial profiles exist and scan runs
         assert sampled_lemma_scan(4, 500, seed=1) >= 0
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_sampled_refuses_n_without_nontrivial_profiles(self, n):
+        # every profile at n <= 1 is trivial: rejection sampling never ends
+        with pytest.raises(ValueError):
+            sampled_lemma_scan(n, 5, seed=1)
+
+    def test_sampled_accepts_same_rows_as_tuple_rejection(self, monkeypatch):
+        # With window rows (1, 0, 0, 0), a row "violates" iff s[0] = 0, so
+        # the count depends on which rows were accepted.  The reference is
+        # the earlier loop, which rejected trivial rows by tuple lookup.
+        n, samples, seed = 3, 3000, 9
+        fake = ((1, 0, 0, 0),) * (n + 1)
+        monkeypatch.setattr(oracle, "krawtchouk_matrix", lambda m: fake)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        trivial = {(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0)}
+        accepted = []
+        while len(accepted) < samples:
+            take = min(4096, 4 * (samples - len(accepted)) + 16)
+            P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
+            keep = [tuple(int(b) for b in row) for row in P]
+            keep = [s for s in keep if s not in trivial]
+            accepted += keep[:samples - len(accepted)]
+        want = sum(s[0] == 0 for s in accepted)
+        assert 0 < want < samples
+        assert sampled_lemma_scan(n, samples, seed) == want
+
+
+def window_vector(n, i):
+    """Exact window vector of profile index i (reference only)."""
+    lo, hi = spectral.window_bounds(n)
+    C = spectral.krawtchouk_matrix(n)
+    return [sum(C[k][t] for t in range(n + 1) if i >> t & 1)
+            for k in range(lo, hi + 1)]
+
+
+def brute_window_matches(n, target):
+    """Every profile index with the given window vector, by one int64
+    product over all 2^(n+1) profiles (reference only)."""
+    lo, hi = spectral.window_bounds(n)
+    window = spectral.krawtchouk_matrix_i64(n)[lo:hi + 1]
+    W = all_profiles_matrix(n) @ window.T
+    return np.flatnonzero(np.all(W == np.array(target, dtype=np.int64)
+                                 .reshape(1, -1), axis=1)).tolist()
+
+
+def product_lemma_scan(n):
+    """The retired scan's method without its 2^18-row chunks: every profile
+    row times the window rows, trivial profiles skipped (reference only)."""
+    skip = set(trivial_profile_indices(n))
+    return [SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+            for i in brute_window_matches(n, [0] * len(window_vector(n, 0)))
+            if i not in skip]
+
+
+class TestMeetInTheMiddle:
+    @pytest.mark.parametrize("n", [6, 9, 12, 14])
+    def test_planted_targets(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for i in rng.integers(0, 1 << (n + 1), size=4).tolist():
+            target = window_vector(n, i)
+            got = oracle._window_matches(n, target)
+            assert i in got
+            assert got == brute_window_matches(n, target)
+
+    def test_zero_target_includes_trivial(self):
+        for n in range(0, 15):
+            zero = [0] * len(window_vector(n, 0))
+            got = oracle._window_matches(n, zero)
+            assert got == brute_window_matches(n, zero), f"n={n}"
+        # n = 1 has an empty window, so all four (trivial) profiles match
+        assert oracle._window_matches(1, []) == [0, 1, 2, 3]
+        assert oracle._window_matches(0, [0]) == [0]
+
+    def test_matches_product_reference(self):
+        for n in range(0, 17):
+            assert exhaustive_lemma_scan(n) == product_lemma_scan(n), f"n={n}"
+
+    def test_no_violation_up_to_cap(self):
+        for n in range(17, MAX_SCAN_N + 1):
+            assert exhaustive_lemma_scan(n) == [], f"n={n}"
+
+    def test_exact_recheck_removes_collisions(self, monkeypatch):
+        # With p = 5 nearly every fifth pair collides; the output must not
+        # change, whatever the modulus or the seed of the weights.
+        n = 9
+        targets = [[0] * len(window_vector(n, 0)), window_vector(n, 300)]
+        want = [brute_window_matches(n, t) for t in targets]
+        monkeypatch.setattr(oracle, "_FINGERPRINT_P", 5)
+        for seed in (1, 2):
+            monkeypatch.setattr(oracle, "_FINGERPRINT_SEED", seed)
+            assert [oracle._window_matches(n, t) for t in targets] == want
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError):
+            oracle._window_matches(8, [0])
+        with pytest.raises(ValueError):
+            exhaustive_lemma_scan(-1)
 
 
 class TestMC:
