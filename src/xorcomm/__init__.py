@@ -14,7 +14,6 @@ from .spectral import (WeightSpectrum, deterministic_bounds,
                        weight_spectrum)
 from .symfun import (GapParams, InputPair, SymmetricProfile, TrivialClass,
                      classify, conjectured_unbounded_measure, evaluate_F,
-                     flip_reduction, gap_params, parity_decompose,
-                     parse_profile)
+                     flip_reduction, gap_params, parse_profile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

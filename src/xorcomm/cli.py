@@ -6,9 +6,10 @@ serialized as decimal strings so no toolchain rounds them.  Seed precedence:
 --seed flag, then XORCOMM_SEED, then 0; a seed, --trials and --samples
 must be non-negative.  analyze accepts n up to MAX_ANALYZE_N; verify refuses, before
 any work, a run that would check nothing and an n above the limit of the
-oracle or the protocol runs its suite uses.  Bad input prints one
-`error: ...` line on stderr and exits 2.  The parser is built once per
-process.
+oracle or the protocol runs its suite uses.  simulate and sweep refuse
+--trials 0, an empty --n list (sweep) and a protocol flag the named
+protocol does not read.  Bad input prints one `error: ...` line on stderr
+and exits 2.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -203,17 +204,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if bad == 0 else EXIT_MISMATCH
 
 
+def _at_least_one_trial(args) -> None:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+
+
+def _make_protocol(args, profile) -> engine.Protocol:
+    return protocols.make_protocol(
+        args.protocol, profile, buckets=args.buckets,
+        repetitions=args.reps, region_reps=args.region_reps,
+        search_rep_factor=args.search_rep_factor)
+
+
 def cmd_simulate(args) -> int:
-    _non_negative("--trials", args.trials)
+    _at_least_one_trial(args)
     seed = _resolve_seed(args)
     profile = symfun.parse_profile(args.profile, args.n)
     if not 0 <= args.weight <= args.n:
         _exit_usage(f"simulate --weight {args.weight} is out of range "
                     f"for n={args.n}")
-    protocol = protocols.make_protocol(
-        args.protocol, profile, buckets=args.buckets,
-        repetitions=args.reps, region_reps=args.region_reps,
-        search_rep_factor=args.search_rep_factor)
+    protocol = _make_protocol(args, profile)
     if args.aggregate:
         res = engine.mc_error_estimate(protocol, profile, args.weight,
                                        args.trials, seed)
@@ -233,17 +243,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _non_negative("--trials", args.trials)
+    _at_least_one_trial(args)
     seed = _resolve_seed(args)
     n_list = [int(tok) for tok in args.n.split(",") if tok != ""]
 
-    def factory(profile, n):
-        return protocols.make_protocol(
-            args.protocol, profile, buckets=args.buckets,
-            repetitions=args.reps, region_reps=args.region_reps,
-            search_rep_factor=args.search_rep_factor)
-
-    rows = engine.sweep(factory, args.profile, n_list, args.trials, seed)
+    if not n_list:
+        raise ValueError(f"sweep --n {args.n!r} lists no n")
+    rows = engine.sweep(lambda profile, n: _make_protocol(args, profile),
+                        args.profile, n_list, args.trials, seed)
     fields = ["n", "family", "r0", "r1", "r", "protocol", "weight", "trials",
               "success_rate", "mean_bits", "max_bits", "rounds_mean"]
     try:
@@ -271,6 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="randomness seed (default: $XORCOMM_SEED or 0)")
 
+    def add_protocol_flags(p):
+        # None, the default, means "not given": the protocol's own default
+        for flag, readers in (("--buckets", "ham"), ("--reps", "ham"),
+                              ("--region-reps", "xor2way and xor1way"),
+                              ("--search-rep-factor", "xor2way and xor1way")):
+            p.add_argument(flag, type=int, help=f"read by {readers} only")
+
     p = sub.add_parser("analyze", help="exact spectral/gap analysis report")
     p.add_argument("--n", type=int, required=True,
                    help=f"number of input bits, at most {MAX_ANALYZE_N}")
@@ -295,10 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--region-reps", type=int, default=5)
-    p.add_argument("--search-rep-factor", type=int, default=2)
+    add_protocol_flags(p)
     p.add_argument("--aggregate", action="store_true")
     add_seed(p)
     p.set_defaults(func=cmd_simulate)
@@ -310,10 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile family applied at each n")
     p.add_argument("--n", required=True, help="comma-separated list of n")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--region-reps", type=int, default=5)
-    p.add_argument("--search-rep-factor", type=int, default=2)
+    add_protocol_flags(p)
     p.add_argument("--out", default=None)
     add_seed(p)
     p.set_defaults(func=cmd_sweep)
@@ -325,9 +333,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except symfun.ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

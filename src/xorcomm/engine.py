@@ -1,16 +1,16 @@
 """Two-party protocol execution: shared tape, channel, transcripts, the
 Monte-Carlo trial loop and sweeps.
 
-Bits are accounted, not transmitted.  Bob is the output party for every
-protocol; the engine appends his 1-bit answer to the transcript so both
-parties know the result.
+Bits are counted, not transmitted: the channel keeps running totals per
+direction and the number of rounds, and stores no payload.  Bob is the
+output party for every protocol; the engine appends his 1-bit answer to the
+transcript so both parties know the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -18,36 +18,17 @@ from .symfun import (InputPair, ProfileError, SymmetricProfile, evaluate_F,
                      gap_params, parse_profile)
 
 
-class Direction(str, Enum):
-    A2B = "AliceToBob"
-    B2A = "BobToAlice"
-
-
 class ScheduleViolation(RuntimeError):
     """A party sent a message its declared schedule forbids."""
 
 
 @dataclass(frozen=True)
-class Message:
-    direction: Direction
-    payload: str  # bit string
-
-
-@dataclass
 class Transcript:
-    messages: list[Message]
-    seed: Any
-    answer_bits: int = 1  # final Bob->Alice answer appended by the engine
+    """Bit counts of one run; the last Bob->Alice bit is the answer."""
 
-    @property
-    def bits_a_to_b(self) -> int:
-        return sum(len(m.payload) for m in self.messages
-                   if m.direction is Direction.A2B)
-
-    @property
-    def bits_b_to_a(self) -> int:
-        return sum(len(m.payload) for m in self.messages
-                   if m.direction is Direction.B2A)
+    bits_a_to_b: int
+    bits_b_to_a: int
+    rounds: int  # maximal blocks of messages in one direction
 
     @property
     def total_bits(self) -> int:
@@ -55,16 +36,7 @@ class Transcript:
 
     @property
     def content_bits(self) -> int:
-        return self.total_bits - self.answer_bits
-
-    @property
-    def rounds(self) -> int:
-        r, prev = 0, None
-        for m in self.messages:
-            if m.direction is not prev:
-                r += 1
-                prev = m.direction
-        return r
+        return self.total_bits - 1
 
 
 class RandomTape:
@@ -80,26 +52,44 @@ class RandomTape:
 
 
 class Channel:
-    """Records messages; enforces the one-way restriction when declared."""
+    """Counts the bits each party sends and the rounds; stores no payload.
+    Enforces the one-way restriction when declared.
+
+    A message is any sized sequence of bits (a numpy row, x itself, a
+    tuple); only its length is kept.
+    """
 
     def __init__(self, one_way: bool = False):
         self.one_way = one_way
-        self.messages: list[Message] = []
+        self.bits_a_to_b = 0
+        self.bits_b_to_a = 0
+        self.rounds = 0
+        self._to_bob = None  # direction of the last message
 
-    def a_to_b(self, payload: str) -> str:
-        self.messages.append(Message(Direction.A2B, payload))
-        return payload
+    def _count(self, to_bob: bool, bits) -> None:
+        if to_bob:
+            self.bits_a_to_b += len(bits)
+        else:
+            self.bits_b_to_a += len(bits)
+        if to_bob is not self._to_bob:
+            self.rounds += 1
+            self._to_bob = to_bob
 
-    def b_to_a(self, payload: str) -> str:
+    def a_to_b(self, bits) -> None:
+        self._count(True, bits)
+
+    def b_to_a(self, bits) -> None:
         if self.one_way:
             raise ScheduleViolation(
                 "one-way protocol attempted a Bob->Alice content message")
-        self.messages.append(Message(Direction.B2A, payload))
-        return payload
+        self._count(False, bits)
 
-    def _final_answer(self, payload: str) -> None:
+    def _final_answer(self, bits) -> None:
         # the designated output message is exempt from the one-way check
-        self.messages.append(Message(Direction.B2A, payload))
+        self._count(False, bits)
+
+    def transcript(self) -> Transcript:
+        return Transcript(self.bits_a_to_b, self.bits_b_to_a, self.rounds)
 
 
 class Protocol:
@@ -138,8 +128,8 @@ def run_protocol(protocol: Protocol, pair: InputPair,
     tape = RandomTape(seed)
     channel = Channel(one_way=protocol.one_way)
     out = int(protocol.run(pair.x, pair.y, profile, channel, tape))
-    channel._final_answer(str(out))
-    return out, Transcript(messages=channel.messages, seed=seed)
+    channel._final_answer((out,))
+    return out, channel.transcript()
 
 
 def make_report(protocol: Protocol, output: int, truth: int,
@@ -192,6 +182,8 @@ def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
 def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
                       trials: int, seed) -> MCResult:
     """Empirical success rate and bit cost at exact XOR-weight m."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     successes = bits_sum = bits_max = rounds_sum = 0
     for out, truth, transcript in run_trials(protocol, profile, m, trials,
                                              seed):
@@ -201,10 +193,9 @@ def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
         bits_max = max(bits_max, bits)
         rounds_sum += transcript.rounds
     return MCResult(trials=trials, successes=successes,
-                    success_rate=successes / trials if trials else 0.0,
-                    mean_bits=bits_sum / trials if trials else 0.0,
-                    max_bits=bits_max,
-                    rounds_mean=rounds_sum / trials if trials else 0.0)
+                    success_rate=successes / trials,
+                    mean_bits=bits_sum / trials, max_bits=bits_max,
+                    rounds_mean=rounds_sum / trials)
 
 
 def sweep(protocol_factory, family: str, n_list, trials: int, seed,

@@ -21,9 +21,6 @@ from .engine import Channel, Protocol, RandomTape
 from .symfun import (GapParams, SymmetricProfile, TrivialClass, gap_params,
                      threshold_of)
 
-def _bits_to_str(bits: np.ndarray) -> str:
-    return (bits.astype(np.uint8) + 48).tobytes().decode("ascii")
-
 
 def default_buckets(d: int, n: int) -> int:
     return min(2 * (d + 1) ** 2, n)
@@ -81,9 +78,8 @@ def _amplified_ham(x: np.ndarray, y: np.ndarray, d: int, b: int, reps: int,
     hits = np.concatenate((slot[:, x != flip].ravel(),
                            slot[:, y != 0].ravel() + reps * b))
     pa, pb = (np.bincount(hits, minlength=2 * reps * b) & 1).reshape(2, reps, b)
-    sent = _bits_to_str(pa)
-    for i in range(0, reps * b, b):
-        channel.a_to_b(sent[i:i + b])
+    for row in pa:
+        channel.a_to_b(row)
     return bool(((pa != pb).sum(axis=1) > d).any())
 
 
@@ -95,7 +91,7 @@ class ParityProtocol(Protocol):
 
     def run(self, x, y, profile, channel, tape):
         pa = int(x.sum()) & 1
-        channel.a_to_b(str(pa))
+        channel.a_to_b((pa,))
         return (pa + int(y.sum())) & 1
 
 
@@ -106,7 +102,7 @@ class FullSendProtocol(Protocol):
     one_way = True
 
     def run(self, x, y, profile, channel, tape):
-        channel.a_to_b(_bits_to_str(x))
+        channel.a_to_b(x)
         m = int(np.count_nonzero(x != y))
         return profile.s[m]
 
@@ -169,25 +165,20 @@ def _run_trivial(profile: SymmetricProfile, gp: GapParams, x, y,
         return profile.s[0]
     # parity-type profile: 2-periodic everywhere, so s[parity] is the answer
     pa = int(x.sum()) & 1
-    channel.a_to_b(str(pa))
+    channel.a_to_b((pa,))
     return profile.s[(pa + int(y.sum())) & 1]
 
 
-class TwoWayXorProtocol(Protocol):
-    """Region test + parity shortcut + interactive binary search.
+# Bob's two-bit report of the region in the two-way protocol
+_REGION_BITS = {"lower": (0, 0), "middle": (0, 1), "upper": (1, 0)}
 
-    Phase 1 locates |x xor y| in [0, r), [r, n-r], or (n-r, n] with two
-    amplified bucket-parity tests at threshold r-1, the upper one on Alice's
-    flipped input (|~x xor y| = n - |x xor y|).  The middle region needs only
-    the distance parity.  A tail triggers a binary search whose probes are
-    amplified ceil(search_rep_factor * log2 log2 r) times; Bob feeds each
-    probe outcome back with one bit to steer the search.
 
-    All internal Hamming tests use b = 2r^2 buckets (uncapped), keeping the
-    simulated cost at O(r^2 log r log log r) content bits.
+class _XorProtocol(Protocol):
+    """Configuration and region location shared by the XOR protocols.
+
+    Every internal Hamming test uses b = 2r^2 buckets (uncapped), keeping
+    the simulated two-way cost at O(r^2 log r log log r) content bits.
     """
-
-    name = "xor2way"
 
     def __init__(self, config: XorProtocolConfig = XorProtocolConfig()):
         self.config = config
@@ -196,27 +187,46 @@ class TwoWayXorProtocol(Protocol):
         return {"region_reps": self.config.region_reps,
                 "search_rep_factor": self.config.search_rep_factor}
 
+    def _region(self, x, y, r: int, b: int, channel: Channel,
+                tape: RandomTape) -> str:
+        """Place |x xor y| in [0, r), [r, n-r] or (n-r, n]: "lower",
+        "middle" or "upper".
+
+        Two amplified tests at threshold r-1, the upper one first and on
+        Alice's flipped input (|~x xor y| = n - |x xor y|).
+        """
+        reps = self.config.region_reps
+        up = _amplified_ham(x, y, r - 1, b, reps, channel, tape, flip=True)
+        low = _amplified_ham(x, y, r - 1, b, reps, channel, tape)
+        if not up:
+            return "upper"
+        return "middle" if low else "lower"
+
+
+class TwoWayXorProtocol(_XorProtocol):
+    """Region test + parity shortcut + interactive binary search.
+
+    Phase 1 locates |x xor y| in one of three regions and Bob reports it
+    with two bits.  The middle region needs only the distance parity.  A
+    tail triggers a binary search whose probes are amplified
+    ceil(search_rep_factor * log2 log2 r) times; Bob feeds each probe
+    outcome back with one bit to steer the search.
+    """
+
+    name = "xor2way"
+
     def run(self, x, y, profile, channel, tape):
         gp = gap_params(profile)
         if gp.r == 0:
             return _run_trivial(profile, gp, x, y, channel)
         n, s, r = profile.n, profile.s, gp.r
         b = 2 * r * r
-        rr = self.config.region_reps
-
-        up = _amplified_ham(x, y, r - 1, b, rr, channel, tape, flip=True)
-        low = _amplified_ham(x, y, r - 1, b, rr, channel, tape)
-        if not up:
-            region = "upper"
-        elif low:
-            region = "middle"
-        else:
-            region = "lower"
-        channel.b_to_a({"lower": "00", "middle": "01", "upper": "10"}[region])
+        region = self._region(x, y, r, b, channel, tape)
+        channel.b_to_a(_REGION_BITS[region])
 
         if region == "middle":
             pa = int(x.sum()) & 1
-            channel.a_to_b(str(pa))
+            channel.a_to_b((pa,))
             return _middle_representative(profile, r, (pa + int(y.sum())) & 1)
 
         flip = region == "upper"
@@ -227,7 +237,7 @@ class TwoWayXorProtocol(Protocol):
         for _ in range(math.ceil(math.log2(r)) if r > 1 else 0):
             mid = (lo + hi) // 2
             vote = _amplified_ham(x, y, mid, b, reps, channel, tape, flip=flip)
-            channel.b_to_a(str(int(vote)))
+            channel.b_to_a((int(vote),))
             if lo < hi:
                 if vote:
                     lo = mid + 1
@@ -251,7 +261,7 @@ class TwoWayXorProtocol(Protocol):
         return bits + probes * (reps * b + 1)
 
 
-class OneWayXorProtocol(Protocol):
+class OneWayXorProtocol(_XorProtocol):
     """Enumeration variant: every content message flows Alice to Bob.
 
     Alice ships the distance parity, both region tests, and for each
@@ -266,38 +276,19 @@ class OneWayXorProtocol(Protocol):
     name = "xor1way"
     one_way = True
 
-    def __init__(self, config: XorProtocolConfig = XorProtocolConfig()):
-        self.config = config
-
-    def params(self):
-        return {"region_reps": self.config.region_reps,
-                "search_rep_factor": self.config.search_rep_factor}
-
     def run(self, x, y, profile, channel, tape):
         gp = gap_params(profile)
         if gp.r == 0:
             return _run_trivial(profile, gp, x, y, channel)
         n, s, r = profile.n, profile.s, gp.r
         b = 2 * r * r
-        rr = self.config.region_reps
-        reps = _enum_reps(r, self.config.search_rep_factor)
-
         pa = int(x.sum()) & 1
-        channel.a_to_b(str(pa))
-        up_hit = _amplified_ham(x, y, r - 1, b, rr, channel, tape, flip=True)
-        low_hit = _amplified_ham(x, y, r - 1, b, rr, channel, tape)
-        tests = {}
-        for flip in (False, True):
-            for d in range(r):
-                tests[(flip, d)] = _amplified_ham(x, y, d, b, reps, channel,
-                                                  tape, flip=flip)
-
-        if not up_hit:
-            region = "upper"
-        elif low_hit:
-            region = "middle"
-        else:
-            region = "lower"
+        channel.a_to_b((pa,))
+        region = self._region(x, y, r, b, channel, tape)
+        reps = _enum_reps(r, self.config.search_rep_factor)
+        tests = {(flip, d): _amplified_ham(x, y, d, b, reps, channel, tape,
+                                           flip=flip)
+                 for flip in (False, True) for d in range(r)}
 
         if region == "middle":
             return _middle_representative(profile, r, (pa + int(y.sum())) & 1)
@@ -321,22 +312,38 @@ class OneWayXorProtocol(Protocol):
 
 
 PROTOCOL_NAMES = ("parity", "fullsend", "ham", "xor2way", "xor1way")
+# make_protocol's keyword arguments, named by the CLI flag that sets each
+_CLI_FLAGS = {"buckets": "--buckets", "repetitions": "--reps",
+              "region_reps": "--region-reps",
+              "search_rep_factor": "--search-rep-factor"}
+_READS = {"ham": ("buckets", "repetitions"),
+          "xor2way": ("region_reps", "search_rep_factor"),
+          "xor1way": ("region_reps", "search_rep_factor")}
 
 
 def make_protocol(name: str, profile: SymmetricProfile, *, buckets=None,
-                  repetitions=1, region_reps=5, search_rep_factor=2) -> Protocol:
-    """CLI-facing factory mapping a protocol name plus flags to an instance."""
+                  repetitions=None, region_reps=None,
+                  search_rep_factor=None) -> Protocol:
+    """CLI-facing factory mapping a protocol name plus flags to an instance.
+
+    A flag left at None takes the protocol's default.  A flag the named
+    protocol does not read raises ValueError rather than being ignored.
+    """
+    if name not in PROTOCOL_NAMES:
+        raise ValueError(f"unknown protocol {name!r}")
+    flags = {key: value for key, value in (
+        ("buckets", buckets), ("repetitions", repetitions),
+        ("region_reps", region_reps),
+        ("search_rep_factor", search_rep_factor)) if value is not None}
+    ignored = [_CLI_FLAGS[key] for key in flags
+               if key not in _READS.get(name, ())]
+    if ignored:
+        raise ValueError(f"protocol {name} does not use {', '.join(ignored)}")
     if name == "parity":
         return ParityProtocol()
     if name == "fullsend":
         return FullSendProtocol()
     if name == "ham":
-        return HamProtocol.for_profile(profile, buckets=buckets,
-                                       repetitions=repetitions)
-    cfg = XorProtocolConfig(region_reps=region_reps,
-                            search_rep_factor=search_rep_factor)
-    if name == "xor2way":
-        return TwoWayXorProtocol(cfg)
-    if name == "xor1way":
-        return OneWayXorProtocol(cfg)
-    raise ValueError(f"unknown protocol {name!r}")
+        return HamProtocol.for_profile(profile, **flags)
+    cls = TwoWayXorProtocol if name == "xor2way" else OneWayXorProtocol
+    return cls(XorProtocolConfig(**flags))

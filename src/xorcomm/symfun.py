@@ -154,13 +154,6 @@ def flip_reduction(profile: SymmetricProfile) -> SymmetricProfile:
     return SymmetricProfile(profile.n, tuple(reversed(profile.s)))
 
 
-def parity_decompose(profile: SymmetricProfile) -> tuple[SymmetricProfile, SymmetricProfile]:
-    """Split S into its even-weight and odd-weight parts (S0, S1)."""
-    s0 = tuple(b if k % 2 == 0 else 0 for k, b in enumerate(profile.s))
-    s1 = tuple(b if k % 2 == 1 else 0 for k, b in enumerate(profile.s))
-    return SymmetricProfile(profile.n, s0), SymmetricProfile(profile.n, s1)
-
-
 def conjectured_unbounded_measure(profile: SymmetricProfile) -> int:
     """Count of t with S(t) != S(t+2); reported as a statistic only."""
     s = profile.s

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from xorcomm.engine import Direction, run_protocol, sweep
+from xorcomm.engine import run_protocol, sweep
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, mc_error_estimate,
@@ -130,7 +130,7 @@ def test_07_end_to_end_success(protocol_name, n):
     _ok(f"7 end-to-end {protocol_name} >= 0.9 on full weight grid at n={n}")
 
 
-def test_08_bit_accounting():
+def test_08_bit_accounting(recorder):
     rng = np.random.default_rng(80)
     # parity: exactly 1 content bit
     p = parse_profile("parity", 40)
@@ -155,13 +155,14 @@ def test_08_bit_accounting():
         for m in range(0, n + 1, 3):
             pair = weighted_pair(n, m, rng)
             _, t = run_protocol(proto, pair, prof, seed=(m, 8))
-            b2a = [msg.payload for msg in t.messages
-                   if msg.direction is Direction.B2A]
+            b2a = [bits for direction, bits in recorder.channels[-1].log
+                   if direction == "b2a"]
             if len(b2a) <= 1:
                 region = "trivial"
                 expected = proto.expected_content_bits(prof, region)
             else:
-                region = {"00": "lower", "01": "middle", "10": "upper"}[b2a[0]]
+                region = {(0, 0): "lower", (0, 1): "middle",
+                          (1, 0): "upper"}[b2a[0]]
                 expected = proto.expected_content_bits(prof, region)
             assert t.content_bits == expected, (spec, n, m, region)
     _ok("8 bit accounting (parity/fullsend/ham/xor2way closed forms, exact)")

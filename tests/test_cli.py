@@ -166,6 +166,13 @@ class TestBadNumericInput:
         (("verify", "--suite", "lemma", "--exhaustive", "--n", "-3"), "--n -3"),
         # every profile at n <= 1 is trivial, so sampling never ended
         (("verify", "--suite", "lemma", "--n", "1", "--samples", "5"), "--n 1"),
+        # each printed an estimate from no trials, or only the CSV header
+        (SIM + ("--trials", "0"), "--trials"),
+        (SIM + ("--trials", "0", "--aggregate"), "--trials"),
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
+          "--trials", "0"), "--trials"),
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", ","),
+         "--n"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -180,6 +187,59 @@ class TestBadNumericInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "XORCOMM_SEED" in err
+
+
+def _protocol_argv(command, protocol, profile="threshold:2"):
+    argv = (command, "--protocol", protocol, "--profile", profile, "--n", "8")
+    return argv + (("--weight", "1") if command == "simulate" else ())
+
+
+class TestIgnoredProtocolFlags:
+    # A protocol used to ignore every flag it does not read, so a typo or a
+    # wrong protocol name still ran and exited 0.
+    @pytest.mark.parametrize("argv, flag", [
+        (_protocol_argv("simulate", "parity", "parity") + ("--buckets", "4"),
+         "--buckets"),
+        (_protocol_argv("sweep", "parity", "parity") + ("--reps", "2"),
+         "--reps"),
+        (_protocol_argv("simulate", "fullsend") + ("--buckets", "4"),
+         "--buckets"),
+        (_protocol_argv("sweep", "fullsend") + ("--reps", "2"), "--reps"),
+        (_protocol_argv("simulate", "xor2way") + ("--buckets", "0"),
+         "--buckets"),
+        (_protocol_argv("simulate", "xor2way") + ("--reps", "0"), "--reps"),
+        (_protocol_argv("sweep", "xor1way") + ("--buckets", "4"),
+         "--buckets"),
+        (_protocol_argv("simulate", "xor1way") + ("--reps", "2"), "--reps"),
+        (_protocol_argv("simulate", "parity", "parity")
+         + ("--region-reps", "3"), "--region-reps"),
+        (_protocol_argv("sweep", "parity", "parity")
+         + ("--search-rep-factor", "3"), "--search-rep-factor"),
+        (_protocol_argv("sweep", "fullsend") + ("--region-reps", "3"),
+         "--region-reps"),
+        (_protocol_argv("simulate", "fullsend")
+         + ("--search-rep-factor", "3"), "--search-rep-factor"),
+        (_protocol_argv("simulate", "ham") + ("--region-reps", "3"),
+         "--region-reps"),
+        (_protocol_argv("sweep", "ham") + ("--search-rep-factor", "3"),
+         "--search-rep-factor"),
+    ])
+    def test_exit_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and flag in err
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (_protocol_argv("simulate", "xor2way") + ("--trials", "4"),
+         ("--region-reps", "5", "--search-rep-factor", "2")),
+        (_protocol_argv("sweep", "ham") + ("--trials", "3"),
+         ("--reps", "1")),
+    ])
+    def test_explicit_defaults_same_output(self, capsys, argv, defaults):
+        code, omitted, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, *defaults) == (0, omitted, "")
 
 
 class TestSimulate:

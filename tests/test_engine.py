@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xorcomm.engine import (Channel, Direction, Message, Protocol, RandomTape,
-                            ScheduleViolation, Transcript, make_report,
-                            run_protocol, sweep)
+from xorcomm.engine import (Channel, Protocol, RandomTape, ScheduleViolation,
+                            make_report, mc_error_estimate, run_protocol,
+                            sweep)
 from xorcomm.protocols import (FullSendProtocol, ParityProtocol,
                                TwoWayXorProtocol, make_protocol)
 from xorcomm.symfun import InputPair, ProfileError, parse_profile
@@ -19,12 +19,12 @@ def random_pair(n, seed):
 
 class TestTranscript:
     def test_bit_accounting(self):
-        t = Transcript(messages=[
-            Message(Direction.A2B, "0101"),
-            Message(Direction.B2A, "1"),
-            Message(Direction.A2B, "00"),
-            Message(Direction.B2A, "1"),
-        ], seed=0)
+        ch = Channel()
+        ch.a_to_b((0, 1, 0, 1))
+        ch.b_to_a((1,))
+        ch.a_to_b((0, 0))
+        ch._final_answer((1,))
+        t = ch.transcript()
         assert t.bits_a_to_b == 6
         assert t.bits_b_to_a == 2
         assert t.total_bits == 8
@@ -32,24 +32,31 @@ class TestTranscript:
         assert t.rounds == 4
 
     def test_empty(self):
-        t = Transcript(messages=[], seed=0, answer_bits=0)
+        t = Channel().transcript()
         assert t.rounds == 0
         assert t.total_bits == 0
 
-    @given(st.lists(st.tuples(st.sampled_from(list(Direction)),
-                              st.text(alphabet="01", min_size=1, max_size=8)),
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.lists(st.integers(0, 1), min_size=1,
+                                       max_size=8)),
                     max_size=20))
     def test_totals_are_sum_of_payloads(self, items):
-        msgs = [Message(d, p) for d, p in items]
-        t = Transcript(messages=msgs, seed=0, answer_bits=0)
+        ch = Channel()
+        for to_bob, bits in items:
+            if to_bob:
+                ch.a_to_b(bits)
+            else:
+                ch.b_to_a(bits)
+        t = ch.transcript()
         assert t.total_bits == sum(len(p) for _, p in items)
+        assert t.bits_a_to_b == sum(len(p) for to_bob, p in items if to_bob)
         assert t.bits_a_to_b + t.bits_b_to_a == t.total_bits
         blocks = 0
         prev = None
-        for d, _ in items:
-            if d is not prev:
+        for to_bob, _ in items:
+            if to_bob is not prev:
                 blocks += 1
-                prev = d
+                prev = to_bob
         assert t.rounds == blocks
 
 
@@ -67,11 +74,11 @@ class TestChannel:
         with pytest.raises(ScheduleViolation):
             run_protocol(Rogue(), random_pair(4, 0), p, seed=0)
 
-    def test_final_answer_exempt(self):
+    def test_final_answer_exempt(self, recorder):
         out, transcript = run_protocol(ParityProtocol(), random_pair(6, 1),
                                        parse_profile("parity", 6), seed=0)
-        assert transcript.messages[-1].direction is Direction.B2A
-        assert transcript.messages[-1].payload == str(out)
+        assert recorder.channels[-1].log[-1] == ("b2a", (out,))
+        assert transcript.bits_b_to_a == 1
 
 
 class TestRunProtocol:
@@ -89,21 +96,23 @@ class TestRunProtocol:
         assert t.bits_a_to_b == 8
         assert t.bits_b_to_a == 1
 
-    def test_replay_determinism(self):
+    def test_replay_determinism(self, recorder):
         p = parse_profile("threshold:2", 32)
         pair = random_pair(32, 4)
         proto = TwoWayXorProtocol()
         out1, t1 = run_protocol(proto, pair, p, seed=42)
         out2, t2 = run_protocol(proto, pair, p, seed=42)
         assert out1 == out2
-        assert t1.messages == t2.messages
+        assert t1 == t2
+        ch1, ch2 = recorder.channels
+        assert ch1.log == ch2.log
 
     def test_length_mismatch(self):
         with pytest.raises(ProfileError):
             run_protocol(ParityProtocol(), random_pair(5, 0),
                          parse_profile("parity", 6), seed=0)
 
-    def test_one_way_messages_independent_of_bob(self):
+    def test_one_way_messages_independent_of_bob(self, recorder):
         # with x and the tape fixed, Alice's stream must not depend on y
         p = parse_profile("exact:0", 24)
         proto = make_protocol("xor1way", p)
@@ -111,13 +120,13 @@ class TestRunProtocol:
         x = tuple(int(b) for b in rng.integers(0, 2, 24))
         y1 = tuple(int(b) for b in rng.integers(0, 2, 24))
         y2 = tuple(int(b) for b in rng.integers(0, 2, 24))
-        _, t1 = run_protocol(proto, InputPair(x, y1), p, seed=7)
-        _, t2 = run_protocol(proto, InputPair(x, y2), p, seed=7)
-        a1 = [m for m in t1.messages if m.direction is Direction.A2B]
-        a2 = [m for m in t2.messages if m.direction is Direction.A2B]
+        run_protocol(proto, InputPair(x, y1), p, seed=7)
+        run_protocol(proto, InputPair(x, y2), p, seed=7)
+        a1, a2 = ([m for m in ch.log if m[0] == "a2b"]
+                  for ch in recorder.channels)
         assert a1 == a2
 
-    def test_two_way_prefix_independent_of_bob(self):
+    def test_two_way_prefix_independent_of_bob(self, recorder):
         # Alice's messages before Bob's first reply depend only on (x, tape)
         p = parse_profile("threshold:2", 24)
         proto = TwoWayXorProtocol()
@@ -125,18 +134,18 @@ class TestRunProtocol:
         x = tuple(int(b) for b in rng.integers(0, 2, 24))
         y1 = tuple(int(b) for b in rng.integers(0, 2, 24))
         y2 = tuple(int(b) for b in rng.integers(0, 2, 24))
-        _, t1 = run_protocol(proto, InputPair(x, y1), p, seed=7)
-        _, t2 = run_protocol(proto, InputPair(x, y2), p, seed=7)
+        run_protocol(proto, InputPair(x, y1), p, seed=7)
+        run_protocol(proto, InputPair(x, y2), p, seed=7)
 
-        def prefix(t):
+        def prefix(ch):
             out = []
-            for m in t.messages:
-                if m.direction is Direction.B2A:
+            for m in ch.log:
+                if m[0] == "b2a":
                     break
                 out.append(m)
             return out
 
-        assert prefix(t1) == prefix(t2)
+        assert prefix(recorder.channels[0]) == prefix(recorder.channels[1])
 
 
 class TestTape:
@@ -170,6 +179,14 @@ class TestSweep:
                      1, 0)
         keys = [(r["n"], r["weight"]) for r in rows]
         assert keys == sorted(keys)
+
+
+class TestMonteCarlo:
+    def test_zero_trials_refused(self):
+        # no trials would give an estimate from nothing
+        with pytest.raises(ValueError, match="trials"):
+            mc_error_estimate(ParityProtocol(), parse_profile("parity", 4), 1,
+                              0, seed=0)
 
 
 class TestReport:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from xorcomm.engine import Channel, Direction, RandomTape, run_protocol
+from xorcomm.engine import RandomTape, run_protocol
 from xorcomm.oracle import mc_error_estimate, weighted_pair
 from xorcomm.protocols import (FullSendProtocol, HamConfig, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
@@ -125,7 +127,7 @@ def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
     for _ in range(reps):
         bucket_map = np.arange(n) if b >= n else tape.integers(b, size=n)
         pa = np.bincount(bucket_map[xa.astype(bool)], minlength=b) & 1
-        channel.a_to_b("".join(str(int(v)) for v in pa))
+        channel.a_to_b(pa)
         pb = np.bincount(bucket_map[y.astype(bool)], minlength=b) & 1
         votes.append(int(np.count_nonzero(pa != pb)) > d)
     return any(votes)
@@ -138,7 +140,7 @@ class TestAmplifiedHam:
         (33, 8, 3), (64, 18, 4), (7, 2, 5), (50, 49, 1), (20, 20, 3),
         (21, 50, 2)])
     @pytest.mark.parametrize("flip", [False, True])
-    def test_matches_per_repetition_draws(self, n, b, reps, flip):
+    def test_matches_per_repetition_draws(self, n, b, reps, flip, recorder):
         rng = np.random.default_rng((n, b, reps))
         d = 2
         for trial in range(6):
@@ -147,13 +149,13 @@ class TestAmplifiedHam:
             x = rng.integers(0, 2, size=n).astype(np.uint8)
             y = x ^ np.uint8(flip)
             y[rng.permutation(n)[:trial]] ^= 1
-            got_ch, want_ch = Channel(), Channel()
+            got_ch, want_ch = recorder(), recorder()
             got_tape, want_tape = RandomTape(trial), RandomTape(trial)
             got = _amplified_ham(x, y, d, b, reps, got_ch, got_tape, flip=flip)
             want = _reference_amplified_ham(x, y, d, b, reps, want_ch,
                                             want_tape, flip=flip)
             assert got == want
-            assert got_ch.messages == want_ch.messages
+            assert got_ch.log == want_ch.log
             assert got_tape.position == want_tape.position
             # the shared stream continues exactly where the loop left it
             assert np.array_equal(got_tape.integers(1 << 40, size=3),
@@ -182,7 +184,7 @@ class TestTwoWay:
         res = mc_error_estimate(TwoWayXorProtocol(), p, 10, 200, seed=5)
         assert res.success_rate >= 0.9
 
-    def test_phase_sum_closed_form(self):
+    def test_phase_sum_closed_form(self, recorder):
         proto = TwoWayXorProtocol()
         for spec, n, ms in (("threshold:3", 48, (0, 2, 3, 20, 46)),
                             ("exact:0", 32, (0, 1, 12, 32)),
@@ -191,9 +193,11 @@ class TestTwoWay:
             for m in ms:
                 pair = pair_of_weight(n, m, m + 1)
                 _, t = run_protocol(proto, pair, p, seed=(m, 3))
-                first_b2a = next(msg.payload for msg in t.messages
-                                 if msg.direction is Direction.B2A)
-                region = {"00": "lower", "01": "middle", "10": "upper"}[first_b2a]
+                first_b2a = next(bits for direction, bits
+                                 in recorder.channels[-1].log
+                                 if direction == "b2a")
+                region = {(0, 0): "lower", (0, 1): "middle",
+                          (1, 0): "upper"}[first_b2a]
                 assert t.content_bits == proto.expected_content_bits(p, region)
 
     def test_config_validation(self):
@@ -204,11 +208,12 @@ class TestTwoWay:
 
 
 class TestOneWay:
-    def test_no_backward_content(self):
+    def test_no_backward_content(self, recorder):
         p = parse_profile("exact:0", 32)
-        _, t = run_protocol(OneWayXorProtocol(), pair_of_weight(32, 5, 0), p, 0)
-        b2a = [m for m in t.messages if m.direction is Direction.B2A]
-        assert len(b2a) == 1 and len(b2a[0].payload) == 1  # answer only
+        run_protocol(OneWayXorProtocol(), pair_of_weight(32, 5, 0), p, 0)
+        b2a = [bits for direction, bits in recorder.channels[-1].log
+               if direction == "b2a"]
+        assert len(b2a) == 1 and len(b2a[0]) == 1  # answer only
 
     def test_trivial_profiles_exact(self):
         n = 16
@@ -233,6 +238,30 @@ class TestOneWay:
             assert t.content_bits == proto.expected_content_bits(p)
 
 
+# The recorder only appends, so sharing it across examples is safe: each
+# example reads the two channels it made last.
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_way_alice_messages_independent_of_y(recorder, data):
+    # with x, the tape seed and n fixed, Alice's messages cannot depend on y
+    name = data.draw(st.sampled_from(("parity", "fullsend", "ham", "xor1way")))
+    n = data.draw(st.integers(1, 24))
+    d = data.draw(st.integers(0, n))
+    spec = f"threshold:{d}" if name == "ham" else data.draw(
+        st.sampled_from((f"threshold:{d}", f"exact:{d}", "mod:3:0", "parity")))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    x, y1, y2 = data.draw(bits), data.draw(bits), data.draw(bits)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    p = parse_profile(spec, n)
+    proto = make_protocol(name, p)
+    run_protocol(proto, InputPair(x, y1), p, seed)
+    run_protocol(proto, InputPair(x, y2), p, seed)
+    a1, a2 = ([m for m in ch.log if m[0] == "a2b"]
+              for ch in recorder.channels[-2:])
+    assert a1 == a2
+
+
 class TestFactory:
     def test_names(self):
         p = parse_profile("threshold:2", 8)
@@ -250,6 +279,20 @@ class TestFactory:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_protocol("quantum", parse_profile("parity", 4))
+
+    def test_ignored_flag_refused(self):
+        p = parse_profile("threshold:2", 8)
+        with pytest.raises(ValueError, match="--reps"):
+            make_protocol("xor2way", p, repetitions=2)
+        with pytest.raises(ValueError, match="--region-reps"):
+            make_protocol("ham", p, region_reps=3)
+
+    def test_defaults_when_flags_omitted(self):
+        p = parse_profile("threshold:2", 8)
+        assert make_protocol("ham", p).params() == {
+            "d": 2, "buckets": None, "repetitions": 1}
+        assert make_protocol("xor1way", p).params() == {
+            "region_reps": 5, "search_rep_factor": 2}
 
 
 def test_probe_reps_formula():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from xorcomm.symfun import (InputPair, ProfileError, SymmetricProfile,
                             TrivialClass, classify,
                             conjectured_unbounded_measure, evaluate_F,
-                            flip_reduction, gap_params, parity_decompose,
-                            parse_profile, threshold_of)
+                            flip_reduction, gap_params, parse_profile,
+                            threshold_of)
 
 
 def all_profiles(n):
@@ -146,22 +146,6 @@ class TestReductions:
                 assert flip_reduction(q) == p
                 gp, gq = gap_params(p), gap_params(q)
                 assert (gp.r0, gp.r1) == (gq.r1, gq.r0)
-
-    def test_decompose_const1(self):
-        s0, s1 = parity_decompose(parse_profile("const1", 2))
-        assert s0.s == (1, 0, 1)
-        assert s1.s == (0, 1, 0)
-
-    def test_decompose_parity(self):
-        p = parse_profile("parity", 8)
-        s0, s1 = parity_decompose(p)
-        assert all(b == 0 for b in s0.s)
-        assert s1 == p
-
-    def test_recombination_exhaustive(self):
-        for p in all_profiles(8):
-            s0, s1 = parity_decompose(p)
-            assert tuple(a | b for a, b in zip(s0.s, s1.s)) == p.s
 
     @given(profiles)
     def test_flip_preserves_measure(self, p):
