@@ -7,9 +7,10 @@ serialized as decimal strings so no toolchain rounds them.  Seed precedence:
 must be non-negative.  analyze accepts n up to MAX_ANALYZE_N; verify refuses, before
 any work, a run that would check nothing and an n above the limit of the
 oracle or the protocol runs its suite uses.  simulate and sweep refuse
---trials 0, an empty --n list (sweep) and a protocol flag the named
-protocol does not read.  Bad input prints one `error: ...` line on stderr
-and exits 2.  The parser is built once per process.
+--trials 0, an empty --n list (sweep), an --n or --buckets above
+MAX_ANALYZE_N and a protocol flag the named protocol does not read.  Bad
+input prints one `error: ...` line on stderr and exits 2.  The parser is
+built once per process.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ EXIT_USAGE = 2
 
 # An exact report costs O(n^2) operations on O(n)-bit integers, so its time
 # grows as n^3 (README gives measured times).  A larger n is refused rather
-# than left to run for minutes.
+# than left to run for minutes.  simulate and sweep refuse an n or a bucket
+# count above it too: the xor protocols hash into 2r^2 buckets, and at
+# n = 20000 those rows alone would need gigabytes.
 MAX_ANALYZE_N = 4096
 # verify --suite ham-onesided runs (n+1)(n+2)/2 * --trials protocol runs of
 # O(n) work each, so its time grows as n^3 (README gives measured times).
@@ -204,9 +207,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if bad == 0 else EXIT_MISMATCH
 
 
-def _at_least_one_trial(args) -> None:
+def _check_run_limits(args, n_list) -> None:
+    """Refuse, before any work, no trials and an n or a bucket count above
+    MAX_ANALYZE_N."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    sizes = [("--n", n) for n in n_list] + [("--buckets", args.buckets)]
+    for flag, value in sizes:
+        if value is not None and value > MAX_ANALYZE_N:
+            raise ValueError(f"{args.command} {flag} {value} is above the "
+                             f"limit of {MAX_ANALYZE_N}")
 
 
 def _make_protocol(args, profile) -> engine.Protocol:
@@ -217,7 +227,7 @@ def _make_protocol(args, profile) -> engine.Protocol:
 
 
 def cmd_simulate(args) -> int:
-    _at_least_one_trial(args)
+    _check_run_limits(args, [args.n])
     seed = _resolve_seed(args)
     profile = symfun.parse_profile(args.profile, args.n)
     if not 0 <= args.weight <= args.n:
@@ -243,12 +253,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _at_least_one_trial(args)
-    seed = _resolve_seed(args)
     n_list = [int(tok) for tok in args.n.split(",") if tok != ""]
-
     if not n_list:
         raise ValueError(f"sweep --n {args.n!r} lists no n")
+    _check_run_limits(args, n_list)
+    seed = _resolve_seed(args)
     rows = engine.sweep(lambda profile, n: _make_protocol(args, profile),
                         args.profile, n_list, args.trials, seed)
     fields = ["n", "family", "r0", "r1", "r", "protocol", "weight", "trials",
@@ -306,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True,
                    choices=list(protocols.PROTOCOL_NAMES))
     p.add_argument("--profile", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of input bits, at most {MAX_ANALYZE_N}")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
     add_protocol_flags(p)
@@ -319,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(protocols.PROTOCOL_NAMES))
     p.add_argument("--profile", required=True,
                    help="profile family applied at each n")
-    p.add_argument("--n", required=True, help="comma-separated list of n")
+    p.add_argument("--n", required=True,
+                   help=f"comma-separated list of n, each at most "
+                        f"{MAX_ANALYZE_N}")
     p.add_argument("--trials", type=int, default=100)
     add_protocol_flags(p)
     p.add_argument("--out", default=None)

@@ -40,13 +40,21 @@ class Transcript:
 
 
 class RandomTape:
-    """One shared public-coin stream, consumed in lock-step by both parties."""
+    """One shared public-coin stream, consumed in lock-step by both parties.
+
+    The generator is seeded on the first draw, so a run that never draws
+    (every bucket map the identity) pays nothing for its tape.
+    """
 
     def __init__(self, seed):
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        self._seed = seed
+        self._gen = None
         self.position = 0
 
     def integers(self, upper: int, size: int | None = None) -> np.ndarray:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(self._seed)))
         self.position += size if size is not None else 1
         return self._gen.integers(0, upper, size=size)
 

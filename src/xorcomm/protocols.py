@@ -8,6 +8,13 @@ repetition votes ">d" iff more than d bucket parities differ.  A differing
 bucket needs an odd number of differing positions, so the vote can never
 overshoot the true distance: error is one-sided and ANY-voting amplifies it
 away.  Cost is repetitions * b bits, all Alice to Bob.
+
+Every repetition of one protocol phase (ham's repetitions, xor2way's two
+region tests, all of xor2way's search probes, xor1way's region and
+enumeration tests) is computed by one kernel, _bucket_parities: one tape
+draw and one bincount for the whole phase, split into whole-row blocks when
+the phase is large.  The sends and votes still follow the protocol's order;
+xor2way's probes are each sent, and voted on by Bob, one at a time.
 """
 
 from __future__ import annotations
@@ -55,32 +62,65 @@ class XorProtocolConfig:
             raise ValueError("amplification parameters must be positive")
 
 
-def _amplified_ham(x: np.ndarray, y: np.ndarray, d: int, b: int, reps: int,
-                   channel: Channel, tape: RandomTape, flip: bool = False) -> bool:
-    """ANY-vote of `reps` bucket-parity repetitions of "|xa xor y| > d".
+# Most tape values one block of a phase draws.  A larger phase is split into
+# blocks of whole rows (at least one), which bounds the memory of the draw
+# and of its bincount.
+_DRAW_BLOCK = 1 << 16
 
-    With flip=True Alice uses the complement of x, turning a test on
-    |x xor y| into one on n - |x xor y|.  When b >= n the bucket map is the
-    identity (no tape consumption) and each vote is exact.  Otherwise the
-    maps of all repetitions come from one tape draw of reps*n values; for
-    PCG64 that is the same stream, and the same end state, as reps draws of
-    n values.  Alice sends one b-bit message per repetition.
+
+def _bucket_parities(x: np.ndarray, y: np.ndarray, flips, b: int,
+                     tape: RandomTape) -> tuple[list, np.ndarray]:
+    """Alice's bucket-parity rows and each row's count of differing buckets,
+    for the repetitions of one phase.
+
+    Row i hashes the n positions into b buckets and compares Alice's bucket
+    parities with Bob's, who uses y.  Alice uses x, or its complement when
+    flips[i] is true, which turns a test on |x xor y| into one on
+    n - |x xor y|.  When b >= n the bucket map is the identity: nothing is
+    drawn, Alice's row is her bits zero-padded to b (one array per flip,
+    shared by every row that sends it) and the count is exact.  Otherwise
+    the maps of all rows come from tape draws of whole rows; for PCG64 that
+    is the same stream, and the same end state, as one draw of n values per
+    row.
+
+    Returns (rows, diffs): the R rows Alice sends, in order, and an int
+    array of the R counts.  A repetition votes ">d" iff its count exceeds d.
     """
-    n = len(x)
+    flips = np.asarray(flips, dtype=bool)
+    n, R = len(x), len(flips)
     if b >= n:
-        bucket_map = np.arange(n)  # broadcast over the repetitions
-    else:
-        bucket_map = tape.integers(b, size=reps * n).reshape(reps, n)
-    # Repetition i counts into buckets i*b .. i*b+b-1 (Alice) and, shifted
-    # by reps*b, Bob's; one bincount then gives every parity.
-    slot = bucket_map + b * np.arange(reps)[:, None]
-    # x != flip is Alice's bit vector: x, or its complement when flip
-    hits = np.concatenate((slot[:, x != flip].ravel(),
-                           slot[:, y != 0].ravel() + reps * b))
-    pa, pb = (np.bincount(hits, minlength=2 * reps * b) & 1).reshape(2, reps, b)
-    for row in pa:
+        distance = int(np.count_nonzero(x != y))
+        padded = {}
+        for flip in set(flips.tolist()):
+            padded[flip] = np.zeros(b, dtype=np.uint8)
+            padded[flip][:n] = x != flip
+        rows = [padded[f] for f in flips.tolist()]
+        return rows, np.where(flips, n - distance, distance)
+    rows = np.empty((R, b), dtype=np.uint8)
+    diffs = np.empty(R, dtype=np.int64)
+    xb, yb = x != 0, y != 0
+    step = max(1, _DRAW_BLOCK // n)
+    for lo in range(0, R, step):
+        k = min(step, R - lo)
+        # Row i counts into slots i*b .. i*b+b-1 (Alice) and, shifted by
+        # k*b, Bob's; one bincount then gives every parity of the block.
+        slot = tape.integers(b, size=k * n).reshape(k, n)
+        slot += b * np.arange(k)[:, None]
+        bob = slot[:, yb].ravel()
+        bob += k * b
+        counts = np.bincount(
+            np.concatenate((slot[xb != flips[lo:lo + k, None]], bob)),
+            minlength=2 * k * b)
+        counts &= 1
+        pa, pb = counts.reshape(2, k, b)
+        rows[lo:lo + k] = pa
+        diffs[lo:lo + k] = (pa != pb).sum(axis=1)
+    return list(rows), diffs
+
+
+def _send_rows(channel: Channel, rows) -> None:
+    for row in rows:
         channel.a_to_b(row)
-    return bool(((pa != pb).sum(axis=1) > d).any())
 
 
 class ParityProtocol(Protocol):
@@ -136,8 +176,10 @@ class HamProtocol(Protocol):
         if d >= n:
             return 0  # distance can never exceed n; zero communication
         b = self.config.buckets or default_buckets(d, n)
-        return int(_amplified_ham(x, y, d, b, self.config.repetitions,
-                                  channel, tape))
+        rows, diffs = _bucket_parities(
+            x, y, [False] * self.config.repetitions, b, tape)
+        _send_rows(channel, rows)
+        return int((diffs > d).any())
 
 
 def _probe_reps(r: int, factor: int) -> int:
@@ -173,8 +215,24 @@ def _run_trivial(profile: SymmetricProfile, gp: GapParams, x, y,
 _REGION_BITS = {"lower": (0, 0), "middle": (0, 1), "upper": (1, 0)}
 
 
+def _region_flips(reps: int) -> list[bool]:
+    """The rows of the two region tests: the upper one first, on Alice's
+    flipped input (|~x xor y| = n - |x xor y|), then the lower one."""
+    return [True] * reps + [False] * reps
+
+
+def _region(diffs: np.ndarray, r: int) -> str:
+    """Place |x xor y| in [0, r), [r, n-r] or (n-r, n]: "lower", "middle"
+    or "upper", from the counts of the rows of _region_flips, each test an
+    amplified one at threshold r-1."""
+    up, low = (diffs > r - 1).reshape(2, -1).any(axis=1)
+    if not up:
+        return "upper"
+    return "middle" if low else "lower"
+
+
 class _XorProtocol(Protocol):
-    """Configuration and region location shared by the XOR protocols.
+    """Configuration shared by the XOR protocols.
 
     Every internal Hamming test uses b = 2r^2 buckets (uncapped), keeping
     the simulated two-way cost at O(r^2 log r log log r) content bits.
@@ -186,21 +244,6 @@ class _XorProtocol(Protocol):
     def params(self):
         return {"region_reps": self.config.region_reps,
                 "search_rep_factor": self.config.search_rep_factor}
-
-    def _region(self, x, y, r: int, b: int, channel: Channel,
-                tape: RandomTape) -> str:
-        """Place |x xor y| in [0, r), [r, n-r] or (n-r, n]: "lower",
-        "middle" or "upper".
-
-        Two amplified tests at threshold r-1, the upper one first and on
-        Alice's flipped input (|~x xor y| = n - |x xor y|).
-        """
-        reps = self.config.region_reps
-        up = _amplified_ham(x, y, r - 1, b, reps, channel, tape, flip=True)
-        low = _amplified_ham(x, y, r - 1, b, reps, channel, tape)
-        if not up:
-            return "upper"
-        return "middle" if low else "lower"
 
 
 class TwoWayXorProtocol(_XorProtocol):
@@ -221,7 +264,10 @@ class TwoWayXorProtocol(_XorProtocol):
             return _run_trivial(profile, gp, x, y, channel)
         n, s, r = profile.n, profile.s, gp.r
         b = 2 * r * r
-        region = self._region(x, y, r, b, channel, tape)
+        rows, diffs = _bucket_parities(
+            x, y, _region_flips(self.config.region_reps), b, tape)
+        _send_rows(channel, rows)
+        region = _region(diffs, r)
         channel.b_to_a(_REGION_BITS[region])
 
         if region == "middle":
@@ -233,10 +279,17 @@ class TwoWayXorProtocol(_XorProtocol):
         reps = _probe_reps(r, self.config.search_rep_factor)
         # Fixed probe count: ceil(log2 r) always suffices, and padding the
         # collapsed tail keeps the transcript length input-independent.
+        # The bucket maps do not depend on the votes, so all probes are
+        # hashed at once; each probe's threshold waits for the votes before.
+        probes = math.ceil(math.log2(r)) if r > 1 else 0
+        rows, diffs = _bucket_parities(x, y, [flip] * (probes * reps), b,
+                                       tape)
         lo, hi = 0, r - 1
-        for _ in range(math.ceil(math.log2(r)) if r > 1 else 0):
+        for probe in range(probes):
             mid = (lo + hi) // 2
-            vote = _amplified_ham(x, y, mid, b, reps, channel, tape, flip=flip)
+            these = slice(probe * reps, (probe + 1) * reps)
+            _send_rows(channel, rows[these])
+            vote = bool((diffs[these] > mid).any())
             channel.b_to_a((int(vote),))
             if lo < hi:
                 if vote:
@@ -284,18 +337,25 @@ class OneWayXorProtocol(_XorProtocol):
         b = 2 * r * r
         pa = int(x.sum()) & 1
         channel.a_to_b((pa,))
-        region = self._region(x, y, r, b, channel, tape)
+        region_rows = 2 * self.config.region_reps
         reps = _enum_reps(r, self.config.search_rep_factor)
-        tests = {(flip, d): _amplified_ham(x, y, d, b, reps, channel, tape,
-                                           flip=flip)
-                 for flip in (False, True) for d in range(r)}
+        # the region tests, then the tests at d = 0..r-1 on x and then on
+        # its complement, all in one phase
+        rows, diffs = _bucket_parities(
+            x, y, _region_flips(self.config.region_reps)
+            + [False] * (r * reps) + [True] * (r * reps), b, tape)
+        _send_rows(channel, rows)
+        region = _region(diffs[:region_rows], r)
+        # tests[flip][d]: the amplified vote ">d"
+        tests = (diffs[region_rows:].reshape(2, r, reps)
+                 > np.arange(r)[:, None]).any(axis=2).tolist()
 
         if region == "middle":
             return _middle_representative(profile, r, (pa + int(y.sum())) & 1)
         flip = region == "upper"
         for v in range(r):
-            above_prev = True if v == 0 else tests[(flip, v - 1)]
-            at_most_v = not tests[(flip, v)]
+            above_prev = True if v == 0 else tests[flip][v - 1]
+            at_most_v = not tests[flip][v]
             if above_prev and at_most_v:
                 return s[n - v] if flip else s[v]
         return s[0]

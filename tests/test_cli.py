@@ -173,6 +173,19 @@ class TestBadNumericInput:
           "--trials", "0"), "--trials"),
         (("sweep", "--protocol", "parity", "--profile", "parity", "--n", ","),
          "--n"),
+        # each died with a numpy "Unable to allocate 14.9 GiB" traceback and
+        # exit 1: b = 2r^2 ~ 2e8 buckets at n = 20000, and --buckets 1e9
+        (("simulate", "--protocol", "xor2way", "--profile", "mod:3:0", "--n",
+          "20000", "--weight", "10"), "--n 20000"),
+        (("simulate", "--protocol", "ham", "--profile", "threshold:2", "--n",
+          "16", "--buckets", "1000000000", "--weight", "3"),
+         "--buckets 1000000000"),
+        (("sweep", "--protocol", "ham", "--profile", "threshold:2", "--n",
+          "16", "--buckets", "4097"), "--buckets 4097"),
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+          "8,4097,16"), "--n 4097"),
+        (("simulate", "--protocol", "fullsend", "--profile", "parity", "--n",
+          "3000000", "--weight", "1"), "--n 3000000"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -332,6 +345,19 @@ class TestGoldenOutput:
         (("simulate", "--protocol", "xor2way", "--profile", "threshold:3",
           "--n", "49", "--weight", "5", "--trials", "25", "--seed", "23"),
          "5ee499b3478fd6d53d30e7932483705989824646bb7842078042a6c73531c4e0"),
+        # Recorded when each Hamming test, and each search probe, made its
+        # own tape draw: xor2way probes with b = 98 buckets (identity map at
+        # n = 33, drawn at n = 100), the r = 1 path, which runs no probes,
+        # and xor1way at three n.
+        (("sweep", "--protocol", "xor2way", "--profile", "threshold:6",
+          "--n", "33,100", "--trials", "3", "--seed", "7"),
+         "3a795de9ea7670543df7683b94e437c80893338c6e5146b7a0086d8d5c488b8a"),
+        (("sweep", "--protocol", "xor2way", "--profile", "exact:0",
+          "--n", "64", "--trials", "5", "--seed", "7"),
+         "1df359502b5d718826063d7d534dc04867c76c0c1ad96a53b0e021580ee3b7f8"),
+        (("sweep", "--protocol", "xor1way", "--profile", "threshold:3",
+          "--n", "17,32,40", "--trials", "3", "--seed", "7"),
+         "64258996236a64331d6bcda124978464a999a9b5a1eee5838f775c39040f01a1"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)

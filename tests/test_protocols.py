@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from xorcomm.oracle import mc_error_estimate, weighted_pair
 from xorcomm.protocols import (FullSendProtocol, HamConfig, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, XorProtocolConfig,
-                               _amplified_ham, default_buckets,
-                               make_protocol)
+                               _DRAW_BLOCK, _bucket_parities,
+                               default_buckets, make_protocol)
 from xorcomm.symfun import InputPair, evaluate_F, parse_profile
 
 
@@ -133,7 +134,44 @@ def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
     return any(votes)
 
 
+def _phase_votes(x, y, tests, b, channel, tape):
+    """Run the amplified tests (flip, d, reps), in order, as one phase of
+    _bucket_parities; send every row and return each test's vote."""
+    flips = [flip for flip, _, reps in tests for _ in range(reps)]
+    rows, diffs = _bucket_parities(x, y, flips, b, tape)
+    assert len(rows) == len(diffs) == len(flips)
+    for row in rows:
+        channel.a_to_b(row)
+    votes, lo = [], 0
+    for _, d, reps in tests:
+        votes.append(bool((diffs[lo:lo + reps] > d).any()))
+        lo += reps
+    return votes
+
+
 class TestAmplifiedHam:
+    def check_phase(self, n, b, tests, recorder, seed):
+        """Compare one phase against one reference call per test."""
+        rng = np.random.default_rng(seed)
+        for trial in range(6):
+            # x and y differ in `trial` places, or in all but `trial`, so
+            # the votes of flipped and unflipped tests go both ways
+            x = rng.integers(0, 2, size=n).astype(np.uint8)
+            y = x ^ np.uint8(trial % 2)
+            y[rng.permutation(n)[:trial]] ^= 1
+            got_ch, want_ch = recorder(), recorder()
+            got_tape, want_tape = RandomTape(trial), RandomTape(trial)
+            got = _phase_votes(x, y, tests, b, got_ch, got_tape)
+            want = [_reference_amplified_ham(x, y, d, b, reps, want_ch,
+                                             want_tape, flip=flip)
+                    for flip, d, reps in tests]
+            assert got == want
+            assert got_ch.log == want_ch.log
+            assert got_tape.position == want_tape.position
+            # the shared stream continues exactly where the loop left it
+            assert np.array_equal(got_tape.integers(1 << 40, size=3),
+                                  want_tape.integers(1 << 40, size=3))
+
     # b < n draws the bucket maps off the tape (odd and even n); b >= n is
     # the identity map and draws nothing.
     @pytest.mark.parametrize("n, b, reps", [
@@ -141,25 +179,76 @@ class TestAmplifiedHam:
         (21, 50, 2)])
     @pytest.mark.parametrize("flip", [False, True])
     def test_matches_per_repetition_draws(self, n, b, reps, flip, recorder):
-        rng = np.random.default_rng((n, b, reps))
-        d = 2
-        for trial in range(6):
-            # Alice's input and y differ in `trial` places, so votes go
-            # both ways
-            x = rng.integers(0, 2, size=n).astype(np.uint8)
-            y = x ^ np.uint8(flip)
-            y[rng.permutation(n)[:trial]] ^= 1
-            got_ch, want_ch = recorder(), recorder()
-            got_tape, want_tape = RandomTape(trial), RandomTape(trial)
-            got = _amplified_ham(x, y, d, b, reps, got_ch, got_tape, flip=flip)
-            want = _reference_amplified_ham(x, y, d, b, reps, want_ch,
-                                            want_tape, flip=flip)
-            assert got == want
-            assert got_ch.log == want_ch.log
-            assert got_tape.position == want_tape.position
-            # the shared stream continues exactly where the loop left it
-            assert np.array_equal(got_tape.integers(1 << 40, size=3),
-                                  want_tape.integers(1 << 40, size=3))
+        self.check_phase(n, b, [(flip, 2, reps)], recorder, (n, b, reps))
+
+    @pytest.mark.parametrize("n, b", [(33, 8), (20, 20), (21, 50)])
+    def test_mixed_flips(self, n, b, recorder):
+        # the region tests' layout, then tests at several thresholds
+        tests = [(True, 3, 4), (False, 3, 4), (False, 0, 2), (True, 1, 1),
+                 (False, 5, 3), (True, 0, 2)]
+        self.check_phase(n, b, tests, recorder, (n, b))
+
+    def test_phase_larger_than_one_draw_block(self, recorder):
+        n, b = 601, 40
+        per_block = _DRAW_BLOCK // n
+        # two whole blocks and a part, the flip changing inside blocks
+        tests = [(True, 4, per_block - 3), (False, 4, per_block + 5),
+                 (True, 2, 7)]
+        assert sum(reps for *_, reps in tests) * n > 2 * _DRAW_BLOCK
+        self.check_phase(n, b, tests, recorder, 5)
+
+    def test_zero_rows_draw_nothing(self):
+        x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+        for b in (2, 5, 9):
+            tape = RandomTape(3)
+            rows, diffs = _bucket_parities(x, x, [], b, tape)
+            assert rows == [] and diffs.size == 0
+            assert tape.position == 0
+            assert np.array_equal(tape.integers(1 << 40, size=3),
+                                  RandomTape(3).integers(1 << 40, size=3))
+
+    def test_identity_rows_shared_per_flip(self):
+        x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+        y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
+        tape = RandomTape(0)
+        rows, diffs = _bucket_parities(x, y, [True, False, True, False], 8,
+                                       tape)
+        assert rows[0] is rows[2] and rows[1] is rows[3]
+        assert rows[1].tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
+        assert rows[0].tolist() == [0, 1, 0, 0, 1, 0, 0, 0]
+        assert diffs.tolist() == [3, 2, 3, 2]
+        assert tape.position == 0
+
+
+class TestXorPhases:
+    def test_r1_runs_no_probes(self, recorder):
+        # exact:0 has r = 1: the tails need no search, so the region phase
+        # is the last one to draw
+        n, reps = 40, XorProtocolConfig().region_reps
+        p = parse_profile("exact:0", n)
+        for m in (0, n):
+            pair = pair_of_weight(n, m, m)
+            channel, tape = recorder(), RandomTape(m)
+            out = TwoWayXorProtocol().run(pair.x, pair.y, p, channel, tape)
+            assert out == evaluate_F(p, pair)
+            assert tape.position == 2 * reps * n
+            assert [d for d, _ in channel.log] == ["a2b"] * (2 * reps) + ["b2a"]
+
+    def test_identity_map_memory(self):
+        # mod:3:0 at n=512 has r = 256, so b = 2r^2 = 131072 >= n: every
+        # bucket map is the identity, over 8202 rows.  Traced peak of one
+        # run: 35.9 MB when each test built its rows with a 2*reps*b-slot
+        # bincount (reps = 16), 0.47 MB with one zero-padded row per flip.
+        # The R x b row matrix would take 1 GB.
+        p = parse_profile("mod:3:0", 512)
+        pair = pair_of_weight(512, 10, 0)
+        tracemalloc.start()
+        try:
+            run_protocol(OneWayXorProtocol(), pair, p, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10 ** 6
 
 
 class TestTwoWay:

@@ -21,6 +21,22 @@ profiles = st.integers(min_value=1, max_value=12).flatmap(
     lambda t: SymmetricProfile(t[0], tuple(t[1])))
 
 
+@st.composite
+def gapped_profiles(draw, max_n=200):
+    """A profile up to n = max_n: random head and tail bits around a
+    2-periodic middle, so r0 and r1 take every size up to saturation."""
+    n = draw(st.integers(1, max_n))
+    head = draw(st.integers(0, n + 1))
+    tail = draw(st.integers(0, n + 1 - head))
+    pattern = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    ends = draw(st.lists(st.integers(0, 1), min_size=head + tail,
+                         max_size=head + tail))
+    s = [pattern[k % 2] for k in range(n + 1)]
+    s[:head] = ends[:head]
+    s[n + 1 - tail:] = ends[head:]
+    return SymmetricProfile(n, tuple(s))
+
+
 class TestEvaluate:
     def test_equal_inputs(self):
         p = parse_profile("parity", 6)
@@ -132,6 +148,45 @@ class TestGapParams:
                 assert gp.r0 == min(a for a, _ in pairs)
                 assert gp.r1 == min(b for _, b in pairs)
                 assert feasible(p.s, n, gp.r0, gp.r1)
+
+
+class TestGapParamsProperty:
+    # The rules gap_params documents: each coordinate is minimised with the
+    # other capped at floor((n-1)/2); with no feasible pair under the cap
+    # both are reported saturated at ceil(n/2).
+    @settings(deadline=None, max_examples=300)
+    @given(gapped_profiles())
+    def test_brute_force_minimum(self, p):
+        n, s = p.n, np.array(p.s)
+        cap = (n - 1) // 2
+        # feasible(a, c): s[k] == s[k+2] for every k in [a, n-c-2]
+        bad = np.concatenate(([0], np.cumsum(s[:-2] != s[2:])))
+        a, c = np.meshgrid(np.arange(cap + 1), np.arange(cap + 1),
+                           indexing="ij")
+        feasible = bad[np.maximum(n - c - 1, a)] == bad[a]
+        gp = gap_params(p)
+        assert gp.r == max(gp.r0, gp.r1)
+        assert (gp.r == 0) == (classify(p) is not TrivialClass.NONTRIVIAL)
+        if not feasible.any():
+            assert gp.saturated
+            assert gp.r0 == gp.r1 == (n + 1) // 2
+            return
+        assert not gp.saturated
+        assert gp.r0 == a[feasible].min()
+        assert gp.r1 == c[feasible].min()
+        assert feasible[gp.r0, gp.r1]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_flip_swaps_gaps_and_keeps_F(self, data):
+        p = data.draw(gapped_profiles())
+        bits = st.lists(st.integers(0, 1), min_size=p.n, max_size=p.n)
+        x, y = np.array(data.draw(bits)), np.array(data.draw(bits))
+        q = flip_reduction(p)
+        gp, gq = gap_params(p), gap_params(q)
+        assert (gq.r0, gq.r1, gq.saturated) == (gp.r1, gp.r0, gp.saturated)
+        assert evaluate_F(q, InputPair(1 - x, y)) == evaluate_F(
+            p, InputPair(x, y))
 
 
 class TestReductions:
