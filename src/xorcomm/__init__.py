@@ -6,9 +6,8 @@ from .engine import (Channel, MCResult, Protocol, ProtocolReport, RandomTape,
                      run_protocol, sweep)
 from .oracle import (TruthTable, brute_fourier, brute_rank,
                      exhaustive_lemma_scan, sampled_lemma_scan)
-from .protocols import (FullSendProtocol, HamConfig, HamProtocol,
-                        OneWayXorProtocol, ParityProtocol, TwoWayXorProtocol,
-                        XorProtocolConfig, make_protocol)
+from .protocols import (FullSendProtocol, HamProtocol, OneWayXorProtocol,
+                        ParityProtocol, TwoWayXorProtocol, make_protocol)
 from .spectral import (WeightSpectrum, deterministic_bounds,
                        krawtchouk_coefficient, lemma_window_check,
                        weight_spectrum)

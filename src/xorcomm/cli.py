@@ -7,10 +7,11 @@ serialized as decimal strings so no toolchain rounds them.  Seed precedence:
 must be non-negative.  analyze accepts n up to MAX_ANALYZE_N; verify refuses, before
 any work, a run that would check nothing and an n above the limit of the
 oracle or the protocol runs its suite uses.  simulate and sweep refuse
---trials 0, an empty --n list (sweep), an --n or --buckets above
-MAX_ANALYZE_N and a protocol flag the named protocol does not read.  Bad
-input prints one `error: ...` line on stderr and exits 2.  The parser is
-built once per process.
+--trials 0, a bad --n list (sweep), an --n, --buckets, --reps or
+--region-reps above MAX_ANALYZE_N, a --search-rep-factor above
+MAX_SEARCH_REP_FACTOR and a protocol flag the named protocol does not
+read.  Bad input prints one `error: ...` line on stderr and exits 2.  The
+parser is built once per process.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ EXIT_USAGE = 2
 # count above it too: the xor protocols hash into 2r^2 buckets, and at
 # n = 20000 those rows alone would need gigabytes.
 MAX_ANALYZE_N = 4096
+# A phase's rows take repetitions * b bytes until sent: --reps and
+# --region-reps are capped at MAX_ANALYZE_N, --search-rep-factor at this
+# (README gives the worst cases at the caps).
+MAX_SEARCH_REP_FACTOR = 16
 # verify --suite ham-onesided runs (n+1)(n+2)/2 * --trials protocol runs of
 # O(n) work each, so its time grows as n^3 (README gives measured times).
 MAX_HAM_ONESIDED_N = 64
@@ -143,8 +148,8 @@ def _verify_ham_onesided(args, seed) -> tuple[int, int]:
     checked = bad = 0
     n = args.n
     for d in range(n + 1):
-        proto = protocols.HamProtocol(protocols.HamConfig(d=d))
         profile = symfun.parse_profile(f"threshold:{d}", n)
+        proto = protocols.make_protocol("ham", profile)
         for m in range(d + 1):
             res = engine.mc_error_estimate(proto, profile, m, args.trials,
                                            (seed, d, m))
@@ -207,23 +212,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if bad == 0 else EXIT_MISMATCH
 
 
+def _protocol_flags(args) -> dict:
+    """{parameter: value} of every protocol flag, None where not given."""
+    return {key: getattr(args, flag[2:].replace("-", "_"))
+            for key, flag in protocols.FLAGS.items()}
+
+
 def _check_run_limits(args, n_list) -> None:
-    """Refuse, before any work, no trials and an n or a bucket count above
-    MAX_ANALYZE_N."""
+    """Refuse, before any work, no trials, an n above MAX_ANALYZE_N and a
+    protocol flag above its cap."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    sizes = [("--n", n) for n in n_list] + [("--buckets", args.buckets)]
-    for flag, value in sizes:
-        if value is not None and value > MAX_ANALYZE_N:
+    caps = {"search_rep_factor": MAX_SEARCH_REP_FACTOR}
+    limits = [("--n", n, MAX_ANALYZE_N) for n in n_list] + [
+        (protocols.FLAGS[key], value, caps.get(key, MAX_ANALYZE_N))
+        for key, value in _protocol_flags(args).items()]
+    for flag, value, limit in limits:
+        if value is not None and value > limit:
             raise ValueError(f"{args.command} {flag} {value} is above the "
-                             f"limit of {MAX_ANALYZE_N}")
+                             f"limit of {limit}")
 
 
 def _make_protocol(args, profile) -> engine.Protocol:
-    return protocols.make_protocol(
-        args.protocol, profile, buckets=args.buckets,
-        repetitions=args.reps, region_reps=args.region_reps,
-        search_rep_factor=args.search_rep_factor)
+    return protocols.make_protocol(args.protocol, profile,
+                                   **_protocol_flags(args))
 
 
 def cmd_simulate(args) -> int:
@@ -253,7 +265,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    n_list = [int(tok) for tok in args.n.split(",") if tok != ""]
+    try:
+        n_list = [int(tok) for tok in args.n.split(",") if tok != ""]
+    except ValueError as exc:  # int() names the bad token
+        raise ValueError(f"sweep --n {args.n!r}: {exc}") from None
     if not n_list:
         raise ValueError(f"sweep --n {args.n!r} lists no n")
     _check_run_limits(args, n_list)
@@ -289,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_protocol_flags(p):
         # None, the default, means "not given": the protocol's own default
-        for flag, readers in (("--buckets", "ham"), ("--reps", "ham"),
-                              ("--region-reps", "xor2way and xor1way"),
-                              ("--search-rep-factor", "xor2way and xor1way")):
+        for key, flag in protocols.FLAGS.items():
+            readers = " and ".join(
+                name for name, cls in protocols.PROTOCOLS.items()
+                if key in protocols.flag_fields(cls))
             p.add_argument(flag, type=int, help=f"read by {readers} only")
 
     p = sub.add_parser("analyze", help="exact spectral/gap analysis report")

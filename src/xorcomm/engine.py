@@ -9,8 +9,8 @@ transcript so both parties know the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -100,18 +100,19 @@ class Channel:
         return Transcript(self.bits_a_to_b, self.bits_b_to_a, self.rounds)
 
 
+@dataclass(frozen=True)
 class Protocol:
-    """Base protocol: immutable configuration plus a run method."""
+    """Base protocol: a frozen dataclass of its parameters, and run()."""
 
-    name: str = "abstract"
-    one_way: bool = False
+    name: ClassVar[str] = "abstract"
+    one_way: ClassVar[bool] = False
 
     def run(self, x: np.ndarray, y: np.ndarray, profile: SymmetricProfile,
             channel: Channel, tape: RandomTape) -> int:
         raise NotImplementedError
 
     def params(self) -> dict:
-        return {}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

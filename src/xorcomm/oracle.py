@@ -294,6 +294,22 @@ def _subset_sums_mod(cols: list[int], p: int) -> np.ndarray:
     return f
 
 
+def _column_fingerprints(rows, n: int, p: int) -> tuple[list[int], list[int]]:
+    """Weights w from _FINGERPRINT_SEED (never a caller's seed) and the
+    fingerprints sum_k w[k] rows[k][t] mod p of the columns t = 0..n."""
+    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
+        0, p, size=len(rows)).tolist()
+    cols = [sum(w * row[t] for w, row in zip(weights, rows)) % p
+            for t in range(n + 1)]
+    return weights, cols
+
+
+def _window_equals(rows, ones, target) -> bool:
+    """Whether the profile that is 1 exactly at ones has window vector
+    target, checked on exact Python ints."""
+    return all(sum(row[t] for t in ones) == v for row, v in zip(rows, target))
+
+
 def _window_matches(n: int, target) -> list[int]:
     """Every profile index i (s[t] = bit t of i, as in all_profiles_matrix),
     trivial profiles included, whose window vector
@@ -315,10 +331,7 @@ def _window_matches(n: int, target) -> list[int]:
         raise ValueError(f"target has {len(target)} entries, the window "
                          f"at n={n} has {len(rows)}")
     p = _FINGERPRINT_P
-    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
-        0, p, size=len(rows)).tolist()
-    cols = [sum(w * row[t] for w, row in zip(weights, rows)) % p
-            for t in range(n + 1)]
+    weights, cols = _column_fingerprints(rows, n, p)
     goal = sum(w * v for w, v in zip(weights, target)) % p
     half = (n + 1) // 2
     low = _subset_sums_mod(cols[:half], p)
@@ -336,13 +349,9 @@ def _window_matches(n: int, target) -> list[int]:
     starts = np.repeat(first[hit] - np.cumsum(count) + count, count)
     low_idx = order[starts + np.arange(starts.size)]
     candidates = (np.repeat(hit, count) << half) | low_idx
-    matches = []
-    for i in sorted(candidates.tolist()):
-        ones = [t for t in range(n + 1) if i >> t & 1]
-        if all(sum(row[t] for t in ones) == v
-               for row, v in zip(rows, target)):
-            matches.append(i)
-    return matches
+    return [i for i in sorted(candidates.tolist())
+            if _window_equals(rows, [t for t in range(n + 1) if i >> t & 1],
+                              target)]
 
 
 def exhaustive_lemma_scan(n: int) -> list[SymmetricProfile]:
@@ -364,38 +373,31 @@ def sampled_lemma_scan(n: int, samples: int, seed) -> int:
     """Count of random nontrivial profiles failing the window check.
 
     Profiles are drawn with i.i.d. uniform bits, rejecting the four trivial
-    ones.  A fast modular prefilter finds a nonzero witness for almost every
-    profile; only profiles whose whole window vanishes mod p get the exact
-    big-integer recheck.
+    ones.  One random-linear fingerprint of the window vector mod
+    2^31 - 1, a single mat-vec per batch, clears almost every profile; a
+    profile whose window vanishes has fingerprint 0, and each such suspect
+    gets the exact big-integer recheck.
     """
     if n < 2:  # the rejection loop would never end
         raise ValueError(f"every profile at n={n} is trivial; "
                          f"sampling needs n >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo, hi = window_bounds(n)
-    C = krawtchouk_matrix(n)
+    rows = krawtchouk_matrix(n)[lo:hi + 1]
+    zero = [0] * len(rows)
     p = 2_147_483_647
-    Cwin_mod = np.array([[c % p for c in C[k]] for k in range(lo, hi + 1)],
-                        dtype=np.int64)
+    # a sum of n+1 residues below 2^31 stays inside int64
+    cols = np.array(_column_fingerprints(rows, n, p)[1], dtype=np.int64)
     parity = np.arange(n + 1) % 2
-    count = 0
-    drawn = 0
-    batch = 4096
+    count = drawn = 0
     while drawn < samples:
-        take = min(batch, 4 * (samples - drawn) + 16)
+        take = min(4096, 4 * (samples - drawn) + 16)
         P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
         ones = P.sum(axis=1)
         trivial = ((ones == 0) | (ones == n + 1)
                    | np.all(P == parity, axis=1) | np.all(P != parity, axis=1))
         K = P[~trivial][:samples - drawn]
-        if not K.shape[0]:
-            continue
         drawn += K.shape[0]
-        # sums of at most n+1 terms below 2^31 stay well inside int64
-        suspect = ~np.any((K @ Cwin_mod.T) % p, axis=1)
-        for row in K[suspect]:
-            s = tuple(int(b) for b in row)
-            if all(sum(C[k][t] for t in range(n + 1) if s[t]) == 0
-                   for k in range(lo, hi + 1)):
-                count += 1
+        for row in K[(K @ cols) % p == 0]:
+            count += _window_equals(rows, np.flatnonzero(row).tolist(), zero)
     return count

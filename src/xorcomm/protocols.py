@@ -15,12 +15,17 @@ enumeration tests) is computed by one kernel, _bucket_parities: one tape
 draw and one bincount for the whole phase, split into whole-row blocks when
 the phase is large.  The sends and votes still follow the protocol's order;
 xor2way's probes are each sent, and voted on by Bob, one at a time.
+
+A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
+that validates its fields and returns them as params().  A field made by
+_flag names the CLI flag that sets it; make_protocol and the CLI's flags
+and help derive from the PROTOCOLS table and those fields alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,33 +38,9 @@ def default_buckets(d: int, n: int) -> int:
     return min(2 * (d + 1) ** 2, n)
 
 
-@dataclass(frozen=True)
-class HamConfig:
-    """Threshold d, bucket count, and ANY-voting repetitions."""
-
-    d: int
-    buckets: int | None = None  # None = min(2(d+1)^2, n), resolved at run time
-    repetitions: int = 1
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("d must be >= 0")
-        if self.buckets is not None and self.buckets < 1:
-            raise ValueError("buckets must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-
-@dataclass(frozen=True)
-class XorProtocolConfig:
-    """Amplification knobs for the two-way / one-way XOR protocols."""
-
-    region_reps: int = 5
-    search_rep_factor: int = 2
-
-    def __post_init__(self):
-        if self.region_reps < 1 or self.search_rep_factor < 1:
-            raise ValueError("amplification parameters must be positive")
+def _flag(default, flag: str):
+    """A dataclass field with this default that the CLI flag `flag` sets."""
+    return field(default=default, metadata={"flag": flag})
 
 
 # Most tape values one block of a phase draws.  A larger phase is split into
@@ -123,6 +104,13 @@ def _send_rows(channel: Channel, rows) -> None:
         channel.a_to_b(row)
 
 
+def _distance_parity(x, y, channel: Channel) -> int:
+    """|x xor y| mod 2: Alice sends |x| mod 2, Bob adds |y| mod 2."""
+    pa = int(x.sum()) & 1
+    channel.a_to_b((pa,))
+    return (pa + int(y.sum())) & 1
+
+
 class ParityProtocol(Protocol):
     """Alice sends |x| mod 2; the output is the parity of |x xor y|."""
 
@@ -130,9 +118,7 @@ class ParityProtocol(Protocol):
     one_way = True
 
     def run(self, x, y, profile, channel, tape):
-        pa = int(x.sum()) & 1
-        channel.a_to_b((pa,))
-        return (pa + int(y.sum())) & 1
+        return _distance_parity(x, y, channel)
 
 
 class FullSendProtocol(Protocol):
@@ -147,6 +133,7 @@ class FullSendProtocol(Protocol):
         return profile.s[m]
 
 
+@dataclass(frozen=True)
 class HamProtocol(Protocol):
     """Decides HAM_{n,d}: outputs 1 iff it claims |x xor y| > d.
 
@@ -156,28 +143,25 @@ class HamProtocol(Protocol):
     name = "ham"
     one_way = True
 
-    def __init__(self, config: HamConfig):
-        self.config = config
+    d: int
+    buckets: int | None = _flag(None, "--buckets")  # None: default_buckets
+    repetitions: int = _flag(1, "--reps")
 
-    def params(self):
-        return {"d": self.config.d, "buckets": self.config.buckets,
-                "repetitions": self.config.repetitions}
-
-    @classmethod
-    def for_profile(cls, profile: SymmetricProfile, buckets=None, repetitions=1):
-        d = threshold_of(profile)
-        if d is None:
-            raise ValueError("ham protocol needs a threshold:<d> profile")
-        return cls(HamConfig(d=d, buckets=buckets, repetitions=repetitions))
+    def __post_init__(self):
+        if self.d < 0:
+            raise ValueError("d must be >= 0")
+        if self.buckets is not None and self.buckets < 1:
+            raise ValueError("buckets must be >= 1")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
 
     def run(self, x, y, profile, channel, tape):
-        d = self.config.d
-        n = len(x)
+        d, n = self.d, len(x)
         if d >= n:
             return 0  # distance can never exceed n; zero communication
-        b = self.config.buckets or default_buckets(d, n)
-        rows, diffs = _bucket_parities(
-            x, y, [False] * self.config.repetitions, b, tape)
+        b = self.buckets or default_buckets(d, n)
+        rows, diffs = _bucket_parities(x, y, [False] * self.repetitions, b,
+                                       tape)
         _send_rows(channel, rows)
         return int((diffs > d).any())
 
@@ -201,14 +185,16 @@ def _middle_representative(profile: SymmetricProfile, r: int, p: int) -> int:
     return profile.s[k] if k is not None else profile.s[r]
 
 
+def _is_constant(gp: GapParams) -> bool:
+    return gp.trivial_class in (TrivialClass.CONST0, TrivialClass.CONST1)
+
+
 def _run_trivial(profile: SymmetricProfile, gp: GapParams, x, y,
                  channel: Channel) -> int:
-    if gp.trivial_class in (TrivialClass.CONST0, TrivialClass.CONST1):
+    if _is_constant(gp):
         return profile.s[0]
     # parity-type profile: 2-periodic everywhere, so s[parity] is the answer
-    pa = int(x.sum()) & 1
-    channel.a_to_b((pa,))
-    return profile.s[(pa + int(y.sum())) & 1]
+    return profile.s[_distance_parity(x, y, channel)]
 
 
 # Bob's two-bit report of the region in the two-way protocol
@@ -231,19 +217,21 @@ def _region(diffs: np.ndarray, r: int) -> str:
     return "middle" if low else "lower"
 
 
+@dataclass(frozen=True)
 class _XorProtocol(Protocol):
-    """Configuration shared by the XOR protocols.
+    """Amplification shared by the XOR protocols: region_reps repetitions
+    per region test; search_rep_factor scales the search and enumeration.
 
     Every internal Hamming test uses b = 2r^2 buckets (uncapped), keeping
     the simulated two-way cost at O(r^2 log r log log r) content bits.
     """
 
-    def __init__(self, config: XorProtocolConfig = XorProtocolConfig()):
-        self.config = config
+    region_reps: int = _flag(5, "--region-reps")
+    search_rep_factor: int = _flag(2, "--search-rep-factor")
 
-    def params(self):
-        return {"region_reps": self.config.region_reps,
-                "search_rep_factor": self.config.search_rep_factor}
+    def __post_init__(self):
+        if self.region_reps < 1 or self.search_rep_factor < 1:
+            raise ValueError("amplification parameters must be positive")
 
 
 class TwoWayXorProtocol(_XorProtocol):
@@ -265,18 +253,17 @@ class TwoWayXorProtocol(_XorProtocol):
         n, s, r = profile.n, profile.s, gp.r
         b = 2 * r * r
         rows, diffs = _bucket_parities(
-            x, y, _region_flips(self.config.region_reps), b, tape)
+            x, y, _region_flips(self.region_reps), b, tape)
         _send_rows(channel, rows)
         region = _region(diffs, r)
         channel.b_to_a(_REGION_BITS[region])
 
         if region == "middle":
-            pa = int(x.sum()) & 1
-            channel.a_to_b((pa,))
-            return _middle_representative(profile, r, (pa + int(y.sum())) & 1)
+            return _middle_representative(profile, r,
+                                          _distance_parity(x, y, channel))
 
         flip = region == "upper"
-        reps = _probe_reps(r, self.config.search_rep_factor)
+        reps = _probe_reps(r, self.search_rep_factor)
         # Fixed probe count: ceil(log2 r) always suffices, and padding the
         # collapsed tail keeps the transcript length input-independent.
         # The bucket maps do not depend on the votes, so all probes are
@@ -301,16 +288,14 @@ class TwoWayXorProtocol(_XorProtocol):
     def expected_content_bits(self, profile: SymmetricProfile, region: str) -> int:
         """Closed-form phase sum for one transcript, given the region taken."""
         gp = gap_params(profile)
-        if gp.r == 0:
-            return 0 if gp.trivial_class in (TrivialClass.CONST0,
-                                             TrivialClass.CONST1) else 1
-        r = gp.r
-        b = 2 * r * r
-        bits = 2 * self.config.region_reps * b + 2
+        if gp.r == 0:  # the parity bit, or nothing for a constant
+            return 0 if _is_constant(gp) else 1
+        r, b = gp.r, 2 * gp.r ** 2
+        bits = 2 * self.region_reps * b + 2
         if region == "middle":
             return bits + 1
         probes = max(0, math.ceil(math.log2(r))) if r > 1 else 0
-        reps = _probe_reps(r, self.config.search_rep_factor)
+        reps = _probe_reps(r, self.search_rep_factor)
         return bits + probes * (reps * b + 1)
 
 
@@ -335,14 +320,13 @@ class OneWayXorProtocol(_XorProtocol):
             return _run_trivial(profile, gp, x, y, channel)
         n, s, r = profile.n, profile.s, gp.r
         b = 2 * r * r
-        pa = int(x.sum()) & 1
-        channel.a_to_b((pa,))
-        region_rows = 2 * self.config.region_reps
-        reps = _enum_reps(r, self.config.search_rep_factor)
+        parity = _distance_parity(x, y, channel)
+        region_rows = 2 * self.region_reps
+        reps = _enum_reps(r, self.search_rep_factor)
         # the region tests, then the tests at d = 0..r-1 on x and then on
         # its complement, all in one phase
         rows, diffs = _bucket_parities(
-            x, y, _region_flips(self.config.region_reps)
+            x, y, _region_flips(self.region_reps)
             + [False] * (r * reps) + [True] * (r * reps), b, tape)
         _send_rows(channel, rows)
         region = _region(diffs[:region_rows], r)
@@ -351,7 +335,7 @@ class OneWayXorProtocol(_XorProtocol):
                  > np.arange(r)[:, None]).any(axis=2).tolist()
 
         if region == "middle":
-            return _middle_representative(profile, r, (pa + int(y.sum())) & 1)
+            return _middle_representative(profile, r, parity)
         flip = region == "upper"
         for v in range(r):
             above_prev = True if v == 0 else tests[flip][v - 1]
@@ -362,48 +346,45 @@ class OneWayXorProtocol(_XorProtocol):
 
     def expected_content_bits(self, profile: SymmetricProfile) -> int:
         gp = gap_params(profile)
-        if gp.r == 0:
-            return 0 if gp.trivial_class in (TrivialClass.CONST0,
-                                             TrivialClass.CONST1) else 1
-        r = gp.r
-        b = 2 * r * r
-        reps = _enum_reps(r, self.config.search_rep_factor)
-        return 1 + 2 * self.config.region_reps * b + 2 * r * reps * b
+        if gp.r == 0:  # the parity bit, or nothing for a constant
+            return 0 if _is_constant(gp) else 1
+        r, b = gp.r, 2 * gp.r ** 2
+        reps = _enum_reps(r, self.search_rep_factor)
+        return 1 + 2 * self.region_reps * b + 2 * r * reps * b
 
 
-PROTOCOL_NAMES = ("parity", "fullsend", "ham", "xor2way", "xor1way")
-# make_protocol's keyword arguments, named by the CLI flag that sets each
-_CLI_FLAGS = {"buckets": "--buckets", "repetitions": "--reps",
-              "region_reps": "--region-reps",
-              "search_rep_factor": "--search-rep-factor"}
-_READS = {"ham": ("buckets", "repetitions"),
-          "xor2way": ("region_reps", "search_rep_factor"),
-          "xor1way": ("region_reps", "search_rep_factor")}
+PROTOCOLS = {cls.name: cls for cls in (ParityProtocol, FullSendProtocol,
+                                       HamProtocol, TwoWayXorProtocol,
+                                       OneWayXorProtocol)}
+PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
-def make_protocol(name: str, profile: SymmetricProfile, *, buckets=None,
-                  repetitions=None, region_reps=None,
-                  search_rep_factor=None) -> Protocol:
-    """CLI-facing factory mapping a protocol name plus flags to an instance.
+def flag_fields(cls) -> dict[str, str]:
+    """{field: CLI flag} of the fields of cls that a flag sets (not ham's d)."""
+    return {f.name: f.metadata["flag"] for f in fields(cls)
+            if "flag" in f.metadata}
 
-    A flag left at None takes the protocol's default.  A flag the named
-    protocol does not read raises ValueError rather than being ignored.
-    """
-    if name not in PROTOCOL_NAMES:
+
+# every parameter that a flag sets, in the order the CLI lists the flags
+FLAGS = {key: flag for cls in PROTOCOLS.values()
+         for key, flag in flag_fields(cls).items()}
+
+
+def make_protocol(name: str, profile: SymmetricProfile, **flags) -> Protocol:
+    """CLI-facing factory: the protocol `name` with the flags, keyed by
+    field name; a flag left at None takes its default, and ham's d is the
+    profile's threshold.  A flag that is not a field the named protocol
+    reads raises ValueError rather than being ignored."""
+    if name not in PROTOCOLS:
         raise ValueError(f"unknown protocol {name!r}")
-    flags = {key: value for key, value in (
-        ("buckets", buckets), ("repetitions", repetitions),
-        ("region_reps", region_reps),
-        ("search_rep_factor", search_rep_factor)) if value is not None}
-    ignored = [_CLI_FLAGS[key] for key in flags
-               if key not in _READS.get(name, ())]
+    cls = PROTOCOLS[name]
+    flags = {key: value for key, value in flags.items() if value is not None}
+    ignored = [FLAGS.get(key, key) for key in flags
+               if key not in flag_fields(cls)]
     if ignored:
         raise ValueError(f"protocol {name} does not use {', '.join(ignored)}")
-    if name == "parity":
-        return ParityProtocol()
-    if name == "fullsend":
-        return FullSendProtocol()
-    if name == "ham":
-        return HamProtocol.for_profile(profile, **flags)
-    cls = TwoWayXorProtocol if name == "xor2way" else OneWayXorProtocol
-    return cls(XorProtocolConfig(**flags))
+    if cls is HamProtocol:
+        flags["d"] = threshold_of(profile)
+        if flags["d"] is None:
+            raise ValueError("ham protocol needs a threshold:<d> profile")
+    return cls(**flags)

@@ -1,6 +1,21 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import xorcomm.engine
+
+
+@pytest.fixture(autouse=True, scope="session")
+def package_on_subprocess_path():
+    """Put the directory of the imported package on PYTHONPATH, so a test
+    that runs `python -m xorcomm` in a subprocess finds it from a clean
+    checkout, as the suite itself does through pyproject's pythonpath."""
+    src = str(Path(xorcomm.engine.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture

@@ -14,12 +14,12 @@ import sys
 import numpy as np
 import pytest
 
-from xorcomm.engine import run_protocol, sweep
+from xorcomm.engine import (mc_error_estimate, run_protocol, sweep,
+                            weighted_pair)
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
-                            exhaustive_lemma_scan, mc_error_estimate,
-                            sampled_lemma_scan, weighted_pair)
-from xorcomm.protocols import (FullSendProtocol, HamConfig, HamProtocol,
+                            exhaustive_lemma_scan, sampled_lemma_scan)
+from xorcomm.protocols import (FullSendProtocol, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, default_buckets)
 from xorcomm.spectral import (binom, krawtchouk_matrix_i64, parseval_check,
@@ -83,14 +83,14 @@ def test_04_parseval():
 def test_05_ham_one_sidedness():
     n = 12
     for d in range(n + 1):
-        proto = HamProtocol(HamConfig(d=d))
+        proto = HamProtocol(d=d)
         profile = parse_profile(f"threshold:{d}", n)
         for m in range(d + 1):
             res = mc_error_estimate(proto, profile, m, 1000, seed=(50, d, m))
             assert res.successes == res.trials, f"n=12 d={d} m={m}"
     n = 256
     for d in (4, 16):
-        proto = HamProtocol(HamConfig(d=d))
+        proto = HamProtocol(d=d)
         profile = parse_profile(f"threshold:{d}", n)
         per_m = -(-10000 // (d + 1))
         for m in range(d + 1):
@@ -102,11 +102,11 @@ def test_05_ham_one_sidedness():
 def test_06_ham_power():
     n, d, m, trials = 256, 8, 9, 10000
     profile = parse_profile(f"threshold:{d}", n)
-    res1 = mc_error_estimate(HamProtocol(HamConfig(d=d)), profile, m, trials,
+    res1 = mc_error_estimate(HamProtocol(d=d), profile, m, trials,
                              seed=60)
     miss1 = 1.0 - res1.success_rate
     assert miss1 <= 0.25, f"single repetition miss rate {miss1}"
-    res4 = mc_error_estimate(HamProtocol(HamConfig(d=d, repetitions=4)),
+    res4 = mc_error_estimate(HamProtocol(d=d, repetitions=4),
                              profile, m, trials, seed=61)
     miss4 = 1.0 - res4.success_rate
     assert miss4 <= 0.02, f"4-repetition miss rate {miss4}"
@@ -143,7 +143,7 @@ def test_08_bit_accounting(recorder):
     assert t.content_bits == 40
     # ham: repetitions * min(2(d+1)^2, n)
     for n, d, reps in ((64, 3, 1), (64, 3, 5), (32, 7, 2), (256, 8, 4)):
-        proto = HamProtocol(HamConfig(d=d, repetitions=reps))
+        proto = HamProtocol(d=d, repetitions=reps)
         prof = parse_profile(f"threshold:{d}", n)
         _, t = run_protocol(proto, weighted_pair(n, d, rng), prof, seed=1)
         assert t.content_bits == reps * default_buckets(d, n)

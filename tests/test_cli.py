@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -186,6 +187,18 @@ class TestBadNumericInput:
           "8,4097,16"), "--n 4097"),
         (("simulate", "--protocol", "fullsend", "--profile", "parity", "--n",
           "3000000", "--weight", "1"), "--n 3000000"),
+        # each ran, holding repetitions * b bytes of rows per phase: memory
+        # grew about 1.9 MB per unit of --search-rep-factor, without bound
+        (("simulate", "--protocol", "ham", "--profile", "threshold:2", "--n",
+          "16", "--reps", "4097", "--weight", "3"), "--reps 4097"),
+        (("sweep", "--protocol", "xor2way", "--profile", "threshold:2",
+          "--n", "16", "--region-reps", "4097"), "--region-reps 4097"),
+        (("simulate", "--protocol", "xor1way", "--profile", "threshold:2",
+          "--n", "16", "--search-rep-factor", "17", "--weight", "3"),
+         "--search-rep-factor 17"),
+        # printed "invalid literal for int() with base 10: 'x'"
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+          "4,x"), "--n '4,x': invalid literal for int() with base 10: 'x'"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -358,6 +371,30 @@ class TestGoldenOutput:
         (("sweep", "--protocol", "xor1way", "--profile", "threshold:3",
           "--n", "17,32,40", "--trials", "3", "--seed", "7"),
          "64258996236a64331d6bcda124978464a999a9b5a1eee5838f775c39040f01a1"),
+        # Recorded while each protocol kept its parameters in a separate
+        # config object: the params of every protocol, per trial and
+        # aggregated, and the ham-onesided suite.
+        (("simulate", "--protocol", "ham", "--profile", "threshold:2",
+          "--n", "16", "--weight", "3", "--trials", "3", "--seed", "5"),
+         "99294c753abe8a056816635c0786d3f9d2f1a16478758fd64f34ac6f6bc2564a"),
+        (("simulate", "--protocol", "ham", "--profile", "threshold:2",
+          "--n", "16", "--weight", "3", "--trials", "3", "--buckets", "8",
+          "--reps", "2", "--aggregate", "--seed", "5"),
+         "54279d411e704e477cb1b0a0bf83cbd81f5ea0c26eb6478d82e5bf5affa94aed"),
+        (("simulate", "--protocol", "parity", "--profile", "parity",
+          "--n", "8", "--weight", "1", "--trials", "2", "--seed", "5"),
+         "5dc82eb87712519007f932e28d9a8af067959637dc44546e8cd7484d489b2f5e"),
+        (("simulate", "--protocol", "fullsend", "--profile", "exact:0",
+          "--n", "8", "--weight", "2", "--trials", "2", "--aggregate",
+          "--seed", "5"),
+         "2cbba4a55e09f3a895329139f0cd0bdc51bcdf652c0e5edda57549a3a99d8d15"),
+        (("simulate", "--protocol", "xor1way", "--profile", "threshold:2",
+          "--n", "24", "--weight", "1", "--trials", "3", "--region-reps", "3",
+          "--search-rep-factor", "1", "--seed", "5"),
+         "00cf21b86cca6a5406d9bfa0e1f0c0dfc56ae6da3a9897297ce7822ad4b73974"),
+        (("verify", "--suite", "ham-onesided", "--n", "6", "--trials", "3",
+          "--seed", "5"),
+         "babc06247407091be392c7e08f6e35b9e06f274ebe2956e870ec0d71a6694748"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
@@ -379,6 +416,18 @@ class TestParser:
             errors.append(capsys.readouterr().err)
         assert "invalid choice: 'bogus'" in errors[0]
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_protocol_flags_name_their_readers(self, capsys, command):
+        # the flags and their help come from the protocols' dataclass fields
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        for flag, readers in (("--buckets", "ham"), ("--reps", "ham"),
+                              ("--region-reps", "xor2way and xor1way"),
+                              ("--search-rep-factor", "xor2way and xor1way")):
+            assert re.search(rf"{flag} [A-Z_]+\s+read by {readers} only\n",
+                             out), flag
 
 
 class TestSubprocessDeterminism:

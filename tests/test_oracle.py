@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from xorcomm import oracle, spectral
+from xorcomm.engine import mc_error_estimate, weighted_pair
 from xorcomm.oracle import (MAX_SCAN_N, TruthTable, all_profiles_matrix,
                             brute_fourier, brute_rank,
                             brute_symmetric_fourier_matrix,
-                            exhaustive_lemma_scan, mc_error_estimate,
-                            sampled_lemma_scan, trivial_profile_indices,
-                            weighted_pair, xor_matrix)
+                            exhaustive_lemma_scan, sampled_lemma_scan,
+                            trivial_profile_indices, xor_matrix)
 from xorcomm.protocols import FullSendProtocol, ParityProtocol
 from xorcomm.spectral import weight_spectrum
 from xorcomm.symfun import SymmetricProfile, parse_profile

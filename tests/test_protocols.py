@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xorcomm.engine import RandomTape, run_protocol
-from xorcomm.oracle import mc_error_estimate, weighted_pair
-from xorcomm.protocols import (FullSendProtocol, HamConfig, HamProtocol,
+from xorcomm.engine import (RandomTape, mc_error_estimate, run_protocol,
+                            weighted_pair)
+from xorcomm.protocols import (FullSendProtocol, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
-                               TwoWayXorProtocol, XorProtocolConfig,
-                               _DRAW_BLOCK, _bucket_parities,
-                               default_buckets, make_protocol)
+                               TwoWayXorProtocol, _DRAW_BLOCK,
+                               _bucket_parities, default_buckets,
+                               make_protocol)
 from xorcomm.symfun import InputPair, evaluate_F, parse_profile
 
 
@@ -55,14 +56,14 @@ class TestFullSend:
 
 class TestHam:
     def test_zero_distance_never_votes(self):
-        proto = HamProtocol(HamConfig(d=0))
+        proto = HamProtocol(d=0)
         p = parse_profile("threshold:0", 16)
         for s in range(20):
             out, _ = run_protocol(proto, pair_of_weight(16, 0, s), p, seed=s)
             assert out == 0
 
     def test_d_at_least_n_is_silent(self):
-        proto = HamProtocol(HamConfig(d=16))
+        proto = HamProtocol(d=16)
         p = parse_profile("threshold:16", 16)
         out, t = run_protocol(proto, pair_of_weight(16, 7, 0), p, seed=0)
         assert out == 0
@@ -71,7 +72,7 @@ class TestHam:
     def test_one_sided_below_threshold(self):
         # m <= d never produces a ">d" output, whatever the seed
         n, d = 32, 4
-        proto = HamProtocol(HamConfig(d=d))
+        proto = HamProtocol(d=d)
         p = parse_profile(f"threshold:{d}", n)
         for m in range(d + 1):
             for s in range(200):
@@ -81,7 +82,7 @@ class TestHam:
     def test_exact_when_buckets_cover_positions(self):
         # identity bucket map: exhaustive over all pairs at n=6
         n = 6
-        proto = HamProtocol(HamConfig(d=2, buckets=n))
+        proto = HamProtocol(d=2, buckets=n)
         p = parse_profile("threshold:2", n)
         for xv in range(1 << n):
             x = tuple((xv >> i) & 1 for i in range(n))
@@ -93,7 +94,7 @@ class TestHam:
     def test_exact_per_weight_n12(self):
         n = 12
         for d in (0, 3, 7, 11):
-            proto = HamProtocol(HamConfig(d=d, buckets=n))
+            proto = HamProtocol(d=d, buckets=n)
             p = parse_profile(f"threshold:{d}", n)
             for m in range(n + 1):
                 res = mc_error_estimate(proto, p, m, 20, seed=(d, m))
@@ -102,7 +103,7 @@ class TestHam:
     def test_bit_count_formula(self):
         n = 64
         for d, reps in ((3, 1), (3, 4), (8, 2)):
-            proto = HamProtocol(HamConfig(d=d, repetitions=reps))
+            proto = HamProtocol(d=d, repetitions=reps)
             p = parse_profile(f"threshold:{d}", n)
             _, t = run_protocol(proto, pair_of_weight(n, d + 2, 0), p, seed=1)
             assert t.content_bits == reps * default_buckets(d, n)
@@ -113,7 +114,7 @@ class TestHam:
         p = parse_profile(f"threshold:{d}", n)
         rates = []
         for reps in (1, 2, 4):
-            proto = HamProtocol(HamConfig(d=d, repetitions=reps))
+            proto = HamProtocol(d=d, repetitions=reps)
             res = mc_error_estimate(proto, p, m, trials, seed=17)
             rates.append(1.0 - res.success_rate)
         assert rates[0] >= rates[1] >= rates[2]
@@ -224,7 +225,7 @@ class TestXorPhases:
     def test_r1_runs_no_probes(self, recorder):
         # exact:0 has r = 1: the tails need no search, so the region phase
         # is the last one to draw
-        n, reps = 40, XorProtocolConfig().region_reps
+        n, reps = 40, TwoWayXorProtocol().region_reps
         p = parse_profile("exact:0", n)
         for m in (0, n):
             pair = pair_of_weight(n, m, m)
@@ -291,9 +292,9 @@ class TestTwoWay:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            XorProtocolConfig(region_reps=0)
+            TwoWayXorProtocol(region_reps=0)
         with pytest.raises(ValueError):
-            HamConfig(d=-1)
+            HamProtocol(d=-1)
 
 
 class TestOneWay:
@@ -375,6 +376,17 @@ class TestFactory:
             make_protocol("xor2way", p, repetitions=2)
         with pytest.raises(ValueError, match="--region-reps"):
             make_protocol("ham", p, region_reps=3)
+        # d is a field of ham, but the profile sets it, not a flag
+        with pytest.raises(ValueError, match="does not use d"):
+            make_protocol("ham", p, d=5)
+
+    def test_protocols_are_frozen(self):
+        p = parse_profile("threshold:2", 8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_protocol("ham", p).repetitions = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_protocol("xor2way", p).search_rep_factor = 3
+        assert make_protocol("xor1way", p) == OneWayXorProtocol()
 
     def test_defaults_when_flags_omitted(self):
         p = parse_profile("threshold:2", 8)
