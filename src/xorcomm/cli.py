@@ -3,15 +3,16 @@
 Subcommands: analyze (JSON report), verify (oracle cross-checks), simulate
 (protocol runs as JSON lines), sweep (CSV experiment grid).  Big integers are
 serialized as decimal strings so no toolchain rounds them.  Seed precedence:
---seed flag, then XORCOMM_SEED, then 0; a seed, --trials and --samples
-must be non-negative.  analyze accepts n up to MAX_ANALYZE_N; verify refuses, before
-any work, a run that would check nothing and an n above the limit of the
-oracle or the protocol runs its suite uses.  simulate and sweep refuse
---trials 0, a bad --n list (sweep), an --n, --buckets, --reps or
---region-reps above MAX_ANALYZE_N, a --search-rep-factor above
-MAX_SEARCH_REP_FACTOR and a protocol flag the named protocol does not
-read.  Bad input prints one `error: ...` line on stderr and exits 2.  The
-parser is built once per process.
+--seed flag, then XORCOMM_SEED, then 0; a seed must be non-negative.
+
+Every numeric input is range-checked by _check_bounds before any work:
+analyze's --n (1..MAX_ANALYZE_N); simulate's and sweep's --trials (at least
+1), each --n (1..MAX_ANALYZE_N), simulate's --weight (0..n) and the protocol
+flag caps; and each verify suite's flags, whose defaults, least values and
+limits are the suite's entry in VERIFY_SUITES.  A verify suite refuses a
+flag it does not read, as simulate and sweep refuse a protocol flag the
+named protocol does not read.  Bad input prints one `error: ...` line on
+stderr and exits 2.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -44,30 +45,32 @@ MAX_SEARCH_REP_FACTOR = 16
 MAX_HAM_ONESIDED_N = 64
 
 
-def _non_negative(name: str, value: int) -> int:
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def _exit_usage(message: str):
-    """Print one error line and exit 2, as argparse does for a bad flag."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+def _check_bounds(command: str, bounds) -> None:
+    """Refuse each (flag, value, least, limit) with value below least or
+    above limit.  A value of None was not given; a bound of None is none."""
+    for flag, value, least, limit in bounds:
+        if value is None:
+            continue
+        if least is not None and value < least:
+            raise ValueError(f"{command} {flag} {value} must be at least "
+                             f"{least}")
+        if limit is not None and value > limit:
+            raise ValueError(f"{command} {flag} {value} is above the limit "
+                             f"of {limit}")
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return _non_negative("--seed", args.seed)
-    env = os.environ.get("XORCOMM_SEED")
-    if env is not None:
+        flag, seed = "--seed", args.seed
+    else:
+        flag, env = "XORCOMM_SEED", os.environ.get("XORCOMM_SEED", "0")
         try:
-            value = int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(
                 f"XORCOMM_SEED is not an integer: {env!r}") from None
-        return _non_negative("XORCOMM_SEED", value)
-    return 0
+    _check_bounds(args.command, [(flag, seed, 0, None)])
+    return seed
 
 
 def _emit(obj) -> None:
@@ -99,31 +102,28 @@ def analysis_report(profile: symfun.SymmetricProfile, spec: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    if args.n > MAX_ANALYZE_N:
-        raise ValueError(f"analyze --n {args.n} is above the limit "
-                         f"of {MAX_ANALYZE_N}")
+    _check_bounds("analyze", [("--n", args.n, 1, MAX_ANALYZE_N)])
     profile = symfun.parse_profile(args.profile, args.n)
     _emit(analysis_report(profile, args.profile))
     return EXIT_OK
 
 
-def _verify_fourier(args) -> tuple[int, int]:
-    import numpy as np
+def _verify_fourier(seed, n_max) -> tuple[int, int]:
     checked = mismatches = 0
-    for n in range(1, args.n_max + 1):
+    for n in range(1, n_max + 1):
         C = spectral.krawtchouk_matrix_i64(n)
         B = oracle.brute_symmetric_fourier_matrix(n)
         P = oracle.all_profiles_matrix(n)
         spec_side = P @ C.T
         brute_side = P @ B.T
         checked += spec_side.size
-        mismatches += int(np.count_nonzero(spec_side != brute_side))
+        mismatches += int((spec_side != brute_side).sum())
     return checked, mismatches
 
 
-def _verify_rank(args) -> tuple[int, int]:
+def _verify_rank(seed, n_max) -> tuple[int, int]:
     checked = mismatches = 0
-    for n in range(1, args.n_max + 1):
+    for n in range(1, n_max + 1):
         for i in range(1 << (n + 1)):
             s = tuple((i >> k) & 1 for k in range(n + 1))
             profile = symfun.SymmetricProfile(n, s)
@@ -134,79 +134,67 @@ def _verify_rank(args) -> tuple[int, int]:
     return checked, mismatches
 
 
-def _verify_lemma(args, seed) -> tuple[int, int]:
-    if args.exhaustive:
-        violations = oracle.exhaustive_lemma_scan(args.n)
-        for v in violations:
-            print(f"violation: n={v.n} s={''.join(str(b) for b in v.s)}")
-        return 1 << (args.n + 1), len(violations)
-    count = oracle.sampled_lemma_scan(args.n, args.samples, seed)
-    return args.samples, count
+def _verify_lemma_exhaustive(seed, n) -> tuple[int, int]:
+    violations = oracle.exhaustive_lemma_scan(n)
+    for v in violations:
+        print(f"violation: n={v.n} s={''.join(str(b) for b in v.s)}")
+    return 1 << (n + 1), len(violations)
 
 
-def _verify_ham_onesided(args, seed) -> tuple[int, int]:
+def _verify_lemma(seed, n, samples) -> tuple[int, int]:
+    return samples, oracle.sampled_lemma_scan(n, samples, seed)
+
+
+def _verify_ham_onesided(seed, n, trials) -> tuple[int, int]:
     checked = bad = 0
-    n = args.n
     for d in range(n + 1):
         profile = symfun.parse_profile(f"threshold:{d}", n)
         proto = protocols.make_protocol("ham", profile)
         for m in range(d + 1):
-            res = engine.mc_error_estimate(proto, profile, m, args.trials,
+            res = engine.mc_error_estimate(proto, profile, m, trials,
                                            (seed, d, m))
             checked += res.trials
             bad += res.trials - res.successes
     return checked, bad
 
 
-def _check_verify_limits(args) -> None:
-    """Refuse, before any work, a run that would check nothing, and an n
-    that a suite would only reject (or take hours over) after running every
-    smaller n."""
-    if args.suite in ("rank", "fourier") and args.n_max < 1:
-        raise ValueError(f"verify --suite {args.suite} --n-max {args.n_max} "
-                         f"checks nothing; it must be at least 1")
-    # a sampled lemma scan needs a nontrivial profile, which n <= 1 lacks
-    least_n = {"lemma": 0 if args.exhaustive else 2,
-               "ham-onesided": 1}.get(args.suite)
-    if least_n is not None and args.n < least_n:
-        raise ValueError(f"verify --suite {args.suite} --n {args.n} "
-                         f"must be at least {least_n}")
-    if args.suite == "lemma" and not args.exhaustive and args.samples == 0:
-        raise ValueError("verify --suite lemma --samples 0 checks nothing; "
-                         "it must be at least 1")
-    if args.suite == "ham-onesided" and args.trials == 0:
-        raise ValueError("verify --suite ham-onesided --trials 0 checks "
-                         "nothing; it must be at least 1")
-    if args.suite == "rank" and args.n_max > oracle.MAX_RANK_N:
-        raise ValueError(f"verify --suite rank --n-max {args.n_max} is above "
-                         f"the limit of {oracle.MAX_RANK_N}")
-    if args.suite == "fourier" and args.n_max > oracle.MAX_TABLE_N:
-        raise ValueError(f"verify --suite fourier --n-max {args.n_max} is "
-                         f"above the limit of {oracle.MAX_TABLE_N}")
-    if (args.suite == "lemma" and not args.exhaustive
-            and args.n > spectral.CACHE_MAX_N):
-        raise ValueError(f"verify --suite lemma --n {args.n} is above the "
-                         f"limit of {spectral.CACHE_MAX_N}")
-    if args.suite == "ham-onesided" and args.n > MAX_HAM_ONESIDED_N:
-        raise ValueError(f"verify --suite ham-onesided --n {args.n} is above "
-                         f"the limit of {MAX_HAM_ONESIDED_N}")
+# Each verify suite: its run(seed, *values), and (default, least, limit) of
+# each flag it reads, in run's order.  The least refuses a run that would
+# check nothing (every profile at n <= 1 is trivial, so a lemma scan needs
+# n >= 2); the limit is that of the oracle or the protocol runs it uses, so
+# a suite never runs every smaller n (hours for rank) before failing.
+VERIFY_SUITES = {
+    "fourier": (_verify_fourier, {"--n-max": (6, 1, oracle.MAX_TABLE_N)}),
+    "rank": (_verify_rank, {"--n-max": (6, 1, oracle.MAX_RANK_N)}),
+    "lemma --exhaustive": (_verify_lemma_exhaustive,
+                           {"--n": (12, 2, oracle.MAX_SCAN_N)}),
+    "lemma": (_verify_lemma, {"--n": (12, 2, spectral.CACHE_MAX_N),
+                              "--samples": (10000, 1, None)}),
+    "ham-onesided": (_verify_ham_onesided,
+                     {"--n": (12, 1, MAX_HAM_ONESIDED_N),
+                      "--trials": (100, 1, None)}),
+}
+
+
+def _flag_value(args, flag: str, default=None):
+    """The value of a numeric flag, default where not given (None)."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return default if value is None else value
 
 
 def cmd_verify(args) -> int:
-    _non_negative("--trials", args.trials)
-    _non_negative("--samples", args.samples)
-    _check_verify_limits(args)
-    seed = _resolve_seed(args)
-    if args.suite == "fourier":
-        checked, bad = _verify_fourier(args)
-    elif args.suite == "rank":
-        checked, bad = _verify_rank(args)
-    elif args.suite == "lemma":
-        checked, bad = _verify_lemma(args, seed)
-    elif args.suite == "ham-onesided":
-        checked, bad = _verify_ham_onesided(args, seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown suite {args.suite!r}")
+    suite = args.suite + (" --exhaustive" if args.exhaustive else "")
+    if suite not in VERIFY_SUITES:
+        raise ValueError(f"verify --suite {args.suite} does not use "
+                         f"--exhaustive")
+    run, reads = VERIFY_SUITES[suite]
+    for flag in ("--n", "--n-max", "--samples", "--trials"):
+        if flag not in reads and _flag_value(args, flag) is not None:
+            raise ValueError(f"verify --suite {suite} does not use {flag}")
+    bounds = [(flag, _flag_value(args, flag, default), least, limit)
+              for flag, (default, least, limit) in reads.items()]
+    _check_bounds(f"verify --suite {suite}", bounds)
+    checked, bad = run(_resolve_seed(args), *(b[1] for b in bounds))
     status = "pass" if bad == 0 else "FAIL"
     print(f"suite={args.suite} checked={checked} mismatches={bad} {status}")
     return EXIT_OK if bad == 0 else EXIT_MISMATCH
@@ -214,23 +202,20 @@ def cmd_verify(args) -> int:
 
 def _protocol_flags(args) -> dict:
     """{parameter: value} of every protocol flag, None where not given."""
-    return {key: getattr(args, flag[2:].replace("-", "_"))
+    return {key: _flag_value(args, flag)
             for key, flag in protocols.FLAGS.items()}
 
 
-def _check_run_limits(args, n_list) -> None:
-    """Refuse, before any work, no trials, an n above MAX_ANALYZE_N and a
-    protocol flag above its cap."""
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+def _check_run_limits(args, n_list, *extra) -> None:
+    """Refuse, before any work, no trials, an n outside 1..MAX_ANALYZE_N, a
+    protocol flag above its cap and any extra (flag, value, least, limit)."""
     caps = {"search_rep_factor": MAX_SEARCH_REP_FACTOR}
-    limits = [("--n", n, MAX_ANALYZE_N) for n in n_list] + [
-        (protocols.FLAGS[key], value, caps.get(key, MAX_ANALYZE_N))
-        for key, value in _protocol_flags(args).items()]
-    for flag, value, limit in limits:
-        if value is not None and value > limit:
-            raise ValueError(f"{args.command} {flag} {value} is above the "
-                             f"limit of {limit}")
+    _check_bounds(args.command, [
+        ("--trials", args.trials, 1, None),
+        *(("--n", n, 1, MAX_ANALYZE_N) for n in n_list),
+        *((protocols.FLAGS[key], value, None, caps.get(key, MAX_ANALYZE_N))
+          for key, value in _protocol_flags(args).items()),
+        *extra])
 
 
 def _make_protocol(args, profile) -> engine.Protocol:
@@ -239,12 +224,9 @@ def _make_protocol(args, profile) -> engine.Protocol:
 
 
 def cmd_simulate(args) -> int:
-    _check_run_limits(args, [args.n])
+    _check_run_limits(args, [args.n], ("--weight", args.weight, 0, args.n))
     seed = _resolve_seed(args)
     profile = symfun.parse_profile(args.profile, args.n)
-    if not 0 <= args.weight <= args.n:
-        _exit_usage(f"simulate --weight {args.weight} is out of range "
-                    f"for n={args.n}")
     protocol = _make_protocol(args, profile)
     if args.aggregate:
         res = engine.mc_error_estimate(protocol, profile, args.weight,
@@ -280,7 +262,8 @@ def cmd_sweep(args) -> int:
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
-        _exit_usage(f"sweep --out cannot write {args.out}: {exc}")
+        raise ValueError(
+            f"sweep --out cannot write {args.out}: {exc}") from None
     try:
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
@@ -317,13 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run an oracle cross-check suite")
+    # the suite names of VERIFY_SUITES, in order; --n, --n-max, --samples
+    # and --trials default to None, "not given": the suite's entry fills in
     p.add_argument("--suite", required=True,
-                   choices=["fourier", "rank", "lemma", "ham-onesided"])
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--n-max", type=int, default=6)
+                   choices=list(dict.fromkeys(
+                       suite.split()[0] for suite in VERIFY_SUITES)))
+    p.add_argument("--n", type=int)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--trials", type=int)
     add_seed(p)
     p.set_defaults(func=cmd_verify)
 

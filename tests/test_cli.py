@@ -199,6 +199,21 @@ class TestBadNumericInput:
         # printed "invalid literal for int() with base 10: 'x'"
         (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
           "4,x"), "--n '4,x': invalid literal for int() with base 10: 'x'"),
+        # each printed "pass" (checked=2, checked=4), though every profile
+        # at n <= 1 is trivial and none was checked
+        (("verify", "--suite", "lemma", "--exhaustive", "--n", "0"), "--n 0"),
+        (("verify", "--suite", "lemma", "--exhaustive", "--n", "1"), "--n 1"),
+        # each exited 0, ignoring a flag its suite does not read
+        (("verify", "--suite", "fourier", "--n-max", "2", "--n", "999999"),
+         "fourier does not use --n"),
+        (("verify", "--suite", "rank", "--n-max", "2", "--samples", "0"),
+         "does not use --samples"),
+        (("verify", "--suite", "rank", "--n-max", "2", "--exhaustive"),
+         "does not use --exhaustive"),
+        (("verify", "--suite", "lemma", "--exhaustive", "--n", "10",
+          "--samples", "0"), "does not use --samples"),
+        (("verify", "--suite", "ham-onesided", "--n-max", "3"),
+         "does not use --n-max"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -261,6 +276,10 @@ class TestIgnoredProtocolFlags:
          ("--region-reps", "5", "--search-rep-factor", "2")),
         (_protocol_argv("sweep", "ham") + ("--trials", "3"),
          ("--reps", "1")),
+        # a verify suite's defaults come from its VERIFY_SUITES entry
+        (("verify", "--suite", "lemma", "--samples", "300"), ("--n", "12")),
+        (("verify", "--suite", "ham-onesided", "--n", "6", "--seed", "5"),
+         ("--trials", "100")),
     ])
     def test_explicit_defaults_same_output(self, capsys, argv, defaults):
         code, omitted, _ = run_cli(capsys, *argv)
@@ -290,18 +309,18 @@ class TestSimulate:
             assert row["bits_a_to_b"] == 8
 
     def test_weight_out_of_range(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--protocol", "parity", "--profile", "parity",
-                  "--n", "4", "--weight", "9"])
+        code, _, _ = run_cli(capsys, "simulate", "--protocol", "parity",
+                             "--profile", "parity", "--n", "4",
+                             "--weight", "9")
+        assert code == 2
 
     def test_weight_out_of_range_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--protocol", "parity", "--profile", "parity",
-                  "--n", "4", "--weight", "9"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "--weight 9" in captured.err
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "parity",
+                                 "--profile", "parity", "--n", "4",
+                                 "--weight", "9")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--weight 9" in err
 
     def test_deterministic_output(self, capsys):
         args = ["simulate", "--protocol", "xor2way", "--profile", "exact:0",
@@ -328,20 +347,19 @@ class TestSweep:
         assert first[0] == "2"
 
     def test_unwritable_path(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--protocol", "parity", "--profile", "parity",
-                  "--n", "2", "--trials", "1",
-                  "--out", "/nonexistent-dir/x.csv"])
+        code, _, _ = run_cli(capsys, "sweep", "--protocol", "parity",
+                             "--profile", "parity", "--n", "2", "--trials",
+                             "1", "--out", "/nonexistent-dir/x.csv")
+        assert code == 2
 
     def test_unwritable_path_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--protocol", "parity", "--profile", "parity",
-                  "--n", "2", "--trials", "1", "--out", str(path)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and str(path) in captured.err
+        code, out, err = run_cli(capsys, "sweep", "--protocol", "parity",
+                                 "--profile", "parity", "--n", "2",
+                                 "--trials", "1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err
 
 
 class TestGoldenOutput:
@@ -429,6 +447,26 @@ class TestParser:
             assert re.search(rf"{flag} [A-Z_]+\s+read by {readers} only\n",
                              out), flag
 
+    # sha256 of each --help text at COLUMNS=80, recorded while every verify
+    # flag still had a default of its own in the parser
+    @pytest.mark.parametrize("command, digest", [
+        ("analyze",
+         "89354750d6f5f19ef1633314f4843bf1e59fdbb72021acf46524539e65a1a1c9"),
+        ("verify",
+         "63fd7fb931af2a42035b6f9d238d88bdba112de9f196a1d6dbc1d0c368bb8725"),
+        ("simulate",
+         "9ff0c86819423efa1c0e2416cde1c1d32c67458420ed4ce8b06d95a4b3b84678"),
+        ("sweep",
+         "f638d917753aabe47497b82d1227f37a6f9c553f87607641449a1ae11d77039b"),
+    ])
+    def test_help_digest(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSubprocessDeterminism:
     def test_byte_identical_runs(self):
@@ -438,6 +476,15 @@ class TestSubprocessDeterminism:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_usage_error_exit_2(self):
+        # main returns 2, and python -m xorcomm exits with it
+        cmd = [sys.executable, "-m", "xorcomm", "simulate", "--protocol",
+               "parity", "--profile", "parity", "--n", "4", "--weight", "9"]
+        a = subprocess.run(cmd, capture_output=True, text=True)
+        assert a.returncode == 2
+        assert a.stdout == ""
+        assert a.stderr.count("\n") == 1 and "--weight 9" in a.stderr
 
     def test_env_seed_used(self):
         import os

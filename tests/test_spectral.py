@@ -52,6 +52,15 @@ class TestKrawtchouk:
                 tuple(krawtchouk_coefficient(n, k, s) for s in range(n + 1))
                 for k in range(n + 1)), f"n={n}"
 
+    def test_matrix_cache_is_bounded(self):
+        # the 16 matrices of n = 497..512, all cached, peaked at 248 MB
+        for n in range(50, 56):
+            krawtchouk_matrix(n)
+        info = krawtchouk_matrix.cache_info()
+        assert info.currsize <= 4
+        krawtchouk_matrix(55)
+        assert krawtchouk_matrix.cache_info().hits == info.hits + 1
+
 
 class TestWeightSpectrum:
     def test_const0(self):
