@@ -255,8 +255,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep --n {args.n!r} lists no n")
     _check_run_limits(args, n_list)
     seed = _resolve_seed(args)
-    rows = engine.sweep(lambda profile, n: _make_protocol(args, profile),
-                        args.profile, n_list, args.trials, seed)
+    # Every n's profile and protocol are built, then --out is opened, all
+    # before the first cell runs: a refused run creates or truncates no
+    # file, and an unwritable path fails at once.
+    built = {n: _make_protocol(args, symfun.parse_profile(args.profile, n))
+             for n in n_list}
     fields = ["n", "family", "r0", "r1", "r", "protocol", "weight", "trials",
               "success_rate", "mean_bits", "max_bits", "rounds_mean"]
     try:
@@ -265,6 +268,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"sweep --out cannot write {args.out}: {exc}") from None
     try:
+        rows = engine.sweep(lambda profile, n: built[n], args.profile, n_list,
+                            args.trials, seed)
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

@@ -20,7 +20,8 @@ from .symfun import SymmetricProfile
 
 MAX_TABLE_N = 16
 # verify --suite rank checks all 2^(n+1) profiles at each n; at n = 9 one
-# rank takes up to 0.26 s, so the 1,024 profiles there alone take minutes.
+# rank takes 0.05-0.12 s, so the 1,024 profiles there alone take over a
+# minute (about 70 s).
 MAX_RANK_N = 8
 # exhaustive_lemma_scan holds two tables of 2^((n+1)/2) int64 fingerprints;
 # at n = 39 a fresh process took under 1 s and 76 MB, at n = 40 101 MB.
@@ -123,35 +124,110 @@ def _primes_above(start: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _echelon_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of M mod p (p < 2^31): the pivot rows, each scaled
-    to 1 at its pivot, and their pivot columns."""
-    A = np.mod(M, p).astype(np.int64)
-    m, ncols = A.shape
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = np.nonzero(A[rank:, col])[0]
-        if piv.size == 0:
-            continue
-        i = rank + piv[0]
-        if i != rank:
-            A[[rank, i]] = A[[i, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank, col:] = A[rank, col:] * inv % p
-        below = np.nonzero(A[rank + 1:, col])[0] + rank + 1
-        if below.size:  # columns left of col are already zero there
-            A[below, col:] = (A[below, col:]
-                              - np.outer(A[below, col], A[rank, col:])) % p
-        pivots.append(col)
-        rank += 1
-        if rank == m:
+# _rref_mod_p holds integers in float64, exact only below 2^53: between
+# reductions an entry takes at most _PANEL row operations of size (p-1)^2.
+# Rank primes are taken above _RANK_PRIMES; the first, 4194319, leaves
+# p + 2 * _PANEL * (p-1)^2 below 2^51.
+_PANEL = 32
+_RANK_PRIMES = 1 << 22
+
+
+def _reduce(X: np.ndarray, p: int, q: np.ndarray) -> None:
+    """X mod p in place, for float64 X holding integers of absolute value
+    below 2^53 - 2p; q is scratch of X's shape.  floor(X / p) through the
+    rounded reciprocal can be one off either way, which leaves X - p*floor
+    in -p..2p-1; the two fix-ups bring it into 0..p-1, so a multiple of p
+    always becomes 0, never p."""
+    np.multiply(X, 1.0 / p, out=q)
+    np.floor(q, out=q)
+    q *= -p
+    X += q
+    np.add(X, p, out=X, where=X < 0)
+    np.subtract(X, p, out=X, where=X >= p)
+
+
+def _rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of the integer matrix M mod the prime p:
+    the pivot rows as int64 in 0..p-1, each 1 at its own pivot column and
+    0 at every other, and their pivot columns.
+
+    Gauss-Jordan on float64 with delayed reduction (as FFLAS-FFPACK does:
+    Dumas, Giorgi & Pernet, ACM TOMS 2008), one panel of _PANEL columns at
+    a time.  The panel is copied into a block [panel | Y]; when row s
+    becomes the panel's pivot t, Y[s, t] = 1, and every row operation is
+    applied to Y too, so Y ends as the columns of the panel's transform at
+    its pivot rows S.  Pivot rows are marked, never swapped.  Only the
+    pivot column and the pivot row are reduced before use; the rest of the
+    block is reduced when the panel ends.  The columns right of the panel
+    then take all of its row operations as one product,
+    T += (Y - E_S) @ T[S], and one reduction, a chunk of _PANEL columns at
+    a time.  Every entry stays an integer below p + _PANEL * (p-1)^2 in
+    absolute value, which the check below keeps under 2^53 - 2p, so each
+    float operation, the BLAS product included, is exact, and so is
+    _reduce.  The work is done on transposes, so that each column is one
+    contiguous row.
+    """
+    if p + 2 * _PANEL * (p - 1) ** 2 >= 1 << 53:
+        raise ValueError(f"p = {p} is too large for exact float64 "
+                         f"elimination")
+    AT = np.mod(M, p).T.astype(np.float64, order="C")
+    ncols, m = AT.shape
+    free = np.ones(m, dtype=np.int64)  # 1 at the rows not yet pivots
+    rows, pivots = [], []
+    block = np.empty((2 * _PANEL, m))
+    work = np.empty((2 * _PANEL, m))
+    for c0 in range(0, ncols, _PANEL):
+        if len(rows) == m:
             break
-    return A[:rank], pivots
+        w = min(_PANEL, ncols - c0)
+        B = block[:2 * w]
+        B[:w] = AT[c0:c0 + w]
+        B[w:] = 0
+        S = []
+        for j in range(w):
+            if len(rows) + len(S) == m:
+                break
+            # the pivot column and row are short: int64 % reduces them
+            # exactly, in one call each.  A column without a pivot is left
+            # for the panel's reduction: later pivots never touch it.
+            col = B[j].astype(np.int64)
+            col %= p
+            score = col * free
+            r = int(score.argmax())
+            if score[r] == 0:
+                continue
+            t = len(S)
+            # Y's columns right of t are still zero, and the row is zero
+            # left of j: its other pivot columns were eliminated in it
+            span = slice(j, w + t + 1)
+            B[w + t, r] = 1
+            row = B[span, r].astype(np.int64)
+            row %= p
+            row *= pow(int(row[0]), -1, p)
+            row %= p
+            col[r] = 0  # row r takes no part in its own update
+            B[span] -= np.multiply.outer(row, col, out=work[:row.size])
+            B[span, r] = row
+            S.append(r)
+            free[r] = 0
+            pivots.append(c0 + j)
+        k = len(S)
+        _reduce(B[:w + k], p, work[:w + k])
+        AT[c0:c0 + w] = B[:w]
+        if k:
+            Y = B[w:w + k]
+            Y[np.arange(k), S] -= 1
+            for c in range(c0 + w, ncols, _PANEL):
+                T = AT[c:c + _PANEL]
+                product = np.matmul(T[:, S], Y, out=work[:T.shape[0]])
+                T += product
+                _reduce(T, p, product)
+        rows += S
+    return AT[:, rows].T.astype(np.int64), pivots
 
 
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
-    return len(_echelon_mod_p(M, p)[1])
+    return len(_rref_mod_p(M, p)[1])
 
 
 def xor_matrix(table: TruthTable) -> np.ndarray:
@@ -192,58 +268,65 @@ def _kernel_certificate(M: np.ndarray, p: int) -> int | None:
     elimination mod p, or None if p does not prove it.
 
     The rank mod p, r_p, is at most the rational rank.  Below full column
-    rank, the reduced echelon form mod p gives ncols - r_p kernel vectors
+    rank, the reduced echelon form R mod p gives ncols - r_p kernel vectors
     (1 at a free column, -R[i, j] at the pivots).  Their entries are lifted
     to fractions, each vector is scaled by the lcm of its denominators, and
     M V = 0 is checked exactly.  The free-column block of V is diagonal and
     nonzero, so V has full column rank, and a passing check proves the
     rational rank is at most r_p.
     """
-    R, pivots = _echelon_mod_p(M, p)
+    R, pivots = _rref_mod_p(M, p)
     rank, ncols = len(pivots), M.shape[1]
     if rank == ncols:
         return rank
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    # Back-substitute to reduced form.  Only the free columns change: row i
-    # is zero left of its pivot, so it never touches an earlier pivot column.
-    X = R[:, free]
-    for i in range(rank - 1, 0, -1):
-        above = np.nonzero(R[:i, pivots[i]])[0]
-        if above.size:
-            X[above] = (X[above] - np.outer(R[above, pivots[i]], X[i])) % p
-    lifted = _rational_lift((-X) % p, p)
+    lifted = _rational_lift((-R[:, free]) % p, p)
     if lifted is None:
         return None
     a, b = lifted
     lcms = [math.lcm(*col.tolist()) for col in b.T]
-    wide = max(lcms) >= 1 << 31  # else |a| * lcm / b < 2^46
+    wide = max(lcms) >= 1 << 31  # else |a| * lcm / b < 2^43, as p < 2^24
     dtype = object if wide else np.int64
     L = np.array(lcms, dtype=dtype)
     V = np.zeros((ncols, free.size), dtype=dtype)
     V[free, np.arange(free.size)] = L
     V[pivots] = a.astype(dtype) * (L // b.astype(dtype))
-    vmax = int(np.abs(V).max())
-    if not wide and ncols * int(np.abs(M).max()) * vmax < 1 << 62:
-        residual = M @ V
+    # Below 2^53 every partial sum of M V is an exact float64 integer, so
+    # the product can run on BLAS; above it, on Python ints.
+    if ncols * int(np.abs(M).max()) * int(np.abs(V).max()) < 1 << 53:
+        residual = M.astype(np.float64) @ V.astype(np.float64)
     else:
         residual = M.astype(object) @ V.astype(object)
     return rank if not np.any(residual) else None
 
 
+def _fallback_primes(m: int) -> tuple[int, ...]:
+    """The fewest primes above _RANK_PRIMES whose product exceeds
+    (m+1)^((m+1)/2) / 2^m, the largest |det| of an m x m 0/1 matrix (its
+    +-1 bordering and Hadamard's bound).  Compared exactly, as
+    product^2 * 4^m > (m+1)^(m+1)."""
+    need = (m + 1) ** (m + 1)
+    # each prime exceeds 2^22, so product^2 gains more than 44 bits a prime
+    primes = _primes_above(_RANK_PRIMES, need.bit_length() // 44 + 1)
+    product = 1
+    for count, p in enumerate(primes, 1):
+        product *= p
+        if product * product << 2 * m > need:
+            return primes[:count]
+    raise AssertionError("unreachable: the last prime passes")
+
+
 def _max_rank_mod_primes(M: np.ndarray) -> int:
-    """The max of the ranks of a 0/1 matrix modulo enough distinct 31-bit
-    primes: some nonzero maximal minor has absolute value at most
-    (m+1)^((m+1)/2) / 2^m (0/1 determinant bound), so it is divisible by
-    fewer primes than are tried, and the max is exactly the rational rank.
+    """The max of the ranks of a 0/1 matrix modulo _fallback_primes: some
+    nonzero maximal minor is at most the 0/1 determinant bound in absolute
+    value, so not every one of those primes divides it, and the max is
+    exactly the rational rank.
     """
     m = M.shape[0]
-    log2_bound = (m + 1) * 0.5 * np.log2(m + 1) - m
-    nprimes = max(1, int(log2_bound // 30) + 1)
-    primes = _primes_above(1 << 30, nprimes)
     best = 0
-    for p in primes:
+    for p in _fallback_primes(m):
         best = max(best, _rank_mod_p(M, p))
         if best == m:
             break
@@ -258,11 +341,12 @@ def _exact_rank(M: np.ndarray, p: int) -> int:
 def brute_rank(table: TruthTable) -> int:
     """Exact rank over the rationals of [f(x xor y)], proved from both sides.
 
-    Lower bound: one elimination modulo the first prime p above 2^30; the
+    Lower bound: one elimination modulo the first prime p above 2^22; the
     rank mod p, r_p, never exceeds the rational rank, so r_p = 2^n ends it.
-    Upper bound: below full rank, the 2^n - r_p kernel vectors of the mod-p
-    echelon form are lifted to integers by rational reconstruction and
-    M V = 0 is checked exactly, which proves the rank is at most r_p.
+    Upper bound: below full rank, the 2^n - r_p kernel vectors of the
+    reduced echelon form mod p are lifted to integers by rational
+    reconstruction and M V = 0 is checked exactly, which proves the rank
+    is at most r_p.
     Fallback: if the lift or the check fails (p divides a minor it should
     not), the answer is the max of the ranks modulo enough primes that no
     nonzero maximal minor is divisible by all of them.  No Fourier or
@@ -270,7 +354,7 @@ def brute_rank(table: TruthTable) -> int:
     """
     if table.n > MAX_RANK_N:
         raise ValueError(f"brute_rank limited to n <= {MAX_RANK_N}")
-    return _exact_rank(xor_matrix(table), _primes_above(1 << 30, 1)[0])
+    return _exact_rank(xor_matrix(table), _primes_above(_RANK_PRIMES, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from xorcomm import engine
 from xorcomm.cli import (MAX_ANALYZE_N, MAX_HAM_ONESIDED_N, build_parser,
                          main)
 from xorcomm.oracle import MAX_RANK_N, MAX_TABLE_N
@@ -360,6 +361,49 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and str(path) in err
+
+
+class TestSweepOutFailsFast:
+    SWEEP = ("sweep", "--protocol", "xor1way", "--profile", "threshold:2",
+             "--n", "17,32", "--trials", "4", "--seed", "22")
+
+    def test_unwritable_path_refused_before_any_cell(self, capsys,
+                                                     monkeypatch, tmp_path):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before --out was checked")
+        monkeypatch.setattr(engine, "sweep", no_cells)
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, *self.SWEEP, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("profile, n_list", [
+        ("bogus", "8"),
+        ("exact:6", "8,4"),  # refused at the second n only
+        ("parity", "8,5000"),
+    ])
+    def test_refused_run_leaves_out_untouched(self, capsys, tmp_path,
+                                              profile, n_list):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("earlier contents\n")
+        for path in (fresh, kept):
+            code, out, err = run_cli(capsys, "sweep", "--protocol", "parity",
+                                     "--profile", profile, "--n", n_list,
+                                     "--trials", "1", "--out", str(path))
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier contents\n"
+
+    def test_out_bytes_are_the_stdout_bytes(self, capsys, tmp_path):
+        # the digest TestGoldenOutput pins for the same run on stdout
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, *self.SWEEP, "--out", str(path))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "88461369b08f71036a177e5af4813dacbc76070cb814765a25c9d664c70264a8")
 
 
 class TestGoldenOutput:

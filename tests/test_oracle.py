@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,39 @@ def bareiss_rank(M):
         if rank == rows:
             break
     return rank
+
+
+def reference_rref_mod_p(M, p):
+    """The retired elimination (reference only): row echelon form by
+    per-pivot int64 row updates with row swaps, then back-substitution to
+    the reduced form.  Needs p < 2^31."""
+    A = np.mod(M, p).astype(np.int64)
+    m, ncols = A.shape
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        piv = np.nonzero(A[rank:, col])[0]
+        if piv.size == 0:
+            continue
+        i = rank + piv[0]
+        if i != rank:
+            A[[rank, i]] = A[[i, rank]]
+        inv = pow(int(A[rank, col]), p - 2, p)
+        A[rank, col:] = A[rank, col:] * inv % p
+        below = np.nonzero(A[rank + 1:, col])[0] + rank + 1
+        if below.size:
+            A[below, col:] = (A[below, col:]
+                              - np.outer(A[below, col], A[rank, col:])) % p
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    R = A[:rank]
+    for i in range(rank - 1, 0, -1):
+        above = np.nonzero(R[:i, pivots[i]])[0]
+        if above.size:
+            R[above] = (R[above] - np.outer(R[above, pivots[i]], R[i])) % p
+    return R, pivots
 
 
 class TestTruthTable:
@@ -132,17 +167,18 @@ class TestRankCertificate:
         assert calls == []
 
     def test_object_array_check(self):
-        # ncols * max|M| * max|V| reaches 2^62, so the check runs on
+        # ncols * max|M| * max|V| reaches 2^53, so the check runs on
         # Python ints
         big = 1 << 61
-        p = oracle._primes_above(1 << 30, 1)[0]
+        p = oracle._primes_above(oracle._RANK_PRIMES, 1)[0]
         assert oracle._kernel_certificate(np.full((2, 2), big), p) == 1
         # mod p both columns agree, over Q the kernel is not (-1, 1)
         M = np.array([[big, big + p]], dtype=np.int64)
         assert oracle._kernel_certificate(M, p) is None
         assert oracle._exact_rank(M, p) == 1
-        # kernel vector (-1/q1, -1/q2, -1/q3, 1): its lcm q1*q2*q3 > 2^31
-        q1, q2, q3 = 20000, 20001, 20003
+        # kernel vector (-1/q1, -1/q2, -1/q3, 1): each q is below the lift
+        # bound isqrt(p/2) = 1448, and the lcm q1*q2*q3 > 2^31
+        q1, q2, q3 = 1291, 1297, 1301
         M = np.array([[q1, 0, 0, 1], [0, q2, 0, 1], [0, 0, q3, 1]])
         assert oracle._kernel_certificate(M, p) == 3
 
@@ -157,11 +193,11 @@ class TestRankCertificate:
                                      p) is None
 
     def test_primes_found_once(self):
-        primes = oracle._primes_above(1 << 30, 3)
+        primes = oracle._primes_above(1 << 22, 3)
         assert isinstance(primes, tuple)
-        assert primes is oracle._primes_above(1 << 30, 3)
-        assert primes[0] == (1 << 30) + 3
-        assert oracle._primes_above(1 << 30, 1) == primes[:1]
+        assert primes is oracle._primes_above(1 << 22, 3)
+        assert primes[0] == (1 << 22) + 15 == 4194319
+        assert oracle._primes_above(1 << 22, 1) == primes[:1]
 
     def test_matches_fallback_symmetric(self):
         for n in range(1, 6):
@@ -189,6 +225,123 @@ class TestRankCertificate:
             monkeypatch.setattr(spectral, name, forbidden)
         monkeypatch.setattr(oracle, "krawtchouk_matrix", forbidden)
         assert [brute_rank(t) for t in tables] == want
+
+
+RANK_P = oracle._primes_above(oracle._RANK_PRIMES, 1)[0]
+BLOCK = oracle._PANEL
+
+
+def matrix_of_rank(rng, m, ncols, rank):
+    """A seeded m x ncols integer matrix, of the given rank over Q."""
+    return (rng.integers(-40, 40, size=(m, rank))
+            @ rng.integers(-40, 40, size=(rank, ncols)))
+
+
+def assert_rref_matches(M, p=RANK_P):
+    R, pivots = oracle._rref_mod_p(M, p)
+    want_R, want_pivots = reference_rref_mod_p(M, p)
+    assert pivots == want_pivots
+    assert R.dtype == np.int64
+    assert np.array_equal(R, want_R)
+    return R, pivots
+
+
+class TestRrefModP:
+    @pytest.mark.parametrize("ncols", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       3 * BLOCK + 5])
+    @pytest.mark.parametrize("shape", ["wide", "square", "tall"])
+    def test_matches_reference(self, ncols, shape):
+        m = {"wide": ncols // 2 + 1, "square": ncols,
+             "tall": 2 * ncols + 3}[shape]
+        rng = np.random.default_rng(ncols * 10 + len(shape))
+        full = min(m, ncols)
+        for rank in sorted({0, full // 2, full}):
+            _, pivots = assert_rref_matches(matrix_of_rank(rng, m, ncols,
+                                                           rank))
+            assert len(pivots) == rank
+
+    def test_one_by_one(self):
+        for v in (0, 1, -1, 7, RANK_P, RANK_P + 3, -(1 << 60)):
+            assert_rref_matches(np.array([[v]], dtype=np.int64))
+
+    def test_pivot_only_in_last_free_row(self):
+        # U upside down: at each column the one free row with a nonzero
+        # entry is the last one, across panel boundaries
+        rng = np.random.default_rng(3)
+        n = 3 * BLOCK + 5
+        U = np.triu(rng.integers(-9, 9, size=(n, n)))
+        np.fill_diagonal(U, rng.integers(1, 9, size=n))
+        R, pivots = assert_rref_matches(U[::-1])
+        assert pivots == list(range(n))
+        assert np.array_equal(R, np.eye(n, dtype=np.int64))
+        # a zero column and a dependent row keep it rank-deficient
+        M = U[::-1].copy()
+        M[:, BLOCK + 2] = 0
+        M[0] = 3 * M[1] - M[2]
+        assert_rref_matches(M)
+
+    def test_multiples_of_p_never_pivot(self):
+        # rows that are multiples of one row mod p, with multipliers near p:
+        # each eliminated entry is a float multiple of p up to BLOCK (p-1)^2
+        # in size, and none of them may become a pivot
+        p = RANK_P
+        rng = np.random.default_rng(4)
+        u = rng.integers(p - 1000, p, size=BLOCK + 9)
+        v = rng.integers(p - 1000, p, size=3 * BLOCK + 5)
+        for rows in (np.outer(u, v) % p, np.outer(u, v)):
+            R, pivots = assert_rref_matches(rows, p)
+            assert pivots == [0]
+            assert R.tolist() == [[x * pow(int(v[0]), -1, p) % p
+                                   for x in v.tolist()]]
+
+    @pytest.mark.parametrize("p", [3, 5, 103, 1000003, RANK_P])
+    def test_reduce_multiples_of_p_near_limit(self, p):
+        # floor(X / p) through the rounded 1/p is one off for some of
+        # these: one too high near the top at p = 3, 5 and 1000003, one
+        # too low at 2p for p = 103.  The result must still be exactly
+        # X mod p, so 0 at every multiple of p.
+        top = ((1 << 53) - 2 * p) // p - 1
+        rng = np.random.default_rng(5)
+        twos = [1 << j for j in range(top.bit_length())]
+        ks = [top, top - 1, -top, -top + 1, 0, *twos, *(-k for k in twos),
+              *rng.integers(top // 2, top, size=400).tolist(),
+              *rng.integers(-top, -top // 2, size=400).tolist()]
+        values = [k * p + d for k in ks for d in (-1, 0, 1, p - 1)]
+        X = np.array(values, dtype=np.float64)
+        assert X.tolist() == values  # every value is an exact float
+        oracle._reduce(X, p, np.empty_like(X))
+        assert X.tolist() == [x % p for x in values]
+
+    def test_prime_too_large_refused(self):
+        # 2 * BLOCK * (p-1)^2 must stay below 2^53
+        with pytest.raises(ValueError):
+            oracle._rref_mod_p(np.eye(2, dtype=np.int64), (1 << 30) + 3)
+
+    def test_rank_mod_p(self):
+        rng = np.random.default_rng(6)
+        M = matrix_of_rank(rng, 50, 90, 23)
+        assert oracle._rank_mod_p(M, RANK_P) == 23
+
+
+class TestFallbackPrimes:
+    @pytest.mark.parametrize("n", range(10))
+    def test_product_exceeds_determinant_bound(self, monkeypatch, n):
+        # an m x m 0/1 determinant is at most (m+1)^((m+1)/2) / 2^m; the
+        # primes the fallback tries must multiply to more than that, so
+        # that not all of them divide a nonzero maximal minor
+        m = 1 << n
+        used = []
+
+        def record(M, p):
+            used.append(p)
+            return 0  # never full rank, so every prime is tried
+        monkeypatch.setattr(oracle, "_rank_mod_p", record)
+        assert oracle._max_rank_mod_primes(np.zeros((m, m))) == 0
+        assert len(set(used)) == len(used) and min(used) > 1 << 22
+        need = (m + 1) ** (m + 1)  # the bound squared, times 4^m
+        assert math.prod(used) ** 2 * 4 ** m > need
+        # and no prime more than needed
+        assert math.prod(used[:-1]) ** 2 * 4 ** m <= need
 
 
 class TestScans:
