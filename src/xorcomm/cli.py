@@ -9,10 +9,11 @@ Every numeric input is range-checked by _check_bounds before any work:
 analyze's --n (1..MAX_ANALYZE_N); simulate's and sweep's --trials (at least
 1), each --n (1..MAX_ANALYZE_N), simulate's --weight (0..n) and the protocol
 flag caps; and each verify suite's flags, whose defaults, least values and
-limits are the suite's entry in VERIFY_SUITES.  A verify suite refuses a
-flag it does not read, as simulate and sweep refuse a protocol flag the
-named protocol does not read.  Bad input prints one `error: ...` line on
-stderr and exits 2.  The parser is built once per process.
+limits are the suite's entry in VERIFY_SUITES.  sweep's --n list must name
+at least one n and no n twice.  A verify suite refuses a flag it does not
+read, as simulate and sweep refuse a protocol flag the named protocol does
+not read.  Bad input prints one `error: ...` line on stderr and exits 2.
+The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import engine, oracle, protocols, spectral, symfun
 
@@ -111,7 +114,8 @@ def cmd_analyze(args) -> int:
 def _verify_fourier(seed, n_max) -> tuple[int, int]:
     checked = mismatches = 0
     for n in range(1, n_max + 1):
-        C = spectral.krawtchouk_matrix_i64(n)
+        # exact in int64: every entry is below 2^n, n <= MAX_TABLE_N
+        C = np.array(spectral.krawtchouk_matrix(n), dtype=np.int64)
         B = oracle.brute_symmetric_fourier_matrix(n)
         P = oracle.all_profiles_matrix(n)
         spec_side = P @ C.T
@@ -253,6 +257,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep --n {args.n!r}: {exc}") from None
     if not n_list:
         raise ValueError(f"sweep --n {args.n!r} lists no n")
+    for i, n in enumerate(n_list):
+        if n in n_list[:i]:  # its cells would run, and print, twice
+            raise ValueError(f"sweep --n {args.n!r} lists n={n} twice")
     _check_run_limits(args, n_list)
     seed = _resolve_seed(args)
     # Every n's profile and protocol are built, then --out is opened, all

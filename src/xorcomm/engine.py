@@ -167,7 +167,10 @@ def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
     x = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
     y = x.copy()
     y[rng.permutation(n)[:m]] ^= 1
-    return InputPair(x, y)
+    # fresh 0/1 uint8 arrays of length n: InputPair's copy and checks would
+    # find nothing
+    x.flags.writeable = y.flags.writeable = False
+    return InputPair._of_bits(x, y)
 
 
 def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,

@@ -79,23 +79,28 @@ def _bucket_parities(x: np.ndarray, y: np.ndarray, flips, b: int,
         return rows, np.where(flips, n - distance, distance)
     rows = np.empty((R, b), dtype=np.uint8)
     diffs = np.empty(R, dtype=np.int64)
-    xb, yb = x != 0, y != 0
+    # codes[f][j] = a + 2*beta: a is Alice's bit j (x, or 1 - x on a
+    # flipped row, f = 1) and beta is Bob's, from y
+    codes = np.empty((2, n), dtype=np.int64)
+    codes[0] = x != 0
+    codes[1] = x == 0
+    codes += 2 * (y != 0)
+    flip_rows = flips.astype(np.intp)
     step = max(1, _DRAW_BLOCK // n)
     for lo in range(0, R, step):
         k = min(step, R - lo)
-        # Row i counts into slots i*b .. i*b+b-1 (Alice) and, shifted by
-        # k*b, Bob's; one bincount then gives every parity of the block.
+        # Position j of row i counts into cell ((i*b + slot) << 2) + code:
+        # one bincount gives, per row and bucket, how many positions have
+        # each (Alice, Bob) bit pair.
         slot = tape.integers(b, size=k * n).reshape(k, n)
         slot += b * np.arange(k)[:, None]
-        bob = slot[:, yb].ravel()
-        bob += k * b
-        counts = np.bincount(
-            np.concatenate((slot[xb != flips[lo:lo + k, None]], bob)),
-            minlength=2 * k * b)
-        counts &= 1
-        pa, pb = counts.reshape(2, k, b)
-        rows[lo:lo + k] = pa
-        diffs[lo:lo + k] = (pa != pb).sum(axis=1)
+        slot <<= 2
+        slot += codes[flip_rows[lo:lo + k]]
+        cnt = np.bincount(slot.ravel(), minlength=4 * k * b).reshape(k, b, 4)
+        # Alice's parity counts codes 1 and 3, Bob's 2 and 3; they differ
+        # iff codes 1 and 2 together are odd
+        rows[lo:lo + k] = (cnt[..., 1] + cnt[..., 3]) & 1
+        diffs[lo:lo + k] = ((cnt[..., 1] + cnt[..., 2]) & 1).sum(axis=1)
     return list(rows), diffs
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import compress, islice
 from operator import neg
 
-import numpy as np
-
 from .symfun import SymmetricProfile, TrivialClass, classify
 
 # weight_spectrum keeps the Krawtchouk matrix of n <= CACHE_MAX_N in
@@ -80,14 +78,6 @@ def krawtchouk_rows(n: int) -> Iterator[tuple[int, ...]]:
 def krawtchouk_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix C with C[k][s] = c_{k,s}, exact integers."""
     return tuple(krawtchouk_rows(n))
-
-
-def krawtchouk_matrix_i64(n: int) -> np.ndarray:
-    """int64 Krawtchouk matrix for vectorized scans; safe for n <= 22
-    (all spectrum values are bounded by 2^n in magnitude)."""
-    if n > 22:
-        raise ValueError(f"int64 Krawtchouk matrix limited to n <= 22, got {n}")
-    return np.array(krawtchouk_matrix(n), dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,16 @@ class InputPair:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _of_bits(cls, x: np.ndarray, y: np.ndarray) -> InputPair:
+        """The pair of x and y as they are, unchecked and uncopied: for a
+        caller that has just made them read-only uint8 0/1 arrays of equal
+        length."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "x", x)
+        object.__setattr__(pair, "y", y)
+        return pair
+
     @property
     def n(self) -> int:
         return self.x.size

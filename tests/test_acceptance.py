@@ -22,7 +22,7 @@ from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
 from xorcomm.protocols import (FullSendProtocol, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, default_buckets)
-from xorcomm.spectral import (binom, krawtchouk_matrix_i64, parseval_check,
+from xorcomm.spectral import (binom, krawtchouk_matrix, parseval_check,
                               weight_spectrum)
 from xorcomm.symfun import SymmetricProfile, parse_profile
 
@@ -34,7 +34,7 @@ def _ok(line):
 def test_01_fourier_equivalence():
     for n in range(1, 11):
         P = all_profiles_matrix(n)
-        spec_side = P @ krawtchouk_matrix_i64(n).T
+        spec_side = P @ np.array(krawtchouk_matrix(n), dtype=np.int64).T
         brute_side = P @ brute_symmetric_fourier_matrix(n).T
         assert np.array_equal(spec_side, brute_side), f"mismatch at n={n}"
     _ok("1 fourier equivalence (all profiles, n=1..10, exact)")

@@ -215,6 +215,9 @@ class TestBadNumericInput:
           "--samples", "0"), "does not use --samples"),
         (("verify", "--suite", "ham-onesided", "--n-max", "3"),
          "does not use --n-max"),
+        # ran every cell of n=4 twice and printed each row twice
+        (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+          "4,8,4"), "--n '4,8,4' lists n=4 twice"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -220,8 +221,7 @@ class TestRankCertificate:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("brute_rank used a spectral formula")
-        for name in ("weight_spectrum", "krawtchouk_matrix", "krawtchouk_rows",
-                     "krawtchouk_matrix_i64"):
+        for name in ("weight_spectrum", "krawtchouk_matrix", "krawtchouk_rows"):
             monkeypatch.setattr(spectral, name, forbidden)
         monkeypatch.setattr(oracle, "krawtchouk_matrix", forbidden)
         assert [brute_rank(t) for t in tables] == want
@@ -418,7 +418,8 @@ def brute_window_matches(n, target):
     """Every profile index with the given window vector, by one int64
     product over all 2^(n+1) profiles (reference only)."""
     lo, hi = spectral.window_bounds(n)
-    window = spectral.krawtchouk_matrix_i64(n)[lo:hi + 1]
+    C = np.array(spectral.krawtchouk_matrix(n), dtype=np.int64)
+    window = C[lo:hi + 1]
     W = all_profiles_matrix(n) @ window.T
     return np.flatnonzero(np.all(W == np.array(target, dtype=np.int64)
                                  .reshape(1, -1), axis=1)).tolist()
@@ -480,10 +481,23 @@ class TestMeetInTheMiddle:
 
 class TestMC:
     def test_weighted_pair_exact_weight(self):
+        # weighted_pair builds its pair unchecked; these digests of the
+        # x + y bytes are those of the checked InputPair(x, y) build, so
+        # they pin the stream and the bits
+        digests = {0: "3bffb5e34a5c6ff0", 1: "2f55da36c3fba9b4",
+                   7: "8afffc7751d5a54c", 16: "3d8cbe69ef607df8"}
         rng = np.random.default_rng(3)
         for m in (0, 1, 7, 16):
             pair = weighted_pair(16, m, rng)
             assert pair.xor_weight() == m
+            for bits in (pair.x, pair.y):
+                assert bits.dtype == np.uint8 and bits.shape == (16,)
+                assert set(bits.tolist()) <= {0, 1}
+                with pytest.raises(ValueError):
+                    bits[0] = 0
+            assert int(np.count_nonzero(pair.x ^ pair.y)) == m
+            digest = hashlib.sha256(pair.x.tobytes() + pair.y.tobytes())
+            assert digest.hexdigest()[:16] == digests[m]
 
     def test_parity_protocol_exact(self):
         res = mc_error_estimate(ParityProtocol(), parse_profile("parity", 20),

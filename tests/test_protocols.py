@@ -198,6 +198,29 @@ class TestAmplifiedHam:
         assert sum(reps for *_, reps in tests) * n > 2 * _DRAW_BLOCK
         self.check_phase(n, b, tests, recorder, 5)
 
+    # The recorder only appends, so sharing it across examples is safe.
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_reference_any_shape(self, recorder, data):
+        # b < n, b = n - 1, n, n + 1 and b > n; some examples add a test that
+        # alone spans two draw blocks, at an n where that is under 1700 rows
+        long_phase = data.draw(st.integers(0, 7), label="long") == 0
+        n = data.draw(st.integers(40, 80) if long_phase
+                      else st.integers(1, 80), label="n")
+        near_n = sorted({max(1, n - 1), n, n + 1})
+        b = data.draw(st.integers(1, n - 1) if long_phase else st.one_of(
+            st.sampled_from(near_n), st.integers(1, 2 * n)), label="b")
+        tests = data.draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, n), st.integers(1, 4)),
+            min_size=1, max_size=5), label="tests")
+        if long_phase:
+            flip = data.draw(st.booleans(), label="flip")
+            tests.append((flip, data.draw(st.integers(0, 5)),
+                          _DRAW_BLOCK // n + 1))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        self.check_phase(n, b, tests, recorder, seed)
+
     def test_zero_rows_draw_nothing(self):
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for b in (2, 5, 9):

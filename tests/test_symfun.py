@@ -66,6 +66,9 @@ class TestInputPair:
         ((0, 1), (0, -1)),
         ((0, 1), (0, 1, 1)),
         (((0, 1), (1, 0)), ((0, 1), (1, 0))),
+        # the dtype weighted_pair builds, unchecked; the public constructor
+        # still checks it
+        (np.array([0, 2, 1], dtype=np.uint8), (0, 0, 1)),
     ])
     def test_rejects(self, x, y):
         with pytest.raises(ProfileError):
