@@ -39,9 +39,9 @@ EXIT_USAGE = 2
 # count above it too: the xor protocols hash into 2r^2 buckets, and at
 # n = 20000 those rows alone would need gigabytes.
 MAX_ANALYZE_N = 4096
-# A phase's rows take repetitions * b bytes until sent: --reps and
-# --region-reps are capped at MAX_ANALYZE_N, --search-rep-factor at this
-# (README gives the worst cases at the caps).
+# A phase's work and its count per row grow with the repetitions: --reps
+# and --region-reps are capped at MAX_ANALYZE_N, --search-rep-factor at
+# this (README gives the worst cases at the caps).
 MAX_SEARCH_REP_FACTOR = 16
 # verify --suite ham-onesided runs (n+1)(n+2)/2 * --trials protocol runs of
 # O(n) work each, so its time grows as n^3 (README gives measured times).

@@ -1,5 +1,15 @@
-"""Two-party protocol execution: shared tape, channel, transcripts, the
+"""Two-party protocol execution: shared tapes, channel, transcripts, the
 Monte-Carlo trial loop and sweeps.
+
+Protocols run a block of trials at once: X and Y hold one trial's input per
+row, tapes[t] is trial t's own shared tape and the channel counts each
+trial's bits and rounds in arrays.  _run_blocks is the one trial loop;
+run_protocol (a block of one), run_trials, mc_error_estimate and sweep all
+go through it.  A block holds at most _DRAW_BLOCK // n trials, so peak
+memory does not grow with the number of trials.  Trial t of a cell
+with base seed s draws its input from (*s, t, 0) and its tape from
+(*s, t, 1), whatever block it runs in, so every trial is replayable on its
+own.
 
 Bits are counted, not transmitted: the channel keeps running totals per
 direction and the number of rounds, and stores no payload.  Bob is the
@@ -9,13 +19,24 @@ transcript so both parties know the result.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterator
 
 import numpy as np
 
-from .symfun import (InputPair, ProfileError, SymmetricProfile, evaluate_F,
-                     gap_params, parse_profile)
+from .symfun import (InputPair, ProfileError, SymmetricProfile, gap_params,
+                     parse_profile)
+
+# Most input bits one block of trials holds (trials * n), and most tape
+# values one draw block of a protocol phase takes.  A larger phase is split
+# into blocks of whole rows (at least one), which bounds the memory of the
+# draw and of its bincount: the traced peak of a sweep cell stays under
+# 1.1 MB.  At 2^16 the blocks' arrays, and a block's seeded tapes (about
+# 4 KB a trial), took about 4.5 MB more peak RSS; at 2^13 the benchmark's
+# sweep cells ran slower, paying more blocks' fixed costs.
+_DRAW_BLOCK = 1 << 14
 
 
 class ScheduleViolation(RuntimeError):
@@ -59,45 +80,62 @@ class RandomTape:
         return self._gen.integers(0, upper, size=size)
 
 
+# the direction of a trial's last message, in Channel._last
+_TO_BOB, _TO_ALICE = 1, 2
+
+
 class Channel:
-    """Counts the bits each party sends and the rounds; stores no payload.
-    Enforces the one-way restriction when declared.
+    """Counts, for each trial of a block, the bits each party sends and the
+    rounds; stores no payload.  Enforces the one-way restriction when
+    declared.
 
     A message is any sized sequence of bits (a numpy row, x itself, a
-    tuple); only its length is kept.
+    tuple); only its length is kept.  A send takes one message, sent in
+    each trial that `trials` (an array of trial indices; None: every trial)
+    selects, or an array of two or more axes: entry i of its first axis
+    goes to trial trials[i] (to trial i when None; a trial may take several
+    entries, in order), and is one message, or along the middle axes that
+    trial's messages in order; the last axis holds a message's bits.
     """
 
-    def __init__(self, one_way: bool = False):
+    def __init__(self, one_way: bool = False, trials: int = 1):
         self.one_way = one_way
-        self.bits_a_to_b = 0
-        self.bits_b_to_a = 0
-        self.rounds = 0
-        self._to_bob = None  # direction of the last message
+        self.bits_a_to_b = np.zeros(trials, dtype=np.int64)
+        self.bits_b_to_a = np.zeros(trials, dtype=np.int64)
+        self.rounds = np.zeros(trials, dtype=np.int64)
+        self._last = np.zeros(trials, dtype=np.int8)  # 0: nothing sent yet
 
-    def _count(self, to_bob: bool, bits) -> None:
-        if to_bob:
-            self.bits_a_to_b += len(bits)
+    def _count(self, to_bob: bool, bits, trials=None) -> None:
+        where = slice(None) if trials is None else trials
+        totals = self.bits_a_to_b if to_bob else self.bits_b_to_a
+        if np.ndim(bits) < 2:
+            totals[where] += len(bits)
+        elif trials is None:
+            totals += math.prod(np.shape(bits)[1:])
         else:
-            self.bits_b_to_a += len(bits)
-        if to_bob is not self._to_bob:
-            self.rounds += 1
-            self._to_bob = to_bob
+            np.add.at(totals, trials, math.prod(np.shape(bits)[1:]))
+        # a trial that takes several rows starts at most one round
+        direction = _TO_BOB if to_bob else _TO_ALICE
+        self.rounds[where] += self._last[where] != direction
+        self._last[where] = direction
 
-    def a_to_b(self, bits) -> None:
-        self._count(True, bits)
+    def a_to_b(self, bits, trials=None) -> None:
+        self._count(True, bits, trials)
 
-    def b_to_a(self, bits) -> None:
+    def b_to_a(self, bits, trials=None) -> None:
         if self.one_way:
             raise ScheduleViolation(
                 "one-way protocol attempted a Bob->Alice content message")
-        self._count(False, bits)
+        self._count(False, bits, trials)
 
-    def _final_answer(self, bits) -> None:
+    def _final_answer(self, bits, trials=None) -> None:
         # the designated output message is exempt from the one-way check
-        self._count(False, bits)
+        self._count(False, bits, trials)
 
-    def transcript(self) -> Transcript:
-        return Transcript(self.bits_a_to_b, self.bits_b_to_a, self.rounds)
+    def transcript(self, t: int = 0) -> Transcript:
+        """Trial t's bit counts and rounds."""
+        return Transcript(int(self.bits_a_to_b[t]), int(self.bits_b_to_a[t]),
+                          int(self.rounds[t]))
 
 
 @dataclass(frozen=True)
@@ -107,8 +145,10 @@ class Protocol:
     name: ClassVar[str] = "abstract"
     one_way: ClassVar[bool] = False
 
-    def run(self, x: np.ndarray, y: np.ndarray, profile: SymmetricProfile,
-            channel: Channel, tape: RandomTape) -> int:
+    def run(self, X: np.ndarray, Y: np.ndarray, profile: SymmetricProfile,
+            channel: Channel, tapes: list[RandomTape]) -> np.ndarray:
+        """Run a block of trials: row t of X and Y is trial t's input and
+        tapes[t] its tape.  Returns the T outputs."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -129,16 +169,34 @@ class ProtocolReport:
     params: dict = field(default_factory=dict)
 
 
+def _run_blocks(protocol: Protocol, profile: SymmetricProfile,
+                jobs) -> Iterator[tuple[np.ndarray, np.ndarray, Channel]]:
+    """The trial loop: run the (pair, tape seed) jobs in blocks of at most
+    _DRAW_BLOCK // n trials, and yield each block's (outputs, truths,
+    channel), trial t of the block being row t of each."""
+    n = profile.n
+    s = np.array(profile.s)
+    jobs = iter(jobs)
+    while block := list(itertools.islice(jobs, max(1, _DRAW_BLOCK // n))):
+        X = np.empty((len(block), n), dtype=np.uint8)
+        Y = np.empty_like(X)
+        for t, (pair, _) in enumerate(block):
+            X[t], Y[t] = pair.x, pair.y
+        tapes = [RandomTape(seed) for _, seed in block]
+        channel = Channel(one_way=protocol.one_way, trials=len(block))
+        out = np.asarray(protocol.run(X, Y, profile, channel, tapes),
+                         dtype=np.int64)
+        channel._final_answer(out[:, None])
+        yield out, s[np.count_nonzero(X != Y, axis=1)], channel
+
+
 def run_protocol(protocol: Protocol, pair: InputPair,
                  profile: SymmetricProfile, seed) -> tuple[int, Transcript]:
-    """Execute one protocol run; deterministic given seed."""
+    """Execute one protocol run, a block of one; deterministic given seed."""
     if pair.n != profile.n:
         raise ProfileError(f"pair length {pair.n} != profile n {profile.n}")
-    tape = RandomTape(seed)
-    channel = Channel(one_way=protocol.one_way)
-    out = int(protocol.run(pair.x, pair.y, profile, channel, tape))
-    channel._final_answer((out,))
-    return out, channel.transcript()
+    (out, _, channel), = _run_blocks(protocol, profile, [(pair, seed)])
+    return int(out[0]), channel.transcript()
 
 
 def make_report(protocol: Protocol, output: int, truth: int,
@@ -173,54 +231,77 @@ def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
     return InputPair._of_bits(x, y)
 
 
-def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
-               trials: int, seed) -> Iterator[tuple[int, int, Transcript]]:
-    """Yield (output, truth, transcript) for each trial at XOR-weight m.
+def _trial_jobs(n: int, m: int, trials: int, seed):
+    """The (pair, tape seed) of each trial at XOR-weight m.
 
     Trial t draws its input from the seed (*seed, t, 0) and its tape from
     (*seed, t, 1), so every trial is replayable on its own.
     """
-    n = profile.n
     if not 0 <= m <= n:
         raise ValueError(f"weight m={m} out of range for n={n}")
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((*base, t, 0)))
-        pair = weighted_pair(n, m, rng)
-        out, transcript = run_protocol(protocol, pair, profile, (*base, t, 1))
-        yield out, evaluate_F(profile, pair), transcript
+        yield weighted_pair(n, m, rng), (*base, t, 1)
+
+
+def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
+               trials: int, seed) -> Iterator[tuple[int, int, Transcript]]:
+    """Yield (output, truth, transcript) for each trial at XOR-weight m."""
+    jobs = _trial_jobs(profile.n, m, trials, seed)
+    for out, truth, channel in _run_blocks(protocol, profile, jobs):
+        for t in range(len(out)):
+            yield int(out[t]), int(truth[t]), channel.transcript(t)
+
+
+def _estimates(protocol: Protocol, profile: SymmetricProfile, cells,
+               trials: int) -> list[MCResult]:
+    """The MCResult of each (m, seed) cell, all cells' trials in one loop."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    cells = list(cells)
+    jobs = itertools.chain.from_iterable(
+        _trial_jobs(profile.n, m, trials, seed) for m, seed in cells)
+    successes, bits_sum, bits_max, rounds_sum = np.zeros((4, len(cells)),
+                                                         dtype=np.int64)
+    done = 0
+    for out, truth, channel in _run_blocks(protocol, profile, jobs):
+        cell = np.arange(done, done + len(out)) // trials
+        done += len(out)
+        bits = channel.bits_a_to_b + channel.bits_b_to_a
+        np.add.at(successes, cell, out == truth)
+        np.add.at(bits_sum, cell, bits)
+        np.maximum.at(bits_max, cell, bits)
+        np.add.at(rounds_sum, cell, channel.rounds)
+    return [MCResult(trials=trials, successes=int(wins),
+                     success_rate=int(wins) / trials,
+                     mean_bits=int(total) / trials, max_bits=int(most),
+                     rounds_mean=int(rounds) / trials)
+            for wins, total, most, rounds
+            in zip(successes, bits_sum, bits_max, rounds_sum)]
 
 
 def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
                       trials: int, seed) -> MCResult:
     """Empirical success rate and bit cost at exact XOR-weight m."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    successes = bits_sum = bits_max = rounds_sum = 0
-    for out, truth, transcript in run_trials(protocol, profile, m, trials,
-                                             seed):
-        bits = transcript.total_bits
-        successes += int(out == truth)
-        bits_sum += bits
-        bits_max = max(bits_max, bits)
-        rounds_sum += transcript.rounds
-    return MCResult(trials=trials, successes=successes,
-                    success_rate=successes / trials,
-                    mean_bits=bits_sum / trials, max_bits=bits_max,
-                    rounds_mean=rounds_sum / trials)
+    return _estimates(protocol, profile, [(m, seed)], trials)[0]
 
 
 def sweep(protocol_factory, family: str, n_list, trials: int, seed,
           weights=None) -> list[dict]:
-    """Per-(n, weight) Monte-Carlo statistics rows for the CSV writer."""
+    """Per-(n, weight) Monte-Carlo statistics rows for the CSV writer.
+
+    The trials of every weight of one n run in one loop, so small cells
+    share their blocks."""
     rows = []
     for n in n_list:
         profile = parse_profile(family, n)
         gp = gap_params(profile)
         protocol = protocol_factory(profile, n)
-        ws = list(weights) if weights is not None else list(range(n + 1))
-        for m in sorted(ws):
-            res = mc_error_estimate(protocol, profile, m, trials, (seed, n, m))
+        ws = sorted(weights) if weights is not None else range(n + 1)
+        results = _estimates(protocol, profile,
+                             [(m, (seed, n, m)) for m in ws], trials)
+        for m, res in zip(ws, results):
             rows.append({
                 "n": n, "family": family,
                 "r0": gp.r0, "r1": gp.r1, "r": gp.r,

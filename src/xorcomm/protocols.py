@@ -1,5 +1,11 @@
 """Concrete protocols for symmetric XOR problems.
 
+Every protocol runs a block of trials at once (see engine): row t of X and
+Y is trial t's input, tapes[t] its own tape, and run returns the T outputs.
+Each step that a trial takes is one array operation over the block; a step
+that only some trials take (xor2way's middle-region parity, its search
+probes) runs over those trials alone.
+
 The Hamming-distance subprotocol here is a bucket-parity sketch with
 one-sided error, standing in for the O(d log d) protocol the two-way and
 one-way constructions assume.  Per repetition both parties hash positions
@@ -10,11 +16,13 @@ overshoot the true distance: error is one-sided and ANY-voting amplifies it
 away.  Cost is repetitions * b bits, all Alice to Bob.
 
 Every repetition of one protocol phase (ham's repetitions, xor2way's two
-region tests, all of xor2way's search probes, xor1way's region and
-enumeration tests) is computed by one kernel, _bucket_parities: one tape
-draw and one bincount for the whole phase, split into whole-row blocks when
-the phase is large.  The sends and votes still follow the protocol's order;
-xor2way's probes are each sent, and voted on by Bob, one at a time.
+region tests, each of xor2way's search probes, xor1way's region and
+enumeration tests), in every trial of the block, is computed by one kernel,
+_bucket_parities: the (trial, repetition) rows are one axis, split into
+whole-row draw blocks of at most _DRAW_BLOCK tape values, each trial's rows
+drawn from its own tape in order, and each draw block counted by one
+bincount.  The sends and votes still follow the protocol's order; xor2way's
+probes are each sent, and voted on by Bob, one at a time.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -29,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .engine import Channel, Protocol, RandomTape
+from .engine import _DRAW_BLOCK, Channel, Protocol, RandomTape
 from .symfun import (GapParams, SymmetricProfile, TrivialClass, gap_params,
                      threshold_of)
 
@@ -43,77 +51,98 @@ def _flag(default, flag: str):
     return field(default=default, metadata={"flag": flag})
 
 
-# Most tape values one block of a phase draws.  A larger phase is split into
-# blocks of whole rows (at least one), which bounds the memory of the draw
-# and of its bincount.
-_DRAW_BLOCK = 1 << 16
+def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
+                     tapes: list[RandomTape], channel: Channel,
+                     trials=None) -> np.ndarray:
+    """Send Alice's bucket-parity rows of one phase, in each trial that
+    `trials` selects (an index array; None: every trial), and return each
+    row's count of differing buckets, shape (k, R) for k trials.
 
+    Each of a trial's R rows hashes the n positions into b buckets and
+    compares Alice's bucket parities with Bob's, who uses y.  Alice uses x,
+    or its complement where flips is true, which turns a test on
+    |x xor y| into one on n - |x xor y|; flips has shape (R,), shared by the
+    trials, or (k, R).  A repetition votes ">d" iff its count exceeds d.
 
-def _bucket_parities(x: np.ndarray, y: np.ndarray, flips, b: int,
-                     tape: RandomTape) -> tuple[list, np.ndarray]:
-    """Alice's bucket-parity rows and each row's count of differing buckets,
-    for the repetitions of one phase.
-
-    Row i hashes the n positions into b buckets and compares Alice's bucket
-    parities with Bob's, who uses y.  Alice uses x, or its complement when
-    flips[i] is true, which turns a test on |x xor y| into one on
-    n - |x xor y|.  When b >= n the bucket map is the identity: nothing is
-    drawn, Alice's row is her bits zero-padded to b (one array per flip,
-    shared by every row that sends it) and the count is exact.  Otherwise
-    the maps of all rows come from tape draws of whole rows; for PCG64 that
-    is the same stream, and the same end state, as one draw of n values per
-    row.
-
-    Returns (rows, diffs): the R rows Alice sends, in order, and an int
-    array of the R counts.  A repetition votes ">d" iff its count exceeds d.
+    When b >= n the bucket map is the identity: nothing is drawn, Alice's
+    row is her bits zero-padded to b and the count is exact; each run of
+    rows with one flip is sent as one padded row per trial, in groups of
+    trials whose rows take at most the bytes of one draw block's int64
+    values.  Otherwise the (trial, row) pairs form one axis, trial-major,
+    split into draw blocks of whole rows; each trial's rows come from draws
+    of whole rows off its own tape, in order.  For PCG64 that is the same
+    stream, and the same end state, as one draw of n values per row.  Rows
+    are sent block by block, so no more than one block of them is ever
+    held.
     """
+    if trials is None:
+        trials = np.arange(len(X))
+    Xs, Ys = X[trials], Y[trials]
+    k, n = Xs.shape
     flips = np.asarray(flips, dtype=bool)
-    n, R = len(x), len(flips)
+    R = flips.shape[-1]
+    flips = np.broadcast_to(flips, (k, R))
     if b >= n:
-        distance = int(np.count_nonzero(x != y))
-        padded = {}
-        for flip in set(flips.tolist()):
-            padded[flip] = np.zeros(b, dtype=np.uint8)
-            padded[flip][:n] = x != flip
-        rows = [padded[f] for f in flips.tolist()]
-        return rows, np.where(flips, n - distance, distance)
-    rows = np.empty((R, b), dtype=np.uint8)
-    diffs = np.empty(R, dtype=np.int64)
-    # codes[f][j] = a + 2*beta: a is Alice's bit j (x, or 1 - x on a
-    # flipped row, f = 1) and beta is Bob's, from y
-    codes = np.empty((2, n), dtype=np.int64)
-    codes[0] = x != 0
-    codes[1] = x == 0
-    codes += 2 * (y != 0)
-    flip_rows = flips.astype(np.intp)
-    step = max(1, _DRAW_BLOCK // n)
-    for lo in range(0, R, step):
-        k = min(step, R - lo)
-        # Position j of row i counts into cell ((i*b + slot) << 2) + code:
-        # one bincount gives, per row and bucket, how many positions have
-        # each (Alice, Bob) bit pair.
-        slot = tape.integers(b, size=k * n).reshape(k, n)
-        slot += b * np.arange(k)[:, None]
+        distance = np.count_nonzero(Xs != Ys, axis=1)[:, None]
+        # Rows in a run between two flip changes are equal in each trial:
+        # one zero-padded row per trial is sent as the run's messages.
+        cuts = np.flatnonzero((flips[:, 1:] != flips[:, :-1]).any(axis=0))
+        runs = zip([0, *(cuts + 1)], [*(cuts + 1), R]) if R else ()
+        group = max(1, 8 * _DRAW_BLOCK // b)
+        for a, e in runs:
+            for lo in range(0, k, group):
+                these = slice(lo, lo + group)
+                rows = np.zeros((len(Xs[these]), b), dtype=np.uint8)
+                rows[:, :n] = Xs[these] ^ flips[these, a, None]
+                channel.a_to_b(np.broadcast_to(rows[:, None],
+                                               (len(rows), e - a, b)),
+                               trials[these])
+        return np.where(flips, n - distance, distance)
+    diffs = np.empty(k * R, dtype=np.int64)
+    # codes[2t + f, j] = a + 2*beta: a is Alice's bit j of trial t (x, or
+    # 1 - x on a flipped row, f = 1) and beta is Bob's, from y
+    codes = np.empty((k, 2, n), dtype=np.uint8)
+    codes[:, 0] = Xs
+    codes[:, 1] = Xs ^ 1
+    codes += 2 * Ys[:, None]
+    codes = codes.reshape(2 * k, n)
+    # row i of the phase is a row of trial trial_of[i], coded by code_of[i]
+    trial_of = np.repeat(np.arange(k), R)
+    code_of = 2 * trial_of + flips.ravel()
+    step = max(1, min(_DRAW_BLOCK // n, k * R))
+    offsets = b * np.arange(step)[:, None]
+    block = np.empty((step, n), dtype=np.int64)
+    for lo in range(0, k * R, step):
+        hi = min(lo + step, k * R)
+        slot = block[:hi - lo]
+        for i in range(lo // R, (hi - 1) // R + 1):
+            first, last = max(lo, i * R), min(hi, (i + 1) * R)
+            slot[first - lo:last - lo] = tapes[trials[i]].integers(
+                b, size=(last - first) * n).reshape(last - first, n)
+        # Position j of block row i counts into cell ((i*b + slot) << 2) +
+        # code: one bincount gives, per row and bucket, how many positions
+        # have each (Alice, Bob) bit pair.
+        slot += offsets[:hi - lo]
         slot <<= 2
-        slot += codes[flip_rows[lo:lo + k]]
-        cnt = np.bincount(slot.ravel(), minlength=4 * k * b).reshape(k, b, 4)
+        slot += codes[code_of[lo:hi]]
+        cnt = np.bincount(slot.ravel(),
+                          minlength=4 * (hi - lo) * b).reshape(hi - lo, b, 4)
         # Alice's parity counts codes 1 and 3, Bob's 2 and 3; they differ
         # iff codes 1 and 2 together are odd
-        rows[lo:lo + k] = (cnt[..., 1] + cnt[..., 3]) & 1
-        diffs[lo:lo + k] = ((cnt[..., 1] + cnt[..., 2]) & 1).sum(axis=1)
-    return list(rows), diffs
+        channel.a_to_b((cnt[..., 1] + cnt[..., 3]) & 1,
+                       trials[trial_of[lo:hi]])
+        diffs[lo:hi] = ((cnt[..., 1] + cnt[..., 2]) & 1).sum(axis=1)
+    return diffs.reshape(k, R)
 
 
-def _send_rows(channel: Channel, rows) -> None:
-    for row in rows:
-        channel.a_to_b(row)
-
-
-def _distance_parity(x, y, channel: Channel) -> int:
-    """|x xor y| mod 2: Alice sends |x| mod 2, Bob adds |y| mod 2."""
-    pa = int(x.sum()) & 1
-    channel.a_to_b((pa,))
-    return (pa + int(y.sum())) & 1
+def _distance_parity(X, Y, channel: Channel, trials=None) -> np.ndarray:
+    """|x xor y| mod 2 in each selected trial: Alice sends |x| mod 2, Bob
+    adds |y| mod 2."""
+    if trials is not None:
+        X, Y = X[trials], Y[trials]
+    pa = np.count_nonzero(X, axis=1) & 1
+    channel.a_to_b(pa[:, None], trials)
+    return (pa + np.count_nonzero(Y, axis=1)) & 1
 
 
 class ParityProtocol(Protocol):
@@ -122,8 +151,8 @@ class ParityProtocol(Protocol):
     name = "parity"
     one_way = True
 
-    def run(self, x, y, profile, channel, tape):
-        return _distance_parity(x, y, channel)
+    def run(self, X, Y, profile, channel, tapes):
+        return _distance_parity(X, Y, channel)
 
 
 class FullSendProtocol(Protocol):
@@ -132,10 +161,9 @@ class FullSendProtocol(Protocol):
     name = "fullsend"
     one_way = True
 
-    def run(self, x, y, profile, channel, tape):
-        channel.a_to_b(x)
-        m = int(np.count_nonzero(x != y))
-        return profile.s[m]
+    def run(self, X, Y, profile, channel, tapes):
+        channel.a_to_b(X)
+        return np.array(profile.s)[np.count_nonzero(X != Y, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -160,15 +188,16 @@ class HamProtocol(Protocol):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
-    def run(self, x, y, profile, channel, tape):
-        d, n = self.d, len(x)
+    def run(self, X, Y, profile, channel, tapes):
+        T, n = X.shape
+        d = self.d
         if d >= n:
-            return 0  # distance can never exceed n; zero communication
+            # distance can never exceed n; zero communication
+            return np.zeros(T, dtype=np.int64)
         b = self.buckets or default_buckets(d, n)
-        rows, diffs = _bucket_parities(x, y, [False] * self.repetitions, b,
-                                       tape)
-        _send_rows(channel, rows)
-        return int((diffs > d).any())
+        diffs = _bucket_parities(X, Y, [False] * self.repetitions, b, tapes,
+                                 channel)
+        return (diffs > d).any(axis=1)
 
 
 def _probe_reps(r: int, factor: int) -> int:
@@ -179,31 +208,38 @@ def _enum_reps(r: int, factor: int) -> int:
     return math.ceil(factor * math.log2(max(r, 2)))
 
 
-def _middle_representative(profile: SymmetricProfile, r: int, p: int) -> int:
-    """Least k in [r, n-r] with k = p mod 2; output bit is s[k].
+def _middle_representative(profile: SymmetricProfile, r: int,
+                           parity: np.ndarray) -> np.ndarray:
+    """s[k] for the least k in [r, n-r] with k = parity mod 2, in each
+    trial.
 
     On the (tiny-interval) parity mismatch the fallback is s[r], counted
     honestly as a potential error.
     """
     n = profile.n
-    k = next((k for k in range(r, n - r + 1) if k % 2 == p), None)
-    return profile.s[k] if k is not None else profile.s[r]
+    out = []
+    for p in (0, 1):
+        k = next((k for k in range(r, n - r + 1) if k % 2 == p), None)
+        out.append(profile.s[k] if k is not None else profile.s[r])
+    return np.array(out)[parity]
 
 
 def _is_constant(gp: GapParams) -> bool:
     return gp.trivial_class in (TrivialClass.CONST0, TrivialClass.CONST1)
 
 
-def _run_trivial(profile: SymmetricProfile, gp: GapParams, x, y,
-                 channel: Channel) -> int:
+def _run_trivial(profile: SymmetricProfile, gp: GapParams, X, Y,
+                 channel: Channel) -> np.ndarray:
     if _is_constant(gp):
-        return profile.s[0]
+        return np.full(len(X), profile.s[0])
     # parity-type profile: 2-periodic everywhere, so s[parity] is the answer
-    return profile.s[_distance_parity(x, y, channel)]
+    return np.array(profile.s)[_distance_parity(X, Y, channel)]
 
 
-# Bob's two-bit report of the region in the two-way protocol
-_REGION_BITS = {"lower": (0, 0), "middle": (0, 1), "upper": (1, 0)}
+# The regions of |x xor y|, [0, r), [r, n-r] and (n-r, n], and Bob's
+# two-bit report of each in the two-way protocol, row LOWER, MIDDLE or UPPER
+LOWER, MIDDLE, UPPER = range(3)
+_REGION_BITS = np.array([(0, 0), (0, 1), (1, 0)])
 
 
 def _region_flips(reps: int) -> list[bool]:
@@ -212,14 +248,13 @@ def _region_flips(reps: int) -> list[bool]:
     return [True] * reps + [False] * reps
 
 
-def _region(diffs: np.ndarray, r: int) -> str:
-    """Place |x xor y| in [0, r), [r, n-r] or (n-r, n]: "lower", "middle"
-    or "upper", from the counts of the rows of _region_flips, each test an
-    amplified one at threshold r-1."""
-    up, low = (diffs > r - 1).reshape(2, -1).any(axis=1)
-    if not up:
-        return "upper"
-    return "middle" if low else "lower"
+def _region(diffs: np.ndarray, r: int) -> np.ndarray:
+    """Place each trial's |x xor y| in [0, r), [r, n-r] or (n-r, n]: LOWER,
+    MIDDLE or UPPER, from the counts of the rows of _region_flips (one
+    trial per row of diffs), each test an amplified one at threshold r-1."""
+    votes = (diffs > r - 1).reshape(len(diffs), 2, -1).any(axis=2)
+    up, low = votes[:, 0], votes[:, 1]
+    return np.where(~up, UPPER, np.where(low, MIDDLE, LOWER))
 
 
 @dataclass(frozen=True)
@@ -246,49 +281,49 @@ class TwoWayXorProtocol(_XorProtocol):
     with two bits.  The middle region needs only the distance parity.  A
     tail triggers a binary search whose probes are amplified
     ceil(search_rep_factor * log2 log2 r) times; Bob feeds each probe
-    outcome back with one bit to steer the search.
+    outcome back with one bit to steer the search.  In a block, the middle
+    trials take the parity step and only the tail trials the probes.
     """
 
     name = "xor2way"
 
-    def run(self, x, y, profile, channel, tape):
+    def run(self, X, Y, profile, channel, tapes):
         gp = gap_params(profile)
         if gp.r == 0:
-            return _run_trivial(profile, gp, x, y, channel)
-        n, s, r = profile.n, profile.s, gp.r
+            return _run_trivial(profile, gp, X, Y, channel)
+        n, r = profile.n, gp.r
+        s = np.array(profile.s)
         b = 2 * r * r
-        rows, diffs = _bucket_parities(
-            x, y, _region_flips(self.region_reps), b, tape)
-        _send_rows(channel, rows)
+        diffs = _bucket_parities(X, Y, _region_flips(self.region_reps), b,
+                                 tapes, channel)
         region = _region(diffs, r)
         channel.b_to_a(_REGION_BITS[region])
+        out = np.empty(len(X), dtype=np.int64)
 
-        if region == "middle":
-            return _middle_representative(profile, r,
-                                          _distance_parity(x, y, channel))
+        middle = np.flatnonzero(region == MIDDLE)
+        out[middle] = _middle_representative(
+            profile, r, _distance_parity(X, Y, channel, middle))
 
-        flip = region == "upper"
+        tail = np.flatnonzero(region != MIDDLE)
+        flip = region[tail] == UPPER
         reps = _probe_reps(r, self.search_rep_factor)
         # Fixed probe count: ceil(log2 r) always suffices, and padding the
         # collapsed tail keeps the transcript length input-independent.
-        # The bucket maps do not depend on the votes, so all probes are
-        # hashed at once; each probe's threshold waits for the votes before.
         probes = math.ceil(math.log2(r)) if r > 1 else 0
-        rows, diffs = _bucket_parities(x, y, [flip] * (probes * reps), b,
-                                       tape)
-        lo, hi = 0, r - 1
-        for probe in range(probes):
+        lo = np.zeros(len(tail), dtype=np.int64)
+        hi = np.full(len(tail), r - 1)
+        for _ in range(probes):
             mid = (lo + hi) // 2
-            these = slice(probe * reps, (probe + 1) * reps)
-            _send_rows(channel, rows[these])
-            vote = bool((diffs[these] > mid).any())
-            channel.b_to_a((int(vote),))
-            if lo < hi:
-                if vote:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        return s[n - lo] if flip else s[lo]
+            diffs = _bucket_parities(
+                X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes,
+                channel, tail)
+            vote = (diffs > mid[:, None]).any(axis=1)
+            channel.b_to_a(vote[:, None], tail)
+            searching = lo < hi
+            lo, hi = (np.where(searching & vote, mid + 1, lo),
+                      np.where(searching & ~vote, mid, hi))
+        out[tail] = np.where(flip, s[n - lo], s[lo])
+        return out
 
     def expected_content_bits(self, profile: SymmetricProfile, region: str) -> int:
         """Closed-form phase sum for one transcript, given the region taken."""
@@ -319,35 +354,37 @@ class OneWayXorProtocol(_XorProtocol):
     name = "xor1way"
     one_way = True
 
-    def run(self, x, y, profile, channel, tape):
+    def run(self, X, Y, profile, channel, tapes):
         gp = gap_params(profile)
         if gp.r == 0:
-            return _run_trivial(profile, gp, x, y, channel)
-        n, s, r = profile.n, profile.s, gp.r
+            return _run_trivial(profile, gp, X, Y, channel)
+        n, r = profile.n, gp.r
+        s = np.array(profile.s)
         b = 2 * r * r
-        parity = _distance_parity(x, y, channel)
+        T = len(X)
+        parity = _distance_parity(X, Y, channel)
         region_rows = 2 * self.region_reps
         reps = _enum_reps(r, self.search_rep_factor)
         # the region tests, then the tests at d = 0..r-1 on x and then on
         # its complement, all in one phase
-        rows, diffs = _bucket_parities(
-            x, y, _region_flips(self.region_reps)
-            + [False] * (r * reps) + [True] * (r * reps), b, tape)
-        _send_rows(channel, rows)
-        region = _region(diffs[:region_rows], r)
-        # tests[flip][d]: the amplified vote ">d"
-        tests = (diffs[region_rows:].reshape(2, r, reps)
-                 > np.arange(r)[:, None]).any(axis=2).tolist()
-
-        if region == "middle":
-            return _middle_representative(profile, r, parity)
-        flip = region == "upper"
-        for v in range(r):
-            above_prev = True if v == 0 else tests[flip][v - 1]
-            at_most_v = not tests[flip][v]
-            if above_prev and at_most_v:
-                return s[n - v] if flip else s[v]
-        return s[0]
+        diffs = _bucket_parities(
+            X, Y, _region_flips(self.region_reps)
+            + [False] * (r * reps) + [True] * (r * reps), b, tapes, channel)
+        region = _region(diffs[:, :region_rows], r)
+        flip = region == UPPER
+        # tests[t, v]: trial t's amplified vote ">v", on its region's side
+        tests = (diffs[:, region_rows:].reshape(T, 2, r, reps)
+                 > np.arange(r)[:, None]).any(axis=3)[np.arange(T), flip * 1]
+        # candidate v is consistent iff the test at v-1 (none at v = 0)
+        # says above and the one at v says at most v
+        above_prev = np.ones_like(tests)
+        above_prev[:, 1:] = tests[:, :-1]
+        consistent = above_prev & ~tests
+        v = consistent.argmax(axis=1)
+        out = np.where(consistent.any(axis=1),
+                       np.where(flip, s[n - v], s[v]), s[0])
+        return np.where(region == MIDDLE,
+                        _middle_representative(profile, r, parity), out)
 
     def expected_content_bits(self, profile: SymmetricProfile) -> int:
         gp = gap_params(profile)

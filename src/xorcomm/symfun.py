@@ -146,9 +146,13 @@ def gap_params(profile: SymmetricProfile) -> GapParams:
     # the componentwise minima stay jointly feasible.  Saturation is
     # reported at ceil(n/2), whose window is empty.
     cap = (n - 1) // 2
-    r0 = next((v for v in range(cap + 1) if _feasible(s, n, v, cap)), None)
-    r1 = next((v for v in range(cap + 1) if _feasible(s, n, cap, v)), None)
-    saturated = r0 is None or r1 is None
+    # (v, cap) is feasible iff no violating pair {k, k+2} has v <= k <=
+    # n-cap-2, so r0 is one past the last violation in that range; likewise
+    # r1 is n-1 minus the first violation at or above cap.
+    bad = [k for k in range(n - 1) if s[k] != s[k + 2]]
+    r0 = max((k + 1 for k in bad if k <= n - cap - 2), default=0)
+    r1 = max((n - 1 - k for k in bad if k >= cap), default=0)
+    saturated = r0 > cap or r1 > cap
     if saturated:
         r0 = r1 = (n + 1) // 2
     # The componentwise minima must themselves form a feasible pair.

@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xorcomm.engine
@@ -23,23 +24,31 @@ def recorder(monkeypatch):
     """A Channel subclass that also logs each message, installed as
     `xorcomm.engine.Channel` so run_protocol uses it.
 
-    Each instance logs (direction, bits) per message, direction "a2b" or
-    "b2a" and bits a tuple of ints, the final answer included; the class
-    keeps every instance, in creation order, in `channels`.
+    It logs a block of one trial, as run_protocol runs: each instance logs
+    (direction, bits) per message, direction "a2b" or "b2a" and bits a
+    tuple of ints, the final answer included (an array send of two or more
+    axes holds a message per last-axis row); the class keeps every
+    instance, in creation order, in `channels`.
     """
 
     class Recorder(xorcomm.engine.Channel):
         channels = []
 
-        def __init__(self, one_way=False):
-            super().__init__(one_way)
+        def __init__(self, one_way=False, trials=1):
+            assert trials == 1, "the recorder logs a block of one trial"
+            super().__init__(one_way, trials)
             self.log = []
             self.channels.append(self)
 
-        def _count(self, to_bob, bits):
-            super()._count(to_bob, bits)
-            self.log.append(("a2b" if to_bob else "b2a",
-                             tuple(int(b) for b in bits)))
+        def _count(self, to_bob, bits, trials=None):
+            super()._count(to_bob, bits, trials)
+            if np.ndim(bits) < 2:  # one message, in each selected trial
+                bits = [bits] * (1 if trials is None else len(trials))
+            else:
+                bits = np.reshape(bits, (-1, np.shape(bits)[-1]))
+            self.log.extend(("a2b" if to_bob else "b2a",
+                             tuple(int(b) for b in message))
+                            for message in bits)
 
     monkeypatch.setattr(xorcomm.engine, "Channel", Recorder)
     return Recorder

@@ -143,81 +143,140 @@ class TestBadNumericInput:
     # Each used to run: a negative --trials printed success_rate -0.0, a
     # negative --samples printed checked=-5 pass, a negative seed failed
     # inside numpy naming no flag, and threshold:-5 silently meant const1.
+    # Each row's id is explicit, frozen at the id pytest first gave it from
+    # its position, so a row inserted anywhere renames no other; a new row
+    # takes a new id of its own.
     @pytest.mark.parametrize("argv, name", [
-        (SIM + ("--trials", "-3"), "--trials"),
-        (SIM + ("--trials", "-3", "--aggregate"), "--trials"),
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
-          "--trials", "-1"), "--trials"),
-        (("verify", "--suite", "ham-onesided", "--n", "4", "--trials", "-2"),
-         "--trials"),
-        (("verify", "--suite", "lemma", "--n", "20", "--samples", "-5"),
-         "--samples"),
-        (SIM + ("--seed", "-1"), "--seed"),
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
-          "--seed", "-5"), "--seed"),
-        (("analyze", "--n", "8", "--profile", "threshold:-5"), "threshold:-5"),
+        pytest.param(
+            SIM + ("--trials", "-3"), "--trials", id="argv0---trials"),
+        pytest.param(
+            SIM + ("--trials", "-3", "--aggregate"), "--trials",
+            id="argv1---trials"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             "4", "--trials", "-1"), "--trials", id="argv2---trials"),
+        pytest.param(
+            ("verify", "--suite", "ham-onesided", "--n", "4", "--trials",
+             "-2"), "--trials", id="argv3---trials"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--n", "20", "--samples", "-5"),
+            "--samples", id="argv4---samples"),
+        pytest.param(
+            SIM + ("--seed", "-1"), "--seed", id="argv5---seed"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             "4", "--seed", "-5"), "--seed", id="argv6---seed"),
+        pytest.param(
+            ("analyze", "--n", "8", "--profile", "threshold:-5"),
+            "threshold:-5", id="argv7-threshold:-5"),
         # each of these checked nothing and printed "checked=0 ... pass"
-        (("verify", "--suite", "rank", "--n-max", "0"), "--n-max 0"),
-        (("verify", "--suite", "fourier", "--n-max", "0"), "--n-max 0"),
-        (("verify", "--suite", "lemma", "--n", "64", "--samples", "0"),
-         "--samples 0"),
-        (("verify", "--suite", "ham-onesided", "--n", "8", "--trials", "0"),
-         "--trials 0"),
-        (("verify", "--suite", "ham-onesided", "--n", "-1"), "--n -1"),
+        pytest.param(
+            ("verify", "--suite", "rank", "--n-max", "0"), "--n-max 0",
+            id="argv8---n-max 0"),
+        pytest.param(
+            ("verify", "--suite", "fourier", "--n-max", "0"), "--n-max 0",
+            id="argv9---n-max 0"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--n", "64", "--samples", "0"),
+            "--samples 0", id="argv10---samples 0"),
+        pytest.param(
+            ("verify", "--suite", "ham-onesided", "--n", "8", "--trials", "0"),
+            "--trials 0", id="argv11---trials 0"),
+        pytest.param(
+            ("verify", "--suite", "ham-onesided", "--n", "-1"), "--n -1",
+            id="argv12---n -1"),
         # failed with "negative shift count"
-        (("verify", "--suite", "lemma", "--exhaustive", "--n", "-3"), "--n -3"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--exhaustive", "--n", "-3"),
+            "--n -3", id="argv13---n -3"),
         # every profile at n <= 1 is trivial, so sampling never ended
-        (("verify", "--suite", "lemma", "--n", "1", "--samples", "5"), "--n 1"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--n", "1", "--samples", "5"),
+            "--n 1", id="argv14---n 1"),
         # each printed an estimate from no trials, or only the CSV header
-        (SIM + ("--trials", "0"), "--trials"),
-        (SIM + ("--trials", "0", "--aggregate"), "--trials"),
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", "4",
-          "--trials", "0"), "--trials"),
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n", ","),
-         "--n"),
+        pytest.param(
+            SIM + ("--trials", "0"), "--trials", id="argv15---trials"),
+        pytest.param(
+            SIM + ("--trials", "0", "--aggregate"), "--trials",
+            id="argv16---trials"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             "4", "--trials", "0"), "--trials", id="argv17---trials"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             ","), "--n", id="argv18---n"),
         # each died with a numpy "Unable to allocate 14.9 GiB" traceback and
         # exit 1: b = 2r^2 ~ 2e8 buckets at n = 20000, and --buckets 1e9
-        (("simulate", "--protocol", "xor2way", "--profile", "mod:3:0", "--n",
-          "20000", "--weight", "10"), "--n 20000"),
-        (("simulate", "--protocol", "ham", "--profile", "threshold:2", "--n",
-          "16", "--buckets", "1000000000", "--weight", "3"),
-         "--buckets 1000000000"),
-        (("sweep", "--protocol", "ham", "--profile", "threshold:2", "--n",
-          "16", "--buckets", "4097"), "--buckets 4097"),
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
-          "8,4097,16"), "--n 4097"),
-        (("simulate", "--protocol", "fullsend", "--profile", "parity", "--n",
-          "3000000", "--weight", "1"), "--n 3000000"),
+        pytest.param(
+            ("simulate", "--protocol", "xor2way", "--profile", "mod:3:0",
+             "--n", "20000", "--weight", "10"),
+            "--n 20000", id="argv19---n 20000"),
+        pytest.param(
+            ("simulate", "--protocol", "ham", "--profile", "threshold:2",
+             "--n", "16", "--buckets", "1000000000", "--weight", "3"),
+            "--buckets 1000000000", id="argv20---buckets 1000000000"),
+        pytest.param(
+            ("sweep", "--protocol", "ham", "--profile", "threshold:2", "--n",
+             "16", "--buckets", "4097"), "--buckets 4097",
+            id="argv21---buckets 4097"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             "8,4097,16"), "--n 4097", id="argv22---n 4097"),
+        pytest.param(
+            ("simulate", "--protocol", "fullsend", "--profile", "parity",
+             "--n", "3000000", "--weight", "1"),
+            "--n 3000000", id="argv23---n 3000000"),
         # each ran, holding repetitions * b bytes of rows per phase: memory
         # grew about 1.9 MB per unit of --search-rep-factor, without bound
-        (("simulate", "--protocol", "ham", "--profile", "threshold:2", "--n",
-          "16", "--reps", "4097", "--weight", "3"), "--reps 4097"),
-        (("sweep", "--protocol", "xor2way", "--profile", "threshold:2",
-          "--n", "16", "--region-reps", "4097"), "--region-reps 4097"),
-        (("simulate", "--protocol", "xor1way", "--profile", "threshold:2",
-          "--n", "16", "--search-rep-factor", "17", "--weight", "3"),
-         "--search-rep-factor 17"),
+        pytest.param(
+            ("simulate", "--protocol", "ham", "--profile", "threshold:2",
+             "--n", "16", "--reps", "4097", "--weight", "3"),
+            "--reps 4097", id="argv24---reps 4097"),
+        pytest.param(
+            ("sweep", "--protocol", "xor2way", "--profile", "threshold:2",
+             "--n", "16", "--region-reps", "4097"), "--region-reps 4097",
+            id="argv25---region-reps 4097"),
+        pytest.param(
+            ("simulate", "--protocol", "xor1way", "--profile", "threshold:2",
+             "--n", "16", "--search-rep-factor", "17", "--weight", "3"),
+            "--search-rep-factor 17", id="argv26---search-rep-factor 17"),
         # printed "invalid literal for int() with base 10: 'x'"
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
-          "4,x"), "--n '4,x': invalid literal for int() with base 10: 'x'"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             "4,x"), "--n '4,x': invalid literal for int() with base 10: 'x'",
+            id="argv27---n '4,x': invalid literal for int() "
+               "with base 10: 'x'"),
         # each printed "pass" (checked=2, checked=4), though every profile
         # at n <= 1 is trivial and none was checked
-        (("verify", "--suite", "lemma", "--exhaustive", "--n", "0"), "--n 0"),
-        (("verify", "--suite", "lemma", "--exhaustive", "--n", "1"), "--n 1"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--exhaustive", "--n", "0"),
+            "--n 0", id="argv28---n 0"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--exhaustive", "--n", "1"),
+            "--n 1", id="argv29---n 1"),
         # each exited 0, ignoring a flag its suite does not read
-        (("verify", "--suite", "fourier", "--n-max", "2", "--n", "999999"),
-         "fourier does not use --n"),
-        (("verify", "--suite", "rank", "--n-max", "2", "--samples", "0"),
-         "does not use --samples"),
-        (("verify", "--suite", "rank", "--n-max", "2", "--exhaustive"),
-         "does not use --exhaustive"),
-        (("verify", "--suite", "lemma", "--exhaustive", "--n", "10",
-          "--samples", "0"), "does not use --samples"),
-        (("verify", "--suite", "ham-onesided", "--n-max", "3"),
-         "does not use --n-max"),
+        pytest.param(
+            ("verify", "--suite", "fourier", "--n-max", "2", "--n", "999999"),
+            "fourier does not use --n", id="argv30-fourier does not use --n"),
+        pytest.param(
+            ("verify", "--suite", "rank", "--n-max", "2", "--samples", "0"),
+            "does not use --samples", id="argv31-does not use --samples"),
+        pytest.param(
+            ("verify", "--suite", "rank", "--n-max", "2", "--exhaustive"),
+            "does not use --exhaustive",
+            id="argv32-does not use --exhaustive"),
+        pytest.param(
+            ("verify", "--suite", "lemma", "--exhaustive", "--n", "10",
+             "--samples", "0"), "does not use --samples",
+            id="argv33-does not use --samples"),
+        pytest.param(
+            ("verify", "--suite", "ham-onesided", "--n-max", "3"),
+            "does not use --n-max", id="argv34-does not use --n-max"),
         # ran every cell of n=4 twice and printed each row twice
-        (("sweep", "--protocol", "parity", "--profile", "parity", "--n",
-          "4,8,4"), "--n '4,8,4' lists n=4 twice"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
+             "4,8,4"), "--n '4,8,4' lists n=4 twice",
+            id="argv35---n '4,8,4' lists n=4 twice"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -242,32 +301,53 @@ def _protocol_argv(command, protocol, profile="threshold:2"):
 class TestIgnoredProtocolFlags:
     # A protocol used to ignore every flag it does not read, so a typo or a
     # wrong protocol name still ran and exited 0.
+    # Explicit ids, frozen as in TestBadNumericInput.
     @pytest.mark.parametrize("argv, flag", [
-        (_protocol_argv("simulate", "parity", "parity") + ("--buckets", "4"),
-         "--buckets"),
-        (_protocol_argv("sweep", "parity", "parity") + ("--reps", "2"),
-         "--reps"),
-        (_protocol_argv("simulate", "fullsend") + ("--buckets", "4"),
-         "--buckets"),
-        (_protocol_argv("sweep", "fullsend") + ("--reps", "2"), "--reps"),
-        (_protocol_argv("simulate", "xor2way") + ("--buckets", "0"),
-         "--buckets"),
-        (_protocol_argv("simulate", "xor2way") + ("--reps", "0"), "--reps"),
-        (_protocol_argv("sweep", "xor1way") + ("--buckets", "4"),
-         "--buckets"),
-        (_protocol_argv("simulate", "xor1way") + ("--reps", "2"), "--reps"),
-        (_protocol_argv("simulate", "parity", "parity")
-         + ("--region-reps", "3"), "--region-reps"),
-        (_protocol_argv("sweep", "parity", "parity")
-         + ("--search-rep-factor", "3"), "--search-rep-factor"),
-        (_protocol_argv("sweep", "fullsend") + ("--region-reps", "3"),
-         "--region-reps"),
-        (_protocol_argv("simulate", "fullsend")
-         + ("--search-rep-factor", "3"), "--search-rep-factor"),
-        (_protocol_argv("simulate", "ham") + ("--region-reps", "3"),
-         "--region-reps"),
-        (_protocol_argv("sweep", "ham") + ("--search-rep-factor", "3"),
-         "--search-rep-factor"),
+        pytest.param(
+            _protocol_argv("simulate", "parity", "parity")
+            + ("--buckets", "4"), "--buckets", id="argv0---buckets"),
+        pytest.param(
+            _protocol_argv("sweep", "parity", "parity") + ("--reps", "2"),
+            "--reps", id="argv1---reps"),
+        pytest.param(
+            _protocol_argv("simulate", "fullsend") + ("--buckets", "4"),
+            "--buckets", id="argv2---buckets"),
+        pytest.param(
+            _protocol_argv("sweep", "fullsend") + ("--reps", "2"), "--reps",
+            id="argv3---reps"),
+        pytest.param(
+            _protocol_argv("simulate", "xor2way") + ("--buckets", "0"),
+            "--buckets", id="argv4---buckets"),
+        pytest.param(
+            _protocol_argv("simulate", "xor2way") + ("--reps", "0"), "--reps",
+            id="argv5---reps"),
+        pytest.param(
+            _protocol_argv("sweep", "xor1way") + ("--buckets", "4"),
+            "--buckets", id="argv6---buckets"),
+        pytest.param(
+            _protocol_argv("simulate", "xor1way") + ("--reps", "2"), "--reps",
+            id="argv7---reps"),
+        pytest.param(
+            _protocol_argv("simulate", "parity", "parity")
+            + ("--region-reps", "3"), "--region-reps",
+            id="argv8---region-reps"),
+        pytest.param(
+            _protocol_argv("sweep", "parity", "parity")
+            + ("--search-rep-factor", "3"), "--search-rep-factor",
+            id="argv9---search-rep-factor"),
+        pytest.param(
+            _protocol_argv("sweep", "fullsend") + ("--region-reps", "3"),
+            "--region-reps", id="argv10---region-reps"),
+        pytest.param(
+            _protocol_argv("simulate", "fullsend")
+            + ("--search-rep-factor", "3"), "--search-rep-factor",
+            id="argv11---search-rep-factor"),
+        pytest.param(
+            _protocol_argv("simulate", "ham") + ("--region-reps", "3"),
+            "--region-reps", id="argv12---region-reps"),
+        pytest.param(
+            _protocol_argv("sweep", "ham") + ("--search-rep-factor", "3"),
+            "--search-rep-factor", id="argv13---search-rep-factor"),
     ])
     def test_exit_2(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

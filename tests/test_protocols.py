@@ -7,14 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xorcomm.engine import (RandomTape, mc_error_estimate, run_protocol,
-                            weighted_pair)
+from xorcomm import engine, protocols
+from xorcomm.engine import (MCResult, RandomTape, Transcript,
+                            mc_error_estimate, run_protocol, weighted_pair)
 from xorcomm.protocols import (FullSendProtocol, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, _DRAW_BLOCK,
-                               _bucket_parities, default_buckets,
-                               make_protocol)
-from xorcomm.symfun import InputPair, evaluate_F, parse_profile
+                               _bucket_parities, _enum_reps, _probe_reps,
+                               default_buckets, make_protocol)
+from xorcomm.symfun import (InputPair, TrivialClass, evaluate_F, gap_params,
+                            parse_profile)
 
 
 def pair_of_weight(n, m, seed):
@@ -137,12 +139,12 @@ def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
 
 def _phase_votes(x, y, tests, b, channel, tape):
     """Run the amplified tests (flip, d, reps), in order, as one phase of
-    _bucket_parities; send every row and return each test's vote."""
+    _bucket_parities, a block of one trial that sends every row; return
+    each test's vote."""
     flips = [flip for flip, _, reps in tests for _ in range(reps)]
-    rows, diffs = _bucket_parities(x, y, flips, b, tape)
-    assert len(rows) == len(diffs) == len(flips)
-    for row in rows:
-        channel.a_to_b(row)
+    diffs = _bucket_parities(x[None], y[None], flips, b, [tape], channel)
+    assert diffs.shape == (1, len(flips))
+    diffs = diffs[0]
     votes, lo = [], 0
     for _, d, reps in tests:
         votes.append(bool((diffs[lo:lo + reps] > d).any()))
@@ -221,27 +223,307 @@ class TestAmplifiedHam:
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         self.check_phase(n, b, tests, recorder, seed)
 
-    def test_zero_rows_draw_nothing(self):
+    def test_zero_rows_draw_nothing(self, recorder):
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for b in (2, 5, 9):
-            tape = RandomTape(3)
-            rows, diffs = _bucket_parities(x, x, [], b, tape)
-            assert rows == [] and diffs.size == 0
+            tape, channel = RandomTape(3), recorder()
+            diffs = _bucket_parities(x[None], x[None], [], b, [tape], channel)
+            assert channel.log == [] and diffs.size == 0
             assert tape.position == 0
             assert np.array_equal(tape.integers(1 << 40, size=3),
                                   RandomTape(3).integers(1 << 40, size=3))
 
-    def test_identity_rows_shared_per_flip(self):
+    def test_identity_rows_shared_per_flip(self, recorder):
+        # every row of one flip sends the same bits, built per draw block
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
-        tape = RandomTape(0)
-        rows, diffs = _bucket_parities(x, y, [True, False, True, False], 8,
-                                       tape)
-        assert rows[0] is rows[2] and rows[1] is rows[3]
-        assert rows[1].tolist() == [1, 0, 1, 1, 0, 0, 0, 0]
-        assert rows[0].tolist() == [0, 1, 0, 0, 1, 0, 0, 0]
-        assert diffs.tolist() == [3, 2, 3, 2]
+        tape, channel = RandomTape(0), recorder()
+        diffs = _bucket_parities(x[None], y[None], [True, False, True, False],
+                                 8, [tape], channel)
+        rows = [bits for _, bits in channel.log]
+        assert rows[0] == rows[2] and rows[1] == rows[3]
+        assert list(rows[1]) == [1, 0, 1, 1, 0, 0, 0, 0]
+        assert list(rows[0]) == [0, 1, 0, 0, 1, 0, 0, 0]
+        assert diffs.tolist() == [[3, 2, 3, 2]]
         assert tape.position == 0
+
+
+# --- The per-trial reference of the batched trial loop ----------------------
+# The loop as it was before protocols took a block of trials: one channel,
+# one tape and one protocol body per trial, every Hamming test drawing its
+# own bucket maps through _reference_amplified_ham.
+
+
+class _ReferenceChannel:
+    """One trial's channel: bits each way and rounds, as plain ints."""
+
+    def __init__(self, one_way):
+        self.one_way = one_way
+        self.bits_a_to_b = self.bits_b_to_a = self.rounds = 0
+        self._to_bob = None
+
+    def _count(self, to_bob, bits):
+        if to_bob:
+            self.bits_a_to_b += len(bits)
+        else:
+            self.bits_b_to_a += len(bits)
+        if to_bob is not self._to_bob:
+            self.rounds += 1
+            self._to_bob = to_bob
+
+    def a_to_b(self, bits):
+        self._count(True, bits)
+
+    def b_to_a(self, bits):
+        assert not self.one_way
+        self._count(False, bits)
+
+    def transcript(self):
+        return Transcript(self.bits_a_to_b, self.bits_b_to_a, self.rounds)
+
+
+def _reference_parity(x, y, channel):
+    pa = int(x.sum()) & 1
+    channel.a_to_b((pa,))
+    return (pa + int(y.sum())) & 1
+
+
+def _reference_middle(profile, r, p):
+    n = profile.n
+    k = next((k for k in range(r, n - r + 1) if k % 2 == p), None)
+    return profile.s[k] if k is not None else profile.s[r]
+
+
+def _reference_body(protocol, x, y, profile, channel, tape):
+    """One trial of `protocol`, as the protocols ran before batching."""
+    n, s = profile.n, profile.s
+    if protocol.name == "parity":
+        return _reference_parity(x, y, channel)
+    if protocol.name == "fullsend":
+        channel.a_to_b(x)
+        return s[int(np.count_nonzero(x != y))]
+    if protocol.name == "ham":
+        if protocol.d >= n:
+            return 0
+        b = protocol.buckets or default_buckets(protocol.d, n)
+        return int(_reference_amplified_ham(x, y, protocol.d, b,
+                                            protocol.repetitions, channel,
+                                            tape))
+    gp = gap_params(profile)
+    if gp.r == 0:
+        if gp.trivial_class in (TrivialClass.CONST0, TrivialClass.CONST1):
+            return s[0]
+        return s[_reference_parity(x, y, channel)]
+    r = gp.r
+    b = 2 * r * r
+
+    def test(d, reps, flip):
+        return _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip)
+
+    if protocol.name == "xor1way":
+        parity = _reference_parity(x, y, channel)
+    up = test(r - 1, protocol.region_reps, True)
+    low = test(r - 1, protocol.region_reps, False)
+    region = "upper" if not up else "middle" if low else "lower"
+    if protocol.name == "xor1way":
+        reps = _enum_reps(r, protocol.search_rep_factor)
+        tests = [[test(d, reps, flip) for d in range(r)]
+                 for flip in (False, True)]
+        if region == "middle":
+            return _reference_middle(profile, r, parity)
+        flip = region == "upper"
+        for v in range(r):
+            if (v == 0 or tests[flip][v - 1]) and not tests[flip][v]:
+                return s[n - v] if flip else s[v]
+        return s[0]
+    channel.b_to_a({"lower": (0, 0), "middle": (0, 1),
+                    "upper": (1, 0)}[region])
+    if region == "middle":
+        return _reference_middle(profile, r,
+                                 _reference_parity(x, y, channel))
+    flip = region == "upper"
+    reps = _probe_reps(r, protocol.search_rep_factor)
+    lo, hi = 0, r - 1
+    for _ in range(math.ceil(math.log2(r)) if r > 1 else 0):
+        mid = (lo + hi) // 2
+        vote = test(mid, reps, flip)
+        channel.b_to_a((int(vote),))
+        if lo < hi:
+            if vote:
+                lo = mid + 1
+            else:
+                hi = mid
+    return s[n - lo] if flip else s[lo]
+
+
+def _reference_trials(protocol, profile, m, trials, seed):
+    """(output, truth, transcript, tape) of each trial, one at a time."""
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((*base, t, 0)))
+        pair = weighted_pair(profile.n, m, rng)
+        tape = RandomTape((*base, t, 1))
+        channel = _ReferenceChannel(protocol.one_way)
+        out = int(_reference_body(protocol, pair.x, pair.y, profile, channel,
+                                  tape))
+        channel._count(False, (out,))  # the final answer
+        yield out, evaluate_F(profile, pair), channel.transcript(), tape
+
+
+def _reference_mc(rows, trials):
+    bits = [t.total_bits for _, _, t, _ in rows]
+    return MCResult(
+        trials=trials, successes=sum(o == w for o, w, _, _ in rows),
+        success_rate=sum(o == w for o, w, _, _ in rows) / trials,
+        mean_bits=sum(bits) / trials, max_bits=max(bits),
+        rounds_mean=sum(t.rounds for _, _, t, _ in rows) / trials)
+
+
+class _LoggedTape(RandomTape):
+    """A tape that keeps every instance, so a test can read the tapes the
+    trial loop made."""
+
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.made.append(self)
+
+
+def _same_tape(got, want):
+    assert got.position == want.position
+    # the stream continues exactly where the reference left it
+    assert np.array_equal(got.integers(1 << 40, size=3),
+                          want.integers(1 << 40, size=3))
+
+
+def profile_spec(profile):
+    return "bits:" + "".join(map(str, profile.s))
+
+
+def check_loop(protocol, profile, weights, trials, seed, block):
+    """Run sweep (every weight's trials in one loop), run_trials,
+    mc_error_estimate and run_protocol with _DRAW_BLOCK set to `block`,
+    against the per-trial reference, trial by trial."""
+    n = profile.n
+    want = {m: list(_reference_trials(protocol, profile, m, trials,
+                                      (seed, n, m)))
+            for m in weights}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_DRAW_BLOCK", block)
+        mp.setattr(protocols, "_DRAW_BLOCK", block)
+        mp.setattr(engine, "RandomTape", _LoggedTape)
+        _LoggedTape.made = []
+        rows = engine.sweep(lambda p, n: protocol, profile_spec(profile),
+                            [n], trials, seed, weights=weights)
+        tapes = {tape._seed: tape for tape in _LoggedTape.made}
+        assert len(tapes) == len(_LoggedTape.made) == len(weights) * trials
+        for row, m in zip(rows, sorted(weights)):
+            res = _reference_mc(want[m], trials)
+            assert (row["weight"], row["success_rate"], row["mean_bits"],
+                    row["max_bits"], row["rounds_mean"]) == (
+                m, res.success_rate, res.mean_bits, res.max_bits,
+                res.rounds_mean)
+            for t, (*_, tape) in enumerate(want[m]):
+                _same_tape(tapes[(seed, n, m, t, 1)], tape)
+
+        m = weights[0]
+        want = list(_reference_trials(protocol, profile, m, trials, seed))
+        _LoggedTape.made = []
+        got = list(engine.run_trials(protocol, profile, m, trials, seed))
+        assert got == [(out, truth, transcript)
+                       for out, truth, transcript, _ in want]
+        for tape, (*_, ref) in zip(_LoggedTape.made, want):
+            _same_tape(tape, ref)
+        assert engine.mc_error_estimate(protocol, profile, m, trials,
+                                        seed) == _reference_mc(want, trials)
+
+        rng = np.random.default_rng(seed)
+        pair = weighted_pair(n, m, rng)
+        ref_tape = RandomTape((seed, 1))
+        ref_channel = _ReferenceChannel(protocol.one_way)
+        out = int(_reference_body(protocol, pair.x, pair.y, profile,
+                                  ref_channel, ref_tape))
+        ref_channel._count(False, (out,))
+        _LoggedTape.made = []
+        assert engine.run_protocol(protocol, pair, profile, (seed, 1)) == (
+            out, ref_channel.transcript())
+        _same_tape(_LoggedTape.made[0], ref_tape)
+
+
+class TestBatchedLoop:
+    """The batched trial loop against the per-trial reference: output,
+    truth, transcript, tape position and next values, per trial."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_matches_per_trial_reference(self, data):
+        name = data.draw(st.sampled_from(
+            ("parity", "fullsend", "ham", "xor2way", "xor1way")), label="name")
+        n = data.draw(st.integers(1, 40), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        family = data.draw(st.sampled_from(
+            ("threshold", "exact", "mod")), label="family")
+        spec = {"threshold": f"threshold:{k}", "exact": f"exact:{k}",
+                "mod": f"mod:{k % 5 + 2}:{k % 3}"}[
+            "threshold" if name == "ham" else family]
+        profile = parse_profile(spec, n)
+        if name == "ham":
+            # b < n and b >= n
+            protocol = HamProtocol(
+                d=k, repetitions=data.draw(st.integers(1, 4), label="reps"),
+                buckets=data.draw(st.none() | st.integers(1, 2 * n),
+                                  label="buckets"))
+        else:
+            protocol = make_protocol(name, profile)
+        # the ends and the middle often, so xor2way's blocks mix regions
+        weights = data.draw(st.lists(
+            st.sampled_from((0, 1, n // 2, n - 1, n)) | st.integers(0, n),
+            min_size=1, max_size=5, unique=True), label="weights")
+        trials = data.draw(st.integers(1, 7), label="trials")
+        # a small block splits the trials (rarely into whole blocks) and
+        # each phase over several draw blocks
+        block = data.draw(st.sampled_from((engine._DRAW_BLOCK, 3 * n + 1,
+                                           n + 5, 7 * n)), label="block")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        check_loop(protocol, profile, weights, trials, seed, block)
+
+    @pytest.mark.parametrize("spec, n", [("threshold:3", 40),
+                                         ("exact:1", 33), ("mod:3:0", 30)])
+    def test_xor2way_block_mixes_all_regions(self, spec, n):
+        # lower, middle and upper trials in one block, some draw blocks
+        # holding rows of two trials
+        weights = [0, 1, 2, 3, n // 2, n - 3, n - 1, n]
+        check_loop(TwoWayXorProtocol(), parse_profile(spec, n), weights, 5,
+                   11, 5 * n + 3)
+
+    def test_phase_longer_than_draw_block(self):
+        # one trial's phase spans two whole draw blocks and part of a third,
+        # at the real _DRAW_BLOCK, and 3 trials split the blocks unevenly
+        n, d = 601, 4
+        reps = 2 * (engine._DRAW_BLOCK // n) + 7
+        check_loop(HamProtocol(d=d, buckets=40, repetitions=reps),
+                   parse_profile(f"threshold:{d}", n), [3, 5, 9], 3, 2,
+                   engine._DRAW_BLOCK)
+
+    def test_peak_memory_flat_in_trials(self):
+        # A block holds at most _DRAW_BLOCK // n = 4 trials at n = 4096, so
+        # the traced peak (about 0.43 MB: one draw block's arrays) is the
+        # same at 64 and at 1,024 trials; X and Y of all 1,024 trials alone
+        # would take 8 MB.
+        p = parse_profile("threshold:8", 4096)
+        proto = HamProtocol(d=8, repetitions=3)
+        mc_error_estimate(proto, p, 9, 16, seed=3)  # first-call allocations
+        peaks = {}
+        for trials in (64, 1024):
+            tracemalloc.start()
+            try:
+                mc_error_estimate(proto, p, 9, trials, seed=3)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1024] - peaks[64]) < 2 ** 18
+        assert peaks[1024] < 10 ** 6
 
 
 class TestXorPhases:
@@ -253,7 +535,8 @@ class TestXorPhases:
         for m in (0, n):
             pair = pair_of_weight(n, m, m)
             channel, tape = recorder(), RandomTape(m)
-            out = TwoWayXorProtocol().run(pair.x, pair.y, p, channel, tape)
+            out, = TwoWayXorProtocol().run(pair.x[None], pair.y[None], p,
+                                           channel, [tape])
             assert out == evaluate_F(p, pair)
             assert tape.position == 2 * reps * n
             assert [d for d, _ in channel.log] == ["a2b"] * (2 * reps) + ["b2a"]
@@ -420,7 +703,6 @@ class TestFactory:
 
 
 def test_probe_reps_formula():
-    from xorcomm.protocols import _enum_reps, _probe_reps
     assert _probe_reps(8, 2) == math.ceil(2 * math.log2(math.log2(8)))
     assert _probe_reps(1, 2) == _probe_reps(4, 2)
     assert _enum_reps(1, 2) == 2

@@ -192,6 +192,53 @@ class TestGapParamsProperty:
             p, InputPair(x, y))
 
 
+def reference_gap_params(profile):
+    """The quadratic scan gap_params replaced: one feasibility check of
+    O(n) pairs per candidate v.  Returns (r0, r1, saturated)."""
+    n, s = profile.n, profile.s
+
+    def feasible(a, c):
+        return all(s[k] == s[k + 2] for k in range(a, n - c - 1))
+
+    cap = (n - 1) // 2
+    r0 = next((v for v in range(cap + 1) if feasible(v, cap)), None)
+    r1 = next((v for v in range(cap + 1) if feasible(cap, v)), None)
+    if r0 is None or r1 is None:
+        return (n + 1) // 2, (n + 1) // 2, True
+    return r0, r1, False
+
+
+class TestGapParamsLinear:
+    """gap_params reads r0 and r1 off the violating pairs in one pass; the
+    quadratic scan is the reference."""
+
+    def test_every_profile_to_n10(self):
+        for n in range(1, 11):
+            for p in all_profiles(n):
+                gp = gap_params(p)
+                assert (gp.r0, gp.r1, gp.saturated) == reference_gap_params(p)
+
+    def test_seeded_profiles_to_n4096(self):
+        # random head and tail bits around a 2-periodic middle, so r0 and
+        # r1 take small, middle and saturated sizes; plus the spec families
+        rng = np.random.default_rng(18)
+        cases = [parse_profile(spec, n) for n in (4095, 4096)
+                 for spec in ("threshold:700", "exact:3000", "mod:4:1",
+                              "mod:3:0", "parity")]
+        for n in (17, 64, 255, 1000, 2047, 2048, 4095, 4096):
+            for _ in range(3):
+                head, tail = rng.integers(0, n // 2 + 2, size=2)
+                s = [int(rng.integers(0, 2)), int(rng.integers(0, 2))] * n
+                s = s[:n + 1]
+                s[:head] = rng.integers(0, 2, size=head).tolist()
+                if tail:
+                    s[-tail:] = rng.integers(0, 2, size=tail).tolist()
+                cases.append(SymmetricProfile(n, tuple(s)))
+        for p in cases:
+            gp = gap_params(p)
+            assert (gp.r0, gp.r1, gp.saturated) == reference_gap_params(p)
+
+
 class TestReductions:
     def test_flip_small(self):
         p = SymmetricProfile(2, (1, 0, 0))
