@@ -89,13 +89,12 @@ class Channel:
     rounds; stores no payload.  Enforces the one-way restriction when
     declared.
 
-    A message is any sized sequence of bits (a numpy row, x itself, a
-    tuple); only its length is kept.  A send takes one message, sent in
-    each trial that `trials` (an array of trial indices; None: every trial)
-    selects, or an array of two or more axes: entry i of its first axis
-    goes to trial trials[i] (to trial i when None; a trial may take several
-    entries, in order), and is one message, or along the middle axes that
-    trial's messages in order; the last axis holds a message's bits.
+    A send is an array of two or more axes: entry i of its first axis goes
+    to trial trials[i] (to trial i when trials is None; a trial may take
+    several entries, in order), and is one message, or along the middle
+    axes that trial's messages in order; the last axis holds a message's
+    bits.  Without trials, a send may also be one sized sequence of bits
+    (a tuple, a numpy row), sent in every trial.  Only lengths are kept.
     """
 
     def __init__(self, one_way: bool = False, trials: int = 1):
@@ -106,13 +105,13 @@ class Channel:
         self._last = np.zeros(trials, dtype=np.int8)  # 0: nothing sent yet
 
     def _count(self, to_bob: bool, bits, trials=None) -> None:
-        where = slice(None) if trials is None else trials
         totals = self.bits_a_to_b if to_bob else self.bits_b_to_a
-        if np.ndim(bits) < 2:
-            totals[where] += len(bits)
-        elif trials is None:
-            totals += math.prod(np.shape(bits)[1:])
+        if trials is None:
+            where = slice(None)
+            totals += (len(bits) if np.ndim(bits) < 2
+                       else math.prod(np.shape(bits)[1:]))
         else:
+            where = trials
             np.add.at(totals, trials, math.prod(np.shape(bits)[1:]))
         # a trial that takes several rows starts at most one round
         direction = _TO_BOB if to_bob else _TO_ALICE
@@ -128,9 +127,9 @@ class Channel:
                 "one-way protocol attempted a Bob->Alice content message")
         self._count(False, bits, trials)
 
-    def _final_answer(self, bits, trials=None) -> None:
+    def _final_answer(self, bits) -> None:
         # the designated output message is exempt from the one-way check
-        self._count(False, bits, trials)
+        self._count(False, bits)
 
     def transcript(self, t: int = 0) -> Transcript:
         """Trial t's bit counts and rounds."""

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .engine import _DRAW_BLOCK, Channel, Protocol, RandomTape
+from . import engine
+from .engine import Channel, Protocol, RandomTape
 from .symfun import (GapParams, SymmetricProfile, TrivialClass, gap_params,
                      threshold_of)
 
@@ -51,9 +52,21 @@ def _flag(default, flag: str):
     return field(default=default, metadata={"flag": flag})
 
 
+def _padded_rows(k: int, n: int, b: int) -> np.ndarray | None:
+    """A zeroed buffer for the identity map's rows (b >= n) of k trials:
+    as many b-byte rows as 8 * _DRAW_BLOCK bytes hold, at least one and at
+    most k.  A send writes only a row's first n bytes, so every phase given
+    the buffer reuses its zero padding.  None when b < n: the maps are
+    drawn."""
+    if b < n:
+        return None
+    return np.zeros((max(1, min(k, 8 * engine._DRAW_BLOCK // b)), b),
+                    dtype=np.uint8)
+
+
 def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
                      tapes: list[RandomTape], channel: Channel,
-                     trials=None) -> np.ndarray:
+                     trials=None, padded=None) -> np.ndarray:
     """Send Alice's bucket-parity rows of one phase, in each trial that
     `trials` selects (an index array; None: every trial), and return each
     row's count of differing buckets, shape (k, R) for k trials.
@@ -66,14 +79,15 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
 
     When b >= n the bucket map is the identity: nothing is drawn, Alice's
     row is her bits zero-padded to b and the count is exact; each run of
-    rows with one flip is sent as one padded row per trial, in groups of
-    trials whose rows take at most the bytes of one draw block's int64
-    values.  Otherwise the (trial, row) pairs form one axis, trial-major,
-    split into draw blocks of whole rows; each trial's rows come from draws
-    of whole rows off its own tape, in order.  For PCG64 that is the same
-    stream, and the same end state, as one draw of n values per row.  Rows
-    are sent block by block, so no more than one block of them is ever
-    held.
+    rows with one flip is sent as one padded row per trial, a group of
+    trials at a time, written into `padded` (from _padded_rows; None: a new
+    one).  A caller with several phases passes one buffer to all of them,
+    so the padding of b bytes a row is made once.  Otherwise the (trial,
+    row) pairs form one axis, trial-major, split into draw blocks of whole
+    rows; each trial's rows come from draws of whole rows off its own tape,
+    in order.  For PCG64 that is the same stream, and the same end state,
+    as one draw of n values per row.  Rows are sent block by block, so no
+    more than one block of them is ever held.
     """
     if trials is None:
         trials = np.arange(len(X))
@@ -88,11 +102,13 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
         # one zero-padded row per trial is sent as the run's messages.
         cuts = np.flatnonzero((flips[:, 1:] != flips[:, :-1]).any(axis=0))
         runs = zip([0, *(cuts + 1)], [*(cuts + 1), R]) if R else ()
-        group = max(1, 8 * _DRAW_BLOCK // b)
+        if padded is None:
+            padded = _padded_rows(k, n, b)
+        group = len(padded)
         for a, e in runs:
             for lo in range(0, k, group):
                 these = slice(lo, lo + group)
-                rows = np.zeros((len(Xs[these]), b), dtype=np.uint8)
+                rows = padded[:len(Xs[these])]
                 rows[:, :n] = Xs[these] ^ flips[these, a, None]
                 channel.a_to_b(np.broadcast_to(rows[:, None],
                                                (len(rows), e - a, b)),
@@ -109,7 +125,7 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     # row i of the phase is a row of trial trial_of[i], coded by code_of[i]
     trial_of = np.repeat(np.arange(k), R)
     code_of = 2 * trial_of + flips.ravel()
-    step = max(1, min(_DRAW_BLOCK // n, k * R))
+    step = max(1, min(engine._DRAW_BLOCK // n, k * R))
     offsets = b * np.arange(step)[:, None]
     block = np.empty((step, n), dtype=np.int64)
     for lo in range(0, k * R, step):
@@ -294,8 +310,10 @@ class TwoWayXorProtocol(_XorProtocol):
         n, r = profile.n, gp.r
         s = np.array(profile.s)
         b = 2 * r * r
+        # one identity-map buffer for the region phase and every probe
+        padded = _padded_rows(len(X), n, b)
         diffs = _bucket_parities(X, Y, _region_flips(self.region_reps), b,
-                                 tapes, channel)
+                                 tapes, channel, padded=padded)
         region = _region(diffs, r)
         channel.b_to_a(_REGION_BITS[region])
         out = np.empty(len(X), dtype=np.int64)
@@ -316,7 +334,7 @@ class TwoWayXorProtocol(_XorProtocol):
             mid = (lo + hi) // 2
             diffs = _bucket_parities(
                 X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes,
-                channel, tail)
+                channel, tail, padded)
             vote = (diffs > mid[:, None]).any(axis=1)
             channel.b_to_a(vote[:, None], tail)
             searching = lo < hi

@@ -42,8 +42,8 @@ def recorder(monkeypatch):
 
         def _count(self, to_bob, bits, trials=None):
             super()._count(to_bob, bits, trials)
-            if np.ndim(bits) < 2:  # one message, in each selected trial
-                bits = [bits] * (1 if trials is None else len(trials))
+            if np.ndim(bits) < 2:  # one message
+                bits = [bits]
             else:
                 bits = np.reshape(bits, (-1, np.shape(bits)[-1]))
             self.log.extend(("a2b" if to_bob else "b2a",

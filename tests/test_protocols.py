@@ -7,13 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xorcomm import engine, protocols
+from xorcomm import engine
 from xorcomm.engine import (MCResult, RandomTape, Transcript,
                             mc_error_estimate, run_protocol, weighted_pair)
 from xorcomm.protocols import (FullSendProtocol, HamProtocol,
                                OneWayXorProtocol, ParityProtocol,
-                               TwoWayXorProtocol, _DRAW_BLOCK,
-                               _bucket_parities, _enum_reps, _probe_reps,
+                               TwoWayXorProtocol, _bucket_parities, _enum_reps, _probe_reps,
                                default_buckets, make_protocol)
 from xorcomm.symfun import (InputPair, TrivialClass, evaluate_F, gap_params,
                             parse_profile)
@@ -152,6 +151,19 @@ def _phase_votes(x, y, tests, b, channel, tape):
     return votes
 
 
+class _SentChannel(engine.Channel):
+    """A channel that also keeps each send as sent, and a copy of its bits
+    as they were then: (to_bob, bits, copy)."""
+
+    def __init__(self, one_way=False, trials=1):
+        super().__init__(one_way, trials)
+        self.sent = []
+
+    def _count(self, to_bob, bits, trials=None):
+        super()._count(to_bob, bits, trials)
+        self.sent.append((to_bob, bits, np.array(bits)))
+
+
 class TestAmplifiedHam:
     def check_phase(self, n, b, tests, recorder, seed):
         """Compare one phase against one reference call per test."""
@@ -193,11 +205,11 @@ class TestAmplifiedHam:
 
     def test_phase_larger_than_one_draw_block(self, recorder):
         n, b = 601, 40
-        per_block = _DRAW_BLOCK // n
+        per_block = engine._DRAW_BLOCK // n
         # two whole blocks and a part, the flip changing inside blocks
         tests = [(True, 4, per_block - 3), (False, 4, per_block + 5),
                  (True, 2, 7)]
-        assert sum(reps for *_, reps in tests) * n > 2 * _DRAW_BLOCK
+        assert sum(reps for *_, reps in tests) * n > 2 * engine._DRAW_BLOCK
         self.check_phase(n, b, tests, recorder, 5)
 
     # The recorder only appends, so sharing it across examples is safe.
@@ -219,7 +231,7 @@ class TestAmplifiedHam:
         if long_phase:
             flip = data.draw(st.booleans(), label="flip")
             tests.append((flip, data.draw(st.integers(0, 5)),
-                          _DRAW_BLOCK // n + 1))
+                          engine._DRAW_BLOCK // n + 1))
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         self.check_phase(n, b, tests, recorder, seed)
 
@@ -233,15 +245,19 @@ class TestAmplifiedHam:
             assert np.array_equal(tape.integers(1 << 40, size=3),
                                   RandomTape(3).integers(1 << 40, size=3))
 
-    def test_identity_rows_shared_per_flip(self, recorder):
-        # every row of one flip sends the same bits, built per draw block
+    def test_identity_rows_shared_per_flip(self):
+        # every row of one flip sends the same bits, and every row is sent
+        # from one zero-padded buffer
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
-        tape, channel = RandomTape(0), recorder()
+        tape, channel = RandomTape(0), _SentChannel()
         diffs = _bucket_parities(x[None], y[None], [True, False, True, False],
                                  8, [tape], channel)
-        rows = [bits for _, bits in channel.log]
+        rows = [tuple(row) for *_, copy in channel.sent
+                for row in np.reshape(copy, (-1, 8))]
         assert rows[0] == rows[2] and rows[1] == rows[3]
+        assert all(np.shares_memory(bits, channel.sent[0][1])
+                   for _, bits, _ in channel.sent)
         assert list(rows[1]) == [1, 0, 1, 1, 0, 0, 0, 0]
         assert list(rows[0]) == [0, 1, 0, 0, 1, 0, 0, 0]
         assert diffs.tolist() == [[3, 2, 3, 2]]
@@ -411,7 +427,6 @@ def check_loop(protocol, profile, weights, trials, seed, block):
             for m in weights}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_DRAW_BLOCK", block)
-        mp.setattr(protocols, "_DRAW_BLOCK", block)
         mp.setattr(engine, "RandomTape", _LoggedTape)
         _LoggedTape.made = []
         rows = engine.sweep(lambda p, n: protocol, profile_spec(profile),
@@ -552,6 +567,28 @@ class TestXorPhases:
         tracemalloc.start()
         try:
             run_protocol(OneWayXorProtocol(), pair, p, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10 ** 6
+
+    def test_identity_map_probes_share_one_buffer(self):
+        # xor2way at the same size: weight 10 is in the lower tail, so the
+        # region phase is followed by ceil(log2 256) = 8 probes.  Every
+        # row is written into one zero-padded buffer made once per run; a
+        # fresh b-byte row per probe cost 8 MB more peak RSS at n = 4096.
+        p = parse_profile("mod:3:0", 512)
+        pair = pair_of_weight(512, 10, 0)
+        channel = _SentChannel()
+        TwoWayXorProtocol().run(pair.x[None], pair.y[None], p, channel,
+                                [RandomTape(0)])
+        rows = [bits for to_bob, bits, _ in channel.sent
+                if to_bob and np.shape(bits)[-1] == 2 * 256 ** 2]
+        assert len(rows) == 2 + 8
+        assert all(np.shares_memory(row, rows[0]) for row in rows)
+        tracemalloc.start()
+        try:
+            run_protocol(TwoWayXorProtocol(), pair, p, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
