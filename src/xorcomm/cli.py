@@ -154,9 +154,10 @@ def _verify_ham_onesided(seed, n, trials) -> tuple[int, int]:
     for d in range(n + 1):
         profile = symfun.parse_profile(f"threshold:{d}", n)
         proto = protocols.make_protocol("ham", profile)
-        for m in range(d + 1):
-            res = engine.mc_error_estimate(proto, profile, m, trials,
-                                           (seed, d, m))
+        # every m of one d in one trial loop, each keeping its own seeds
+        for res in engine._estimates(
+                proto, profile, [(m, (seed, d, m)) for m in range(d + 1)],
+                trials):
             checked += res.trials
             bad += res.trials - res.successes
     return checked, bad

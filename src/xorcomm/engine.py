@@ -11,6 +11,14 @@ with base seed s draws its input from (*s, t, 0) and its tape from
 (*s, t, 1), whatever block it runs in, so every trial is replayable on its
 own.
 
+Each stream is that of PCG64(SeedSequence(seed)), but no trial builds numpy
+objects: _pcg64_states derives the PCG64 states of _SEED_CHUNK (256)
+trials' seeds at once, across cells, running SeedSequence's hash as uint32
+array operations, and each input, and each tape from its first draw, swaps
+its own state into the loop's one generator.  A chunk's tape states are
+derived on the first draw of any of its tapes.  The tests check the states
+and the draws against numpy's own SeedSequence.
+
 Bits are counted, not transmitted: the channel keeps running totals per
 direction and the number of rounds, and stores no payload.  Bob is the
 output party for every protocol; the engine appends his 1-bit answer to the
@@ -22,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -33,10 +41,15 @@ from .symfun import (InputPair, ProfileError, SymmetricProfile, gap_params,
 # values one draw block of a protocol phase takes.  A larger phase is split
 # into blocks of whole rows (at least one), which bounds the memory of the
 # draw and of its bincount: the traced peak of a sweep cell stays under
-# 1.1 MB.  At 2^16 the blocks' arrays, and a block's seeded tapes (about
-# 4 KB a trial), took about 4.5 MB more peak RSS; at 2^13 the benchmark's
+# 1.1 MB.  At 2^16 the blocks' arrays, and a block's seeded tapes (then
+# about 4 KB a trial; a drawn tape, which holds only its state, now takes
+# under 1 KB), took about 4.5 MB more peak RSS; at 2^13 the benchmark's
 # sweep cells ran slower, paying more blocks' fixed costs.
 _DRAW_BLOCK = 1 << 14
+# Trials whose seeds' PCG64 states are derived in one vectorised hash.  The
+# hash has a fixed cost of a few dozen numpy calls, so a chunk spans cells:
+# a sweep cell holds only a few trials.
+_SEED_CHUNK = 256
 
 
 class ScheduleViolation(RuntimeError):
@@ -60,24 +73,160 @@ class Transcript:
         return self.total_bits - 1
 
 
+# NumPy's SeedSequence (NEP 19) hash constants, and PCG64's 128-bit LCG
+# multiplier (O'Neill 2014).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed) -> Sequence[int]:
+    """seed's uint32 entropy words, as SeedSequence coerces them: a
+    non-negative int is its 32-bit words, least significant first (0 is
+    [0]), and a sequence is its items' words in turn.  Strings, which
+    SeedSequence parses, are refused."""
+    if type(seed) is tuple and all(type(item) is int and 0 <= item <= _MASK32
+                                   for item in seed):
+        return seed  # a word an item, as the engine's seeds mostly are
+    if isinstance(seed, (int, np.integer)):
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed & _MASK32]
+        while seed := seed >> 32:
+            words.append(seed & _MASK32)
+        return words
+    if isinstance(seed, (tuple, list, range, np.ndarray)):
+        return [word for item in seed for word in _seed_words(item)]
+    raise TypeError(f"seed must be an integer or a sequence of integers, "
+                    f"not {seed!r}")
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of `calls` hash steps and after the
+    last, as a (calls + 1, 1) column; it does not depend on the data."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, step i on row i: xor with consts[i], then
+    multiply by consts[i + 1]."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x
+    out -= _MIX_R * y
+    out ^= out >> 16
+    return out
+
+
+def _pool_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) seeded from each column of `entropy`, a
+    (words, seeds) uint32 array, through SeedSequence's pool of 4."""
+    length, k = entropy.shape
+    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, length - 4))
+    pool = np.zeros((4, k), dtype=np.uint32)
+    pool[:length] = entropy[:4]
+    pool = _hashmix(pool, consts[:5])
+    # each pool word, mixed into the other three, then each further
+    # entropy word into all four; call counts the hash steps taken
+    call = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst],
+                         _hashmix(pool[src], consts[call:call + 4]))
+        call += 3
+    for src in range(4, length):
+        pool = _mix(pool, _hashmix(entropy[src], consts[call:call + 5]))
+        call += 4
+    # generate_state(4, uint64): 8 words off the pool, paired little-endian
+    words = _hashmix(np.tile(pool, (2, 1)),
+                     _hash_consts(_INIT_B, _MULT_B, 8))
+    seeded = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
+            words.T, dtype="<u4").view("<u8").tolist():
+        # PCG64's srandom: inc = 2 * initseq + 1, two LCG steps around
+        # adding the initial state
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        seeded.append((state, inc))
+    return seeded
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The (state, inc) that PCG64(SeedSequence(seed)) starts from, for
+    each seed: the SeedSequence hash runs as uint32 array operations over
+    every seed of one word count at once."""
+    words = [_seed_words(seed) for seed in seeds]
+    by_length = {}
+    for i, w in enumerate(words):
+        by_length.setdefault(len(w), []).append(i)
+    states = [None] * len(words)
+    for rows in by_length.values():
+        entropy = np.array([words[i] for i in rows], dtype=np.uint32).T
+        for i, state in zip(rows, _pool_states(entropy)):
+            states[i] = state
+    return states
+
+
+class _SeedChunk:
+    """Seeds whose PCG64 states are derived together, on the first request
+    for any of them, and the generator their streams take turns on (None:
+    one made on that request)."""
+
+    __slots__ = ("seeds", "gen", "_states")
+
+    def __init__(self, seeds, gen=None):
+        self.seeds, self.gen, self._states = seeds, gen, None
+
+    def state(self, i: int) -> dict:
+        """Seed i's PCG64 starting state, as the bit generator's .state."""
+        if self._states is None:
+            self._states = _pcg64_states(self.seeds)
+            if self.gen is None:
+                self.gen = np.random.default_rng(0)
+        state, inc = self._states[i]
+        return {"bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+
+
 class RandomTape:
     """One shared public-coin stream, consumed in lock-step by both parties.
 
-    The generator is seeded on the first draw, so a run that never draws
-    (every bucket map the identity) pays nothing for its tape.
+    The tape is the stream of PCG64(SeedSequence(seed)).  It keeps its own
+    bit-generator state and swaps it into a generator it shares with other
+    tapes around each draw.  Its starting state comes from its chunk (seed
+    `index` of it; by default a chunk of its own seed) on the first draw,
+    so a run that never draws (every bucket map the identity) pays nothing
+    for its tape.
     """
 
-    def __init__(self, seed):
+    def __init__(self, seed, chunk: _SeedChunk | None = None, index: int = 0):
         self._seed = seed
-        self._gen = None
+        self._chunk = chunk if chunk is not None else _SeedChunk([seed])
+        self._index = index
+        self._state = None
         self.position = 0
 
     def integers(self, upper: int, size: int | None = None) -> np.ndarray:
-        if self._gen is None:
-            self._gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(self._seed)))
+        if self._state is None:
+            self._state = self._chunk.state(self._index)
+        gen = self._chunk.gen
+        gen.bit_generator.state = self._state
         self.position += size if size is not None else 1
-        return self._gen.integers(0, upper, size=size)
+        out = gen.integers(0, upper, size=size)
+        self._state = gen.bit_generator.state
+        return out
 
 
 # the direction of a trial's last message, in Channel._last
@@ -170,7 +319,7 @@ class ProtocolReport:
 
 def _run_blocks(protocol: Protocol, profile: SymmetricProfile,
                 jobs) -> Iterator[tuple[np.ndarray, np.ndarray, Channel]]:
-    """The trial loop: run the (pair, tape seed) jobs in blocks of at most
+    """The trial loop: run the (pair, tape) jobs in blocks of at most
     _DRAW_BLOCK // n trials, and yield each block's (outputs, truths,
     channel), trial t of the block being row t of each."""
     n = profile.n
@@ -181,7 +330,7 @@ def _run_blocks(protocol: Protocol, profile: SymmetricProfile,
         Y = np.empty_like(X)
         for t, (pair, _) in enumerate(block):
             X[t], Y[t] = pair.x, pair.y
-        tapes = [RandomTape(seed) for _, seed in block]
+        tapes = [tape for _, tape in block]
         channel = Channel(one_way=protocol.one_way, trials=len(block))
         out = np.asarray(protocol.run(X, Y, profile, channel, tapes),
                          dtype=np.int64)
@@ -194,7 +343,8 @@ def run_protocol(protocol: Protocol, pair: InputPair,
     """Execute one protocol run, a block of one; deterministic given seed."""
     if pair.n != profile.n:
         raise ProfileError(f"pair length {pair.n} != profile n {profile.n}")
-    (out, _, channel), = _run_blocks(protocol, profile, [(pair, seed)])
+    (out, _, channel), = _run_blocks(protocol, profile,
+                                     [(pair, RandomTape(seed))])
     return int(out[0]), channel.transcript()
 
 
@@ -230,24 +380,40 @@ def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
     return InputPair._of_bits(x, y)
 
 
-def _trial_jobs(n: int, m: int, trials: int, seed):
-    """The (pair, tape seed) of each trial at XOR-weight m.
+def _trial_jobs(n: int, cells, trials: int):
+    """The (pair, tape) of each trial of the (m, seed) cells, cell by cell.
 
-    Trial t draws its input from the seed (*seed, t, 0) and its tape from
-    (*seed, t, 1), so every trial is replayable on its own.
+    Trial t of a cell draws its input from the seed (*seed, t, 0) and its
+    tape from (*seed, t, 1), so every trial is replayable on its own.  Every
+    cell's m is checked before the first job is made.
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"weight m={m} out of range for n={n}")
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((*base, t, 0)))
-        yield weighted_pair(n, m, rng), (*base, t, 1)
+    cells = [(m, tuple(seed) if isinstance(seed, (tuple, list)) else (seed,))
+             for m, seed in cells]
+    for m, _ in cells:
+        if not 0 <= m <= n:
+            raise ValueError(f"weight m={m} out of range for n={n}")
+    return _chunked_jobs(n, cells, trials)
+
+
+def _chunked_jobs(n: int, cells, trials: int):
+    # One generator for the whole loop; each input and each tape swaps its
+    # own state in.  The seeds of _SEED_CHUNK trials, across cells, are
+    # derived together: the inputs' at once, the tapes' on their first draw.
+    gen = np.random.default_rng(0)
+    keys = ((m, base, t) for m, base in cells for t in range(trials))
+    while chunk := list(itertools.islice(keys, _SEED_CHUNK)):
+        inputs = _SeedChunk([(*base, t, 0) for _, base, t in chunk], gen)
+        tapes = _SeedChunk([(*base, t, 1) for _, base, t in chunk], gen)
+        for i, (m, _, _) in enumerate(chunk):
+            gen.bit_generator.state = inputs.state(i)
+            tape = RandomTape(tapes.seeds[i], tapes, i)
+            yield weighted_pair(n, m, gen), tape
 
 
 def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
                trials: int, seed) -> Iterator[tuple[int, int, Transcript]]:
     """Yield (output, truth, transcript) for each trial at XOR-weight m."""
-    jobs = _trial_jobs(profile.n, m, trials, seed)
+    jobs = _trial_jobs(profile.n, [(m, seed)], trials)
     for out, truth, channel in _run_blocks(protocol, profile, jobs):
         for t in range(len(out)):
             yield int(out[t]), int(truth[t]), channel.transcript(t)
@@ -259,8 +425,7 @@ def _estimates(protocol: Protocol, profile: SymmetricProfile, cells,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     cells = list(cells)
-    jobs = itertools.chain.from_iterable(
-        _trial_jobs(profile.n, m, trials, seed) for m, seed in cells)
+    jobs = _trial_jobs(profile.n, cells, trials)
     successes, bits_sum, bits_max, rounds_sum = np.zeros((4, len(cells)),
                                                          dtype=np.int64)
     done = 0

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xorcomm import engine
 from xorcomm.engine import (Channel, Protocol, RandomTape, ScheduleViolation,
-                            make_report, mc_error_estimate, run_protocol,
-                            sweep)
+                            _pcg64_states, _SeedChunk, make_report,
+                            mc_error_estimate, run_protocol, sweep,
+                            weighted_pair)
 from xorcomm.protocols import (FullSendProtocol, ParityProtocol,
                                TwoWayXorProtocol, make_protocol)
 from xorcomm.symfun import InputPair, ProfileError, parse_profile
@@ -160,6 +162,94 @@ class TestTape:
                                   b.integers(1 << 30, size=16))
 
 
+    def test_interleaved_tapes_match_independent_streams(self):
+        # two tapes take turns on one generator; after an odd number of
+        # values below 2^32 PCG64 holds half a 64-bit word, which must
+        # carry over to the tape's next draw
+        seeds = [(4, 0, 1), (4, 1, 1)]
+        chunk = _SeedChunk(seeds, np.random.default_rng(0))
+        shared = [RandomTape(seed, chunk, i) for i, seed in enumerate(seeds)]
+        alone = [np.random.default_rng(np.random.SeedSequence(seed))
+                 for seed in seeds]
+        for size in (1, 3, 5, 7):
+            for tape, rng in zip(shared, alone):
+                assert np.array_equal(tape.integers(1000, size=size),
+                                      rng.integers(0, 1000, size=size))
+                assert tape._state["has_uint32"] == tape.position % 2
+                assert tape._state == rng.bit_generator.state
+        for tape, rng in zip(shared, alone):
+            assert tape.integers(1 << 40) == rng.integers(0, 1 << 40)
+            assert tape.position == 17
+
+    def test_undrawn_tapes_derive_no_state(self, monkeypatch):
+        chunk = _SeedChunk([(5, t, 1) for t in range(3)],
+                           np.random.default_rng(0))
+        tapes = [RandomTape(seed, chunk, i)
+                 for i, seed in enumerate(chunk.seeds)]
+        assert chunk._states is None
+        tapes[1].integers(9, size=2)
+        assert chunk._states is not None  # the whole chunk, at once
+        assert tapes[0]._state is None and tapes[2]._state is None
+        # a sweep at b >= n draws nothing: only its inputs are derived
+        derived = []
+
+        def spy(seeds):
+            derived.extend(seeds)
+            return _pcg64_states(seeds)
+
+        monkeypatch.setattr(engine, "_pcg64_states", spy)
+        rows = sweep(lambda p, n: TwoWayXorProtocol(), "threshold:8", [64],
+                     3, 7)
+        assert len(rows) == 65
+        assert len(derived) == 65 * 3
+        assert all(seed[-1] == 0 for seed in derived)
+
+
+# Seeds of every shape the engine derives: one word, several words, tuples
+# shorter and longer than SeedSequence's pool of 4, and the engine's own
+# (s, t, 0|1) and (s, n, m, t, 0|1), also at a multi-word s.
+SEEDS = [0, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 70, (),
+         *(tuple(range(3, 3 + k)) for k in range(1, 10)),
+         (7, 12, 0), (7, 12, 1), (7, 64, 3, 12, 0), (7, 64, 3, 12, 1),
+         (2 ** 70, 12, 0), (2 ** 70, 64, 3, 12, 1), [np.int64(5), True],
+         ((1, 2), 2 ** 33)]
+
+
+class TestSeedDerivation:
+    def test_matches_numpy(self):
+        # every word count in one call
+        for seed, got in zip(SEEDS, _pcg64_states(SEEDS)):
+            want = np.random.PCG64(np.random.SeedSequence(seed)).state
+            assert got == (want["state"]["state"], want["state"]["inc"])
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1), (2 ** 40, -5, 1), 1.5,
+                                      (2, 0.5), (np.float64(1.0),),
+                                      (np.True_,), (None, 1)])
+    def test_rejects_as_numpy_does(self, seed):
+        with pytest.raises(Exception) as want:
+            np.random.SeedSequence(seed)
+        with pytest.raises(want.type):
+            _pcg64_states([seed])
+
+    def test_shared_generator_draws_as_fresh_one(self):
+        chunk = _SeedChunk(SEEDS, np.random.default_rng(0))
+        for i, seed in enumerate(SEEDS):
+            chunk.gen.bit_generator.state = chunk.state(i)
+            fresh = np.random.default_rng(np.random.SeedSequence(seed))
+            assert np.array_equal(
+                chunk.gen.integers(0, 2, size=33, dtype=np.int64),
+                fresh.integers(0, 2, size=33, dtype=np.int64))
+            assert np.array_equal(chunk.gen.permutation(33),
+                                  fresh.permutation(33))
+            assert chunk.gen.bit_generator.state == fresh.bit_generator.state
+            chunk.gen.bit_generator.state = chunk.state(i)
+            fresh = np.random.default_rng(np.random.SeedSequence(seed))
+            got, want = weighted_pair(40, 9, chunk.gen), weighted_pair(40, 9,
+                                                                       fresh)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
+
+
 class TestSweep:
     def test_empty_n_list(self):
         rows = sweep(lambda p, n: ParityProtocol(), "parity", [], 5, 0)
@@ -173,6 +263,25 @@ class TestSweep:
         assert rows1 == rows2
         assert len(rows1) == 1
         assert rows1[0]["success_rate"] == 1.0
+
+    def test_bad_weight_fails_before_any_block(self, monkeypatch):
+        # three good cells of 3,000 trials fill 4 blocks of 2,048 at n = 8
+        blocks = []
+        run_blocks = engine._run_blocks
+
+        def spy(*args):
+            for block in run_blocks(*args):
+                blocks.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(engine, "_run_blocks", spy)
+        with pytest.raises(ValueError, match="m=99 out of range"):
+            sweep(lambda p, n: ParityProtocol(), "parity", [8], 3000, 0,
+                  weights=[0, 1, 2, 99])
+        assert blocks == []
+        sweep(lambda p, n: ParityProtocol(), "parity", [8], 3000, 0,
+              weights=[0, 1, 2])
+        assert len(blocks) == 5 and sum(blocks) == 9000
 
     def test_rows_sorted(self):
         rows = sweep(lambda p, n: FullSendProtocol(), "threshold:1", [4, 2],

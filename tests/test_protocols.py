@@ -121,6 +121,19 @@ class TestHam:
         assert rates[0] >= rates[1] >= rates[2]
 
 
+class _NumpyTape:
+    """The references' tape: a generator of numpy's own
+    SeedSequence(seed), apart from the engine's seed derivation."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self.position = 0
+
+    def integers(self, upper, size=None):
+        self.position += size if size is not None else 1
+        return self._rng.integers(0, upper, size=size)
+
+
 def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
     """The per-repetition loop: each repetition draws its own n bucket
     indices and takes one bincount per party."""
@@ -175,7 +188,7 @@ class TestAmplifiedHam:
             y = x ^ np.uint8(trial % 2)
             y[rng.permutation(n)[:trial]] ^= 1
             got_ch, want_ch = recorder(), recorder()
-            got_tape, want_tape = RandomTape(trial), RandomTape(trial)
+            got_tape, want_tape = RandomTape(trial), _NumpyTape(trial)
             got = _phase_votes(x, y, tests, b, got_ch, got_tape)
             want = [_reference_amplified_ham(x, y, d, b, reps, want_ch,
                                              want_tape, flip=flip)
@@ -243,7 +256,7 @@ class TestAmplifiedHam:
             assert channel.log == [] and diffs.size == 0
             assert tape.position == 0
             assert np.array_equal(tape.integers(1 << 40, size=3),
-                                  RandomTape(3).integers(1 << 40, size=3))
+                                  _NumpyTape(3).integers(1 << 40, size=3))
 
     def test_identity_rows_shared_per_flip(self):
         # every row of one flip sends the same bits, and every row is sent
@@ -378,7 +391,7 @@ def _reference_trials(protocol, profile, m, trials, seed):
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((*base, t, 0)))
         pair = weighted_pair(profile.n, m, rng)
-        tape = RandomTape((*base, t, 1))
+        tape = _NumpyTape((*base, t, 1))
         channel = _ReferenceChannel(protocol.one_way)
         out = int(_reference_body(protocol, pair.x, pair.y, profile, channel,
                                   tape))
@@ -401,8 +414,8 @@ class _LoggedTape(RandomTape):
 
     made = []
 
-    def __init__(self, seed):
-        super().__init__(seed)
+    def __init__(self, seed, *chunk):
+        super().__init__(seed, *chunk)
         self.made.append(self)
 
 
@@ -455,7 +468,7 @@ def check_loop(protocol, profile, weights, trials, seed, block):
 
         rng = np.random.default_rng(seed)
         pair = weighted_pair(n, m, rng)
-        ref_tape = RandomTape((seed, 1))
+        ref_tape = _NumpyTape((seed, 1))
         ref_channel = _ReferenceChannel(protocol.one_way)
         out = int(_reference_body(protocol, pair.x, pair.y, profile,
                                   ref_channel, ref_tape))
@@ -520,6 +533,16 @@ class TestBatchedLoop:
         check_loop(HamProtocol(d=d, buckets=40, repetitions=reps),
                    parse_profile(f"threshold:{d}", n), [3, 5, 9], 3, 2,
                    engine._DRAW_BLOCK)
+
+    @pytest.mark.parametrize("protocol", [
+        TwoWayXorProtocol(), HamProtocol(d=3, buckets=10, repetitions=3)])
+    def test_multi_word_seed(self, protocol):
+        # 2^70 is three words, so a trial's seeds, (2^70, t, 0|1) and
+        # (2^70, n, m, t, 0|1), are five and seven: longer than
+        # SeedSequence's pool of 4
+        n = 40
+        check_loop(protocol, parse_profile("threshold:3", n),
+                   [0, 2, 3, 20, n], 4, 2 ** 70, engine._DRAW_BLOCK)
 
     def test_peak_memory_flat_in_trials(self):
         # A block holds at most _DRAW_BLOCK // n = 4 trials at n = 4096, so
