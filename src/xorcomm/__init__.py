@@ -3,7 +3,7 @@ problems F(x, y) = S(|x xor y|)."""
 
 from .engine import (Channel, MCResult, Protocol, ProtocolReport, RandomTape,
                      ScheduleViolation, Transcript, mc_error_estimate,
-                     run_protocol, sweep)
+                     run_protocol, sweep, weight_estimates)
 from .oracle import (TruthTable, brute_fourier, brute_rank,
                      exhaustive_lemma_scan, sampled_lemma_scan)
 from .protocols import (FullSendProtocol, HamProtocol, OneWayXorProtocol,

@@ -154,10 +154,8 @@ def _verify_ham_onesided(seed, n, trials) -> tuple[int, int]:
     for d in range(n + 1):
         profile = symfun.parse_profile(f"threshold:{d}", n)
         proto = protocols.make_protocol("ham", profile)
-        # every m of one d in one trial loop, each keeping its own seeds
-        for res in engine._estimates(
-                proto, profile, [(m, (seed, d, m)) for m in range(d + 1)],
-                trials):
+        for res in engine.weight_estimates(proto, profile, range(d + 1),
+                                           trials, (seed, d)):
             checked += res.trials
             bad += res.trials - res.successes
     return checked, bad
@@ -268,17 +266,14 @@ def cmd_sweep(args) -> int:
     # file, and an unwritable path fails at once.
     built = {n: _make_protocol(args, symfun.parse_profile(args.profile, n))
              for n in n_list}
-    fields = ["n", "family", "r0", "r1", "r", "protocol", "weight", "trials",
-              "success_rate", "mean_bits", "max_bits", "rounds_mean"]
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
         raise ValueError(
             f"sweep --out cannot write {args.out}: {exc}") from None
     try:
-        rows = engine.sweep(lambda profile, n: built[n], args.profile, n_list,
-                            args.trials, seed)
-        writer = csv.DictWriter(out, fieldnames=fields)
+        rows = engine.sweep(built, args.profile, args.trials, seed)
+        writer = csv.DictWriter(out, fieldnames=engine.SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     finally:

@@ -3,10 +3,11 @@ Monte-Carlo trial loop and sweeps.
 
 Protocols run a block of trials at once: X and Y hold one trial's input per
 row, tapes[t] is trial t's own shared tape and the channel counts each
-trial's bits and rounds in arrays.  _run_blocks is the one trial loop;
-run_protocol (a block of one), run_trials, mc_error_estimate and sweep all
-go through it.  A block holds at most _DRAW_BLOCK // n trials, so peak
-memory does not grow with the number of trials.  Trial t of a cell
+trial's bits and rounds in arrays.  _run_block runs one block (run_protocol
+a block of one); _run_blocks, the one trial loop and the one place that
+derives trial seeds, runs every other trial: run_trials, mc_error_estimate,
+weight_estimates and sweep.  A block holds at most _DRAW_BLOCK // n trials,
+so peak memory does not grow with the number of trials.  Trial t of a cell
 with base seed s draws its input from (*s, t, 0) and its tape from
 (*s, t, 1), whatever block it runs in, so every trial is replayable on its
 own.
@@ -27,7 +28,6 @@ transcript so both parties know the result.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterator, Sequence
@@ -238,12 +238,13 @@ class Channel:
     rounds; stores no payload.  Enforces the one-way restriction when
     declared.
 
-    A send is an array of two or more axes: entry i of its first axis goes
-    to trial trials[i] (to trial i when trials is None; a trial may take
-    several entries, in order), and is one message, or along the middle
-    axes that trial's messages in order; the last axis holds a message's
-    bits.  Without trials, a send may also be one sized sequence of bits
-    (a tuple, a numpy row), sent in every trial.  Only lengths are kept.
+    A send is an array of two or more axes with one entry of its first
+    axis per charged trial (else ValueError): entry i goes to trial trials[i]
+    (to trial i when trials is None; a trial may take several entries, in
+    order), and is one message, or along the middle axes that trial's
+    messages in order; the last axis holds a message's bits.  Without
+    trials, a send may also be one sized sequence of bits (a tuple, a numpy
+    row), sent in every trial.  Only lengths are kept.
     """
 
     def __init__(self, one_way: bool = False, trials: int = 1):
@@ -255,13 +256,16 @@ class Channel:
 
     def _count(self, to_bob: bool, bits, trials=None) -> None:
         totals = self.bits_a_to_b if to_bob else self.bits_b_to_a
+        shape = np.shape(bits)
+        charged = len(totals) if trials is None else len(trials)
+        if len(shape) >= 2 and shape[0] != charged:
+            raise ValueError(f"{shape[0]} entries sent to {charged} trials")
         if trials is None:
             where = slice(None)
-            totals += (len(bits) if np.ndim(bits) < 2
-                       else math.prod(np.shape(bits)[1:]))
+            totals += len(bits) if len(shape) < 2 else math.prod(shape[1:])
         else:
             where = trials
-            np.add.at(totals, trials, math.prod(np.shape(bits)[1:]))
+            np.add.at(totals, trials, math.prod(shape[1:]))
         # a trial that takes several rows starts at most one round
         direction = _TO_BOB if to_bob else _TO_ALICE
         self.rounds[where] += self._last[where] != direction
@@ -317,24 +321,56 @@ class ProtocolReport:
     params: dict = field(default_factory=dict)
 
 
-def _run_blocks(protocol: Protocol, profile: SymmetricProfile,
-                jobs) -> Iterator[tuple[np.ndarray, np.ndarray, Channel]]:
-    """The trial loop: run the (pair, tape) jobs in blocks of at most
-    _DRAW_BLOCK // n trials, and yield each block's (outputs, truths,
-    channel), trial t of the block being row t of each."""
+def _run_block(protocol: Protocol, profile: SymmetricProfile, X, Y,
+               tapes: list[RandomTape]) -> tuple[np.ndarray, Channel]:
+    """Run one block, row t of X and Y and tapes[t] being trial t's; return
+    its outputs and its channel, Bob's answers counted."""
+    channel = Channel(one_way=protocol.one_way, trials=len(tapes))
+    out = np.asarray(protocol.run(X, Y, profile, channel, tapes),
+                     dtype=np.int64)
+    channel._final_answer(out[:, None])
+    return out, channel
+
+
+def _run_blocks(protocol: Protocol, profile: SymmetricProfile, cells,
+                trials: int) -> Iterator[tuple]:
+    """The trial loop: run `trials` trials of each (m, seed) cell, cell by
+    cell, in blocks of at most _DRAW_BLOCK // n trials, and yield each
+    block's (outputs, truths, channel), row t of each being the block's
+    trial t.  A cell's trial t takes its input (weighted_pair at weight m)
+    from (*seed, t, 0) and its tape from (*seed, t, 1).  trials and every
+    cell's m are checked before the first block runs."""
     n = profile.n
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    cells = [(m, tuple(seed) if isinstance(seed, (tuple, list)) else (seed,))
+             for m, seed in cells]
+    for m, _ in cells:
+        if not 0 <= m <= n:
+            raise ValueError(f"weight m={m} out of range for n={n}")
     s = np.array(profile.s)
-    jobs = iter(jobs)
-    while block := list(itertools.islice(jobs, max(1, _DRAW_BLOCK // n))):
-        X = np.empty((len(block), n), dtype=np.uint8)
+    # One generator for the whole loop; each input and each tape swaps its
+    # own state in.  The seeds of _SEED_CHUNK trials, across cells, are
+    # derived together: the inputs' at once, the tapes' on their first draw.
+    gen = np.random.default_rng(0)
+    total, size = len(cells) * trials, max(1, _DRAW_BLOCK // n)
+    for lo in range(0, total, size):
+        rows = range(lo, min(lo + size, total))
+        X = np.empty((len(rows), n), dtype=np.uint8)
         Y = np.empty_like(X)
-        for t, (pair, _) in enumerate(block):
-            X[t], Y[t] = pair.x, pair.y
-        tapes = [tape for _, tape in block]
-        channel = Channel(one_way=protocol.one_way, trials=len(block))
-        out = np.asarray(protocol.run(X, Y, profile, channel, tapes),
-                         dtype=np.int64)
-        channel._final_answer(out[:, None])
+        tapes = []
+        for row, i in enumerate(rows):
+            j = i % _SEED_CHUNK
+            if j == 0:
+                keys = [(*cells[k // trials][1], k % trials)
+                        for k in range(i, min(i + _SEED_CHUNK, total))]
+                inputs = _SeedChunk([(*key, 0) for key in keys], gen)
+                tape_seeds = _SeedChunk([(*key, 1) for key in keys], gen)
+            gen.bit_generator.state = inputs.state(j)
+            pair = weighted_pair(n, cells[i // trials][0], gen)
+            X[row], Y[row] = pair.x, pair.y
+            tapes.append(RandomTape(tape_seeds.seeds[j], tape_seeds, j))
+        out, channel = _run_block(protocol, profile, X, Y, tapes)
         yield out, s[np.count_nonzero(X != Y, axis=1)], channel
 
 
@@ -343,8 +379,8 @@ def run_protocol(protocol: Protocol, pair: InputPair,
     """Execute one protocol run, a block of one; deterministic given seed."""
     if pair.n != profile.n:
         raise ProfileError(f"pair length {pair.n} != profile n {profile.n}")
-    (out, _, channel), = _run_blocks(protocol, profile,
-                                     [(pair, RandomTape(seed))])
+    out, channel = _run_block(protocol, profile, pair.x[None], pair.y[None],
+                              [RandomTape(seed)])
     return int(out[0]), channel.transcript()
 
 
@@ -380,41 +416,11 @@ def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
     return InputPair._of_bits(x, y)
 
 
-def _trial_jobs(n: int, cells, trials: int):
-    """The (pair, tape) of each trial of the (m, seed) cells, cell by cell.
-
-    Trial t of a cell draws its input from the seed (*seed, t, 0) and its
-    tape from (*seed, t, 1), so every trial is replayable on its own.  Every
-    cell's m is checked before the first job is made.
-    """
-    cells = [(m, tuple(seed) if isinstance(seed, (tuple, list)) else (seed,))
-             for m, seed in cells]
-    for m, _ in cells:
-        if not 0 <= m <= n:
-            raise ValueError(f"weight m={m} out of range for n={n}")
-    return _chunked_jobs(n, cells, trials)
-
-
-def _chunked_jobs(n: int, cells, trials: int):
-    # One generator for the whole loop; each input and each tape swaps its
-    # own state in.  The seeds of _SEED_CHUNK trials, across cells, are
-    # derived together: the inputs' at once, the tapes' on their first draw.
-    gen = np.random.default_rng(0)
-    keys = ((m, base, t) for m, base in cells for t in range(trials))
-    while chunk := list(itertools.islice(keys, _SEED_CHUNK)):
-        inputs = _SeedChunk([(*base, t, 0) for _, base, t in chunk], gen)
-        tapes = _SeedChunk([(*base, t, 1) for _, base, t in chunk], gen)
-        for i, (m, _, _) in enumerate(chunk):
-            gen.bit_generator.state = inputs.state(i)
-            tape = RandomTape(tapes.seeds[i], tapes, i)
-            yield weighted_pair(n, m, gen), tape
-
-
 def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
                trials: int, seed) -> Iterator[tuple[int, int, Transcript]]:
     """Yield (output, truth, transcript) for each trial at XOR-weight m."""
-    jobs = _trial_jobs(profile.n, [(m, seed)], trials)
-    for out, truth, channel in _run_blocks(protocol, profile, jobs):
+    for out, truth, channel in _run_blocks(protocol, profile, [(m, seed)],
+                                           trials):
         for t in range(len(out)):
             yield int(out[t]), int(truth[t]), channel.transcript(t)
 
@@ -422,14 +428,10 @@ def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
 def _estimates(protocol: Protocol, profile: SymmetricProfile, cells,
                trials: int) -> list[MCResult]:
     """The MCResult of each (m, seed) cell, all cells' trials in one loop."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    cells = list(cells)
-    jobs = _trial_jobs(profile.n, cells, trials)
     successes, bits_sum, bits_max, rounds_sum = np.zeros((4, len(cells)),
                                                          dtype=np.int64)
     done = 0
-    for out, truth, channel in _run_blocks(protocol, profile, jobs):
+    for out, truth, channel in _run_blocks(protocol, profile, cells, trials):
         cell = np.arange(done, done + len(out)) // trials
         done += len(out)
         bits = channel.bits_a_to_b + channel.bits_b_to_a
@@ -451,28 +453,38 @@ def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
     return _estimates(protocol, profile, [(m, seed)], trials)[0]
 
 
-def sweep(protocol_factory, family: str, n_list, trials: int, seed,
-          weights=None) -> list[dict]:
-    """Per-(n, weight) Monte-Carlo statistics rows for the CSV writer.
+def weight_estimates(protocol: Protocol, profile: SymmetricProfile, weights,
+                     trials: int, seed) -> list[MCResult]:
+    """The MCResult at each XOR-weight of `weights`, in order, every
+    weight's trials in one loop.  Weight m runs with the cell seed
+    (*seed, m), seed being a sequence; a weight listed twice is refused."""
+    weights = list(weights)
+    if len(set(weights)) < len(weights):
+        raise ValueError(f"weights {weights} list a weight twice")
+    return _estimates(protocol, profile,
+                      [(m, (*seed, m)) for m in weights], trials)
 
-    The trials of every weight of one n run in one loop, so small cells
-    share their blocks."""
+
+# The columns of a sweep row, in the order the CSV writer prints them.
+SWEEP_FIELDS = ("n", "family", "r0", "r1", "r", "protocol", "weight", "trials",
+                "success_rate", "mean_bits", "max_bits", "rounds_mean")
+
+
+def sweep(protocols: dict, family: str, trials: int, seed,
+          weights=None) -> list[dict]:
+    """Monte-Carlo statistics rows keyed by SWEEP_FIELDS, for each n of
+    protocols ({n: the protocol run at n}) in increasing order and each
+    weight (default 0..n) in increasing order.  Weight m at n has the cell
+    seed (seed, n, m); every weight of one n runs in one trial loop, so
+    small cells share their blocks."""
     rows = []
-    for n in n_list:
+    for n, protocol in sorted(protocols.items()):
         profile = parse_profile(family, n)
         gp = gap_params(profile)
-        protocol = protocol_factory(profile, n)
         ws = sorted(weights) if weights is not None else range(n + 1)
-        results = _estimates(protocol, profile,
-                             [(m, (seed, n, m)) for m in ws], trials)
-        for m, res in zip(ws, results):
-            rows.append({
-                "n": n, "family": family,
-                "r0": gp.r0, "r1": gp.r1, "r": gp.r,
-                "protocol": protocol.name, "weight": m, "trials": trials,
-                "success_rate": res.success_rate,
-                "mean_bits": res.mean_bits, "max_bits": res.max_bits,
-                "rounds_mean": res.rounds_mean,
-            })
-    rows.sort(key=lambda row: (row["n"], row["weight"]))
+        results = weight_estimates(protocol, profile, ws, trials, (seed, n))
+        rows.extend(dict(zip(SWEEP_FIELDS, (
+            n, family, gp.r0, gp.r1, gp.r, protocol.name, m, trials,
+            res.success_rate, res.mean_bits, res.max_bits, res.rounds_mean)))
+            for m, res in zip(ws, results))
     return rows

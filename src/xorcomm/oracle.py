@@ -46,15 +46,8 @@ class TruthTable:
     @classmethod
     def from_profile(cls, profile: SymmetricProfile) -> "TruthTable":
         n = profile.n
-        vals = tuple(profile.s[bin(x).count("1")] for x in range(1 << n))
+        vals = tuple(profile.s[x.bit_count()] for x in range(1 << n))
         return cls(n=n, values=vals)
-
-
-def _popcount(a: np.ndarray, bits: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    for i in range(bits):
-        out += (a >> i) & 1
-    return out
 
 
 def brute_fourier(table: TruthTable, w) -> int:
@@ -66,7 +59,7 @@ def brute_fourier(table: TruthTable, w) -> int:
     total = 0
     for x, fx in enumerate(table.values):
         if fx:
-            total += -1 if bin(x & wmask).count("1") & 1 else 1
+            total += -1 if (x & wmask).bit_count() & 1 else 1
     return total
 
 
@@ -80,11 +73,11 @@ def brute_symmetric_fourier_matrix(n: int) -> np.ndarray:
     if n > MAX_TABLE_N:
         raise ValueError(f"limited to n <= {MAX_TABLE_N}")
     xs = np.arange(1 << n, dtype=np.int64)
-    wt = _popcount(xs, n)
+    wt = np.bitwise_count(xs)
     out = np.zeros((n + 1, n + 1), dtype=np.int64)
     for k in range(n + 1):
         mask = (1 << k) - 1
-        signs = 1 - 2 * (_popcount(xs & mask, n) & 1)
+        signs = np.where(np.bitwise_count(xs & mask) & 1, -1, 1)
         out[k] = np.bincount(wt, weights=signs, minlength=n + 1).astype(np.int64)
     return out
 
@@ -110,16 +103,8 @@ def trivial_profile_indices(n: int) -> tuple[int, int, int, int]:
 def _primes_above(start: int, count: int) -> tuple[int, ...]:
     out, cand = [], start | 1
     while len(out) < count:
-        p, is_p = cand, True
-        d = 3
-        if p % 2 == 0:
-            is_p = False
-        while is_p and d * d <= p:
-            if p % d == 0:
-                is_p = False
-            d += 2
-        if is_p:
-            out.append(p)
+        if all(cand % d for d in range(3, math.isqrt(cand) + 1, 2)):
+            out.append(cand)
         cand += 2
     return tuple(out)
 

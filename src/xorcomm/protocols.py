@@ -220,6 +220,12 @@ def _probe_reps(r: int, factor: int) -> int:
     return math.ceil(factor * math.log2(math.log2(max(r, 4))))
 
 
+def _probe_count(r: int) -> int:
+    # xor2way's search probes: ceil(log2 r) always suffices, and padding the
+    # collapsed tail to it keeps the transcript length input-independent
+    return math.ceil(math.log2(r)) if r > 1 else 0
+
+
 def _enum_reps(r: int, factor: int) -> int:
     return math.ceil(factor * math.log2(max(r, 2)))
 
@@ -325,12 +331,9 @@ class TwoWayXorProtocol(_XorProtocol):
         tail = np.flatnonzero(region != MIDDLE)
         flip = region[tail] == UPPER
         reps = _probe_reps(r, self.search_rep_factor)
-        # Fixed probe count: ceil(log2 r) always suffices, and padding the
-        # collapsed tail keeps the transcript length input-independent.
-        probes = math.ceil(math.log2(r)) if r > 1 else 0
         lo = np.zeros(len(tail), dtype=np.int64)
         hi = np.full(len(tail), r - 1)
-        for _ in range(probes):
+        for _ in range(_probe_count(r)):
             mid = (lo + hi) // 2
             diffs = _bucket_parities(
                 X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes,
@@ -352,9 +355,8 @@ class TwoWayXorProtocol(_XorProtocol):
         bits = 2 * self.region_reps * b + 2
         if region == "middle":
             return bits + 1
-        probes = max(0, math.ceil(math.log2(r))) if r > 1 else 0
         reps = _probe_reps(r, self.search_rep_factor)
-        return bits + probes * (reps * b + 1)
+        return bits + _probe_count(r) * (reps * b + 1)
 
 
 class OneWayXorProtocol(_XorProtocol):

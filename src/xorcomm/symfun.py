@@ -137,6 +137,11 @@ def _feasible(s: tuple[int, ...], n: int, r0p: int, r1p: int) -> bool:
     return all(s[k] == s[k + 2] for k in range(r0p, n - r1p - 1))
 
 
+def _period_breaks(s: tuple[int, ...]) -> list[int]:
+    """Every t with s[t] != s[t+2]: where S fails to be 2-periodic."""
+    return [t for t in range(len(s) - 2) if s[t] != s[t + 2]]
+
+
 @functools.lru_cache(maxsize=4096)
 def gap_params(profile: SymmetricProfile) -> GapParams:
     """Componentwise-minimal (r0, r1) making S 2-periodic on [r0, n-r1)."""
@@ -149,7 +154,7 @@ def gap_params(profile: SymmetricProfile) -> GapParams:
     # (v, cap) is feasible iff no violating pair {k, k+2} has v <= k <=
     # n-cap-2, so r0 is one past the last violation in that range; likewise
     # r1 is n-1 minus the first violation at or above cap.
-    bad = [k for k in range(n - 1) if s[k] != s[k + 2]]
+    bad = _period_breaks(s)
     r0 = max((k + 1 for k in bad if k <= n - cap - 2), default=0)
     r1 = max((n - 1 - k for k in bad if k >= cap), default=0)
     saturated = r0 > cap or r1 > cap
@@ -170,8 +175,7 @@ def flip_reduction(profile: SymmetricProfile) -> SymmetricProfile:
 
 def conjectured_unbounded_measure(profile: SymmetricProfile) -> int:
     """Count of t with S(t) != S(t+2); reported as a statistic only."""
-    s = profile.s
-    return sum(1 for t in range(profile.n - 1) if s[t] != s[t + 2])
+    return len(_period_breaks(profile.s))
 
 
 def parse_profile(spec: str, n: int) -> SymmetricProfile:

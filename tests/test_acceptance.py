@@ -176,8 +176,8 @@ def test_09_scaling_report():
     n, trials, seed = 512, 20, 11
     means = {}
     for d in (7, 15, 31, 63):
-        rows = sweep(lambda p, nn: TwoWayXorProtocol(), f"threshold:{d}",
-                     [n], trials, seed)
+        rows = sweep({n: TwoWayXorProtocol()}, f"threshold:{d}", trials,
+                     seed)
         r = rows[0]["r"]
         means[r] = sum(row["mean_bits"] for row in rows) / len(rows)
     assert set(means) == {8, 16, 32, 64}

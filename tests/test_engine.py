@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from xorcomm import engine
 from xorcomm.engine import (Channel, Protocol, RandomTape, ScheduleViolation,
                             _pcg64_states, _SeedChunk, make_report,
-                            mc_error_estimate, run_protocol, sweep,
-                            weighted_pair)
+                            mc_error_estimate, run_protocol, run_trials,
+                            sweep, weight_estimates, weighted_pair)
 from xorcomm.protocols import (FullSendProtocol, ParityProtocol,
                                TwoWayXorProtocol, make_protocol)
 from xorcomm.symfun import InputPair, ProfileError, parse_profile
@@ -75,6 +75,17 @@ class TestChannel:
         p = parse_profile("parity", 4)
         with pytest.raises(ScheduleViolation):
             run_protocol(Rogue(), random_pair(4, 0), p, seed=0)
+
+    def test_send_needs_an_entry_per_charged_trial(self):
+        ch = Channel(trials=2)
+        with pytest.raises(ValueError, match="3 entries sent to 2 trials"):
+            ch.a_to_b(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="5 entries sent to 1 trials"):
+            ch.a_to_b(np.zeros((5, 4)), np.array([0]))
+        assert ch.bits_a_to_b.tolist() == [0, 0]  # refused sends count 0
+        ch.a_to_b(np.zeros((2, 4)))
+        ch.a_to_b(np.zeros((3, 2, 4)), np.array([1, 0, 1]))
+        assert ch.bits_a_to_b.tolist() == [12, 20]
 
     def test_final_answer_exempt(self, recorder):
         out, transcript = run_protocol(ParityProtocol(), random_pair(6, 1),
@@ -198,8 +209,7 @@ class TestTape:
             return _pcg64_states(seeds)
 
         monkeypatch.setattr(engine, "_pcg64_states", spy)
-        rows = sweep(lambda p, n: TwoWayXorProtocol(), "threshold:8", [64],
-                     3, 7)
+        rows = sweep({64: TwoWayXorProtocol()}, "threshold:8", 3, 7)
         assert len(rows) == 65
         assert len(derived) == 65 * 3
         assert all(seed[-1] == 0 for seed in derived)
@@ -252,20 +262,19 @@ class TestSeedDerivation:
 
 class TestSweep:
     def test_empty_n_list(self):
-        rows = sweep(lambda p, n: ParityProtocol(), "parity", [], 5, 0)
+        rows = sweep({}, "parity", 5, 0)
         assert rows == []
 
     def test_single_cell_deterministic(self):
-        rows1 = sweep(lambda p, n: ParityProtocol(), "parity", [8], 1, 3,
-                      weights=[2])
-        rows2 = sweep(lambda p, n: ParityProtocol(), "parity", [8], 1, 3,
-                      weights=[2])
+        rows1 = sweep({8: ParityProtocol()}, "parity", 1, 3, weights=[2])
+        rows2 = sweep({8: ParityProtocol()}, "parity", 1, 3, weights=[2])
         assert rows1 == rows2
         assert len(rows1) == 1
         assert rows1[0]["success_rate"] == 1.0
 
     def test_bad_weight_fails_before_any_block(self, monkeypatch):
-        # three good cells of 3,000 trials fill 4 blocks of 2,048 at n = 8
+        # three good cells of 3,000 trials take 5 blocks of at most 2,048
+        # at n = 8
         blocks = []
         run_blocks = engine._run_blocks
 
@@ -276,16 +285,27 @@ class TestSweep:
 
         monkeypatch.setattr(engine, "_run_blocks", spy)
         with pytest.raises(ValueError, match="m=99 out of range"):
-            sweep(lambda p, n: ParityProtocol(), "parity", [8], 3000, 0,
+            sweep({8: ParityProtocol()}, "parity", 3000, 0,
                   weights=[0, 1, 2, 99])
         assert blocks == []
-        sweep(lambda p, n: ParityProtocol(), "parity", [8], 3000, 0,
-              weights=[0, 1, 2])
+        sweep({8: ParityProtocol()}, "parity", 3000, 0, weights=[0, 1, 2])
         assert len(blocks) == 5 and sum(blocks) == 9000
 
+    def test_repeated_weight_refused(self):
+        with pytest.raises(ValueError, match="list a weight twice"):
+            sweep({8: ParityProtocol()}, "parity", 1, 3, weights=[2, 1, 2])
+
+    def test_weight_cells_are_seeded_cells(self):
+        # weight m of weight_estimates runs the cell seeded (*seed, m)
+        profile = parse_profile("threshold:2", 16)
+        proto = TwoWayXorProtocol()
+        got = weight_estimates(proto, profile, [5, 0, 3], 4, (9, 16))
+        assert got == [mc_error_estimate(proto, profile, m, 4, (9, 16, m))
+                       for m in (5, 0, 3)]
+
     def test_rows_sorted(self):
-        rows = sweep(lambda p, n: FullSendProtocol(), "threshold:1", [4, 2],
-                     1, 0)
+        rows = sweep({4: FullSendProtocol(), 2: FullSendProtocol()},
+                     "threshold:1", 1, 0)
         keys = [(r["n"], r["weight"]) for r in rows]
         assert keys == sorted(keys)
 
@@ -296,6 +316,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials"):
             mc_error_estimate(ParityProtocol(), parse_profile("parity", 4), 1,
                               0, seed=0)
+        # and a trial generator of none is refused, not silently empty
+        with pytest.raises(ValueError, match="trials"):
+            next(run_trials(ParityProtocol(), parse_profile("parity", 4), 1,
+                            0, seed=0))
 
 
 class TestReport:

@@ -183,6 +183,22 @@ class TestRankCertificate:
         M = np.array([[q1, 0, 0, 1], [0, q2, 0, 1], [0, 0, q3, 1]])
         assert oracle._kernel_certificate(M, p) == 3
 
+    def test_lift_failure_reaches_fallback(self, monkeypatch):
+        # the reduced echelon form holds +-1/2, above the lift bound
+        # isqrt(7 / 2) = 1, so the kernel is not lifted and the fallback
+        # primes give the rank
+        M = np.array([[1, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0]])
+        lifts = []
+        rational_lift = oracle._rational_lift
+
+        def spy(U, p):
+            lifts.append(rational_lift(U, p))
+            return lifts[-1]
+        monkeypatch.setattr(oracle, "_rational_lift", spy)
+        assert oracle._kernel_certificate(M, 7) is None
+        assert lifts == [None]
+        assert oracle._exact_rank(M, 7) == 3
+
     def test_rational_lift(self):
         p = 101  # bound isqrt(50) = 7
         U = np.array([[0, 1, p - 1], [3 * pow(4, -1, p) % p, 50, 7]])

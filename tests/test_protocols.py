@@ -442,8 +442,8 @@ def check_loop(protocol, profile, weights, trials, seed, block):
         mp.setattr(engine, "_DRAW_BLOCK", block)
         mp.setattr(engine, "RandomTape", _LoggedTape)
         _LoggedTape.made = []
-        rows = engine.sweep(lambda p, n: protocol, profile_spec(profile),
-                            [n], trials, seed, weights=weights)
+        rows = engine.sweep({n: protocol}, profile_spec(profile), trials,
+                            seed, weights=weights)
         tapes = {tape._seed: tape for tape in _LoggedTape.made}
         assert len(tapes) == len(_LoggedTape.made) == len(weights) * trials
         for row, m in zip(rows, sorted(weights)):
