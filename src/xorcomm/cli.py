@@ -264,15 +264,17 @@ def cmd_sweep(args) -> int:
     # Every n's profile and protocol are built, then --out is opened, all
     # before the first cell runs: a refused run creates or truncates no
     # file, and an unwritable path fails at once.
-    built = {n: _make_protocol(args, symfun.parse_profile(args.profile, n))
-             for n in n_list}
+    cells = {}
+    for n in n_list:
+        profile = symfun.parse_profile(args.profile, n)
+        cells[n] = (profile, _make_protocol(args, profile))
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
         raise ValueError(
             f"sweep --out cannot write {args.out}: {exc}") from None
     try:
-        rows = engine.sweep(built, args.profile, args.trials, seed)
+        rows = engine.sweep(cells, args.profile, args.trials, seed)
         writer = csv.DictWriter(out, fieldnames=engine.SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)

@@ -20,22 +20,21 @@ its own state into the loop's one generator.  A chunk's tape states are
 derived on the first draw of any of its tapes.  The tests check the states
 and the draws against numpy's own SeedSequence.
 
-Bits are counted, not transmitted: the channel keeps running totals per
-direction and the number of rounds, and stores no payload.  Bob is the
-output party for every protocol; the engine appends his 1-bit answer to the
-transcript so both parties know the result.
+Bits are counted, not transmitted: a send is a bit count, which the
+channel charges to the trials it lists, keeping running totals per
+direction and the number of rounds; no protocol builds a payload.  Bob is
+the output party for every protocol; the engine appends his 1-bit answer
+to the transcript so both parties know the result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .symfun import (InputPair, ProfileError, SymmetricProfile, gap_params,
-                     parse_profile)
+from .symfun import InputPair, ProfileError, SymmetricProfile, gap_params
 
 # Most input bits one block of trials holds (trials * n), and most tape
 # values one draw block of a protocol phase takes.  A larger phase is split
@@ -235,16 +234,11 @@ _TO_BOB, _TO_ALICE = 1, 2
 
 class Channel:
     """Counts, for each trial of a block, the bits each party sends and the
-    rounds; stores no payload.  Enforces the one-way restriction when
-    declared.
+    rounds.  Enforces the one-way restriction when declared.
 
-    A send is an array of two or more axes with one entry of its first
-    axis per charged trial (else ValueError): entry i goes to trial trials[i]
-    (to trial i when trials is None; a trial may take several entries, in
-    order), and is one message, or along the middle axes that trial's
-    messages in order; the last axis holds a message's bits.  Without
-    trials, a send may also be one sized sequence of bits (a tuple, a numpy
-    row), sent in every trial.  Only lengths are kept.
+    A send is a bit count: it charges `bits` to each trial that `trials`
+    lists (an index array; None: every trial), and a trial listed twice is
+    charged twice but starts at most one round.
     """
 
     def __init__(self, one_way: bool = False, trials: int = 1):
@@ -254,35 +248,27 @@ class Channel:
         self.rounds = np.zeros(trials, dtype=np.int64)
         self._last = np.zeros(trials, dtype=np.int8)  # 0: nothing sent yet
 
-    def _count(self, to_bob: bool, bits, trials=None) -> None:
+    def _count(self, to_bob: bool, bits: int, trials=None) -> None:
         totals = self.bits_a_to_b if to_bob else self.bits_b_to_a
-        shape = np.shape(bits)
-        charged = len(totals) if trials is None else len(trials)
-        if len(shape) >= 2 and shape[0] != charged:
-            raise ValueError(f"{shape[0]} entries sent to {charged} trials")
-        if trials is None:
-            where = slice(None)
-            totals += len(bits) if len(shape) < 2 else math.prod(shape[1:])
-        else:
-            where = trials
-            np.add.at(totals, trials, math.prod(shape[1:]))
-        # a trial that takes several rows starts at most one round
+        where = slice(None) if trials is None else trials
+        np.add.at(totals, where, bits)
+        # a trial listed twice starts at most one round
         direction = _TO_BOB if to_bob else _TO_ALICE
         self.rounds[where] += self._last[where] != direction
         self._last[where] = direction
 
-    def a_to_b(self, bits, trials=None) -> None:
+    def a_to_b(self, *, bits: int, trials=None) -> None:
         self._count(True, bits, trials)
 
-    def b_to_a(self, bits, trials=None) -> None:
+    def b_to_a(self, *, bits: int, trials=None) -> None:
         if self.one_way:
             raise ScheduleViolation(
                 "one-way protocol attempted a Bob->Alice content message")
         self._count(False, bits, trials)
 
-    def _final_answer(self, bits) -> None:
-        # the designated output message is exempt from the one-way check
-        self._count(False, bits)
+    def _final_answer(self) -> None:
+        # Bob's 1-bit answer, exempt from the one-way check
+        self._count(False, 1)
 
     def transcript(self, t: int = 0) -> Transcript:
         """Trial t's bit counts and rounds."""
@@ -328,7 +314,7 @@ def _run_block(protocol: Protocol, profile: SymmetricProfile, X, Y,
     channel = Channel(one_way=protocol.one_way, trials=len(tapes))
     out = np.asarray(protocol.run(X, Y, profile, channel, tapes),
                      dtype=np.int64)
-    channel._final_answer(out[:, None])
+    channel._final_answer()
     return out, channel
 
 
@@ -470,16 +456,15 @@ SWEEP_FIELDS = ("n", "family", "r0", "r1", "r", "protocol", "weight", "trials",
                 "success_rate", "mean_bits", "max_bits", "rounds_mean")
 
 
-def sweep(protocols: dict, family: str, trials: int, seed,
+def sweep(cells: dict, family: str, trials: int, seed,
           weights=None) -> list[dict]:
     """Monte-Carlo statistics rows keyed by SWEEP_FIELDS, for each n of
-    protocols ({n: the protocol run at n}) in increasing order and each
-    weight (default 0..n) in increasing order.  Weight m at n has the cell
-    seed (seed, n, m); every weight of one n runs in one trial loop, so
-    small cells share their blocks."""
+    cells ({n: (the profile family parsed at n, the protocol run at n)}) in
+    increasing order and each weight (default 0..n) in increasing order.
+    Weight m at n has the cell seed (seed, n, m); every weight of one n
+    runs in one trial loop, so small cells share their blocks."""
     rows = []
-    for n, protocol in sorted(protocols.items()):
-        profile = parse_profile(family, n)
+    for n, (profile, protocol) in sorted(cells.items()):
         gp = gap_params(profile)
         ws = sorted(weights) if weights is not None else range(n + 1)
         results = weight_estimates(protocol, profile, ws, trials, (seed, n))

@@ -22,7 +22,11 @@ _bucket_parities: the (trial, repetition) rows are one axis, split into
 whole-row draw blocks of at most _DRAW_BLOCK tape values, each trial's rows
 drawn from its own tape in order, and each draw block counted by one
 bincount.  The sends and votes still follow the protocol's order; xor2way's
-probes are each sent, and voted on by Bob, one at a time.
+probes are each sent, and voted on by Bob, one at a time.  A send is a bit
+count (see engine.Channel), so no protocol builds the bits it sends: a
+phase charges R * b bits to each of its trials at once, and the sketch
+needs, per bucket, only how many positions have Alice's bit and Bob's
+differ.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -52,21 +56,9 @@ def _flag(default, flag: str):
     return field(default=default, metadata={"flag": flag})
 
 
-def _padded_rows(k: int, n: int, b: int) -> np.ndarray | None:
-    """A zeroed buffer for the identity map's rows (b >= n) of k trials:
-    as many b-byte rows as 8 * _DRAW_BLOCK bytes hold, at least one and at
-    most k.  A send writes only a row's first n bytes, so every phase given
-    the buffer reuses its zero padding.  None when b < n: the maps are
-    drawn."""
-    if b < n:
-        return None
-    return np.zeros((max(1, min(k, 8 * engine._DRAW_BLOCK // b)), b),
-                    dtype=np.uint8)
-
-
 def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
                      tapes: list[RandomTape], channel: Channel,
-                     trials=None, padded=None) -> np.ndarray:
+                     trials=None) -> np.ndarray:
     """Send Alice's bucket-parity rows of one phase, in each trial that
     `trials` selects (an index array; None: every trial), and return each
     row's count of differing buckets, shape (k, R) for k trials.
@@ -76,18 +68,14 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     or its complement where flips is true, which turns a test on
     |x xor y| into one on n - |x xor y|; flips has shape (R,), shared by the
     trials, or (k, R).  A repetition votes ">d" iff its count exceeds d.
+    A row is b bits, so the phase charges R * b bits to each selected trial.
 
-    When b >= n the bucket map is the identity: nothing is drawn, Alice's
-    row is her bits zero-padded to b and the count is exact; each run of
-    rows with one flip is sent as one padded row per trial, a group of
-    trials at a time, written into `padded` (from _padded_rows; None: a new
-    one).  A caller with several phases passes one buffer to all of them,
-    so the padding of b bytes a row is made once.  Otherwise the (trial,
-    row) pairs form one axis, trial-major, split into draw blocks of whole
-    rows; each trial's rows come from draws of whole rows off its own tape,
-    in order.  For PCG64 that is the same stream, and the same end state,
-    as one draw of n values per row.  Rows are sent block by block, so no
-    more than one block of them is ever held.
+    When b >= n the bucket map is the identity: nothing is drawn and the
+    count is the distance itself.  Otherwise the (trial, row) pairs form
+    one axis, trial-major, split into draw blocks of whole rows; each
+    trial's rows come from draws of whole rows off its own tape, in order.
+    For PCG64 that is the same stream, and the same end state, as one draw
+    of n values per row.
     """
     if trials is None:
         trials = np.arange(len(X))
@@ -96,35 +84,18 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     flips = np.asarray(flips, dtype=bool)
     R = flips.shape[-1]
     flips = np.broadcast_to(flips, (k, R))
+    if R:
+        channel.a_to_b(bits=R * b, trials=trials)
     if b >= n:
         distance = np.count_nonzero(Xs != Ys, axis=1)[:, None]
-        # Rows in a run between two flip changes are equal in each trial:
-        # one zero-padded row per trial is sent as the run's messages.
-        cuts = np.flatnonzero((flips[:, 1:] != flips[:, :-1]).any(axis=0))
-        runs = zip([0, *(cuts + 1)], [*(cuts + 1), R]) if R else ()
-        if padded is None:
-            padded = _padded_rows(k, n, b)
-        group = len(padded)
-        for a, e in runs:
-            for lo in range(0, k, group):
-                these = slice(lo, lo + group)
-                rows = padded[:len(Xs[these])]
-                rows[:, :n] = Xs[these] ^ flips[these, a, None]
-                channel.a_to_b(np.broadcast_to(rows[:, None],
-                                               (len(rows), e - a, b)),
-                               trials[these])
         return np.where(flips, n - distance, distance)
     diffs = np.empty(k * R, dtype=np.int64)
-    # codes[2t + f, j] = a + 2*beta: a is Alice's bit j of trial t (x, or
-    # 1 - x on a flipped row, f = 1) and beta is Bob's, from y
-    codes = np.empty((k, 2, n), dtype=np.uint8)
-    codes[:, 0] = Xs
-    codes[:, 1] = Xs ^ 1
-    codes += 2 * Ys[:, None]
-    codes = codes.reshape(2 * k, n)
-    # row i of the phase is a row of trial trial_of[i], coded by code_of[i]
+    # Position j's code on a row of trial t is Alice's bit xor Bob's: x xor
+    # y, or its complement on a flipped row, where Alice uses 1 - x.  Row i
+    # of the phase is a row of trial trial_of[i], flipped iff flip_of[i].
+    differ = Xs ^ Ys
     trial_of = np.repeat(np.arange(k), R)
-    code_of = 2 * trial_of + flips.ravel()
+    flip_of = flips.reshape(-1, 1)
     step = max(1, min(engine._DRAW_BLOCK // n, k * R))
     offsets = b * np.arange(step)[:, None]
     block = np.empty((step, n), dtype=np.int64)
@@ -135,19 +106,16 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
             first, last = max(lo, i * R), min(hi, (i + 1) * R)
             slot[first - lo:last - lo] = tapes[trials[i]].integers(
                 b, size=(last - first) * n).reshape(last - first, n)
-        # Position j of block row i counts into cell ((i*b + slot) << 2) +
+        # Position j of block row i counts into cell ((i*b + slot) << 1) +
         # code: one bincount gives, per row and bucket, how many positions
-        # have each (Alice, Bob) bit pair.
+        # have Alice's bit equal to Bob's and how many differ.  The
+        # parities differ iff an odd number of positions differ.
         slot += offsets[:hi - lo]
-        slot <<= 2
-        slot += codes[code_of[lo:hi]]
+        slot <<= 1
+        slot += differ[trial_of[lo:hi]] ^ flip_of[lo:hi]
         cnt = np.bincount(slot.ravel(),
-                          minlength=4 * (hi - lo) * b).reshape(hi - lo, b, 4)
-        # Alice's parity counts codes 1 and 3, Bob's 2 and 3; they differ
-        # iff codes 1 and 2 together are odd
-        channel.a_to_b((cnt[..., 1] + cnt[..., 3]) & 1,
-                       trials[trial_of[lo:hi]])
-        diffs[lo:hi] = ((cnt[..., 1] + cnt[..., 2]) & 1).sum(axis=1)
+                          minlength=2 * (hi - lo) * b).reshape(hi - lo, b, 2)
+        diffs[lo:hi] = (cnt[..., 1] & 1).sum(axis=1)
     return diffs.reshape(k, R)
 
 
@@ -156,9 +124,8 @@ def _distance_parity(X, Y, channel: Channel, trials=None) -> np.ndarray:
     adds |y| mod 2."""
     if trials is not None:
         X, Y = X[trials], Y[trials]
-    pa = np.count_nonzero(X, axis=1) & 1
-    channel.a_to_b(pa[:, None], trials)
-    return (pa + np.count_nonzero(Y, axis=1)) & 1
+    channel.a_to_b(bits=1, trials=trials)
+    return (np.count_nonzero(X, axis=1) + np.count_nonzero(Y, axis=1)) & 1
 
 
 class ParityProtocol(Protocol):
@@ -178,7 +145,7 @@ class FullSendProtocol(Protocol):
     one_way = True
 
     def run(self, X, Y, profile, channel, tapes):
-        channel.a_to_b(X)
+        channel.a_to_b(bits=X.shape[1])
         return np.array(profile.s)[np.count_nonzero(X != Y, axis=1)]
 
 
@@ -258,10 +225,8 @@ def _run_trivial(profile: SymmetricProfile, gp: GapParams, X, Y,
     return np.array(profile.s)[_distance_parity(X, Y, channel)]
 
 
-# The regions of |x xor y|, [0, r), [r, n-r] and (n-r, n], and Bob's
-# two-bit report of each in the two-way protocol, row LOWER, MIDDLE or UPPER
+# The regions of |x xor y|: [0, r), [r, n-r] and (n-r, n]
 LOWER, MIDDLE, UPPER = range(3)
-_REGION_BITS = np.array([(0, 0), (0, 1), (1, 0)])
 
 
 def _region_flips(reps: int) -> list[bool]:
@@ -316,12 +281,10 @@ class TwoWayXorProtocol(_XorProtocol):
         n, r = profile.n, gp.r
         s = np.array(profile.s)
         b = 2 * r * r
-        # one identity-map buffer for the region phase and every probe
-        padded = _padded_rows(len(X), n, b)
         diffs = _bucket_parities(X, Y, _region_flips(self.region_reps), b,
-                                 tapes, channel, padded=padded)
+                                 tapes, channel)
         region = _region(diffs, r)
-        channel.b_to_a(_REGION_BITS[region])
+        channel.b_to_a(bits=2)  # Bob's report of the region
         out = np.empty(len(X), dtype=np.int64)
 
         middle = np.flatnonzero(region == MIDDLE)
@@ -337,9 +300,9 @@ class TwoWayXorProtocol(_XorProtocol):
             mid = (lo + hi) // 2
             diffs = _bucket_parities(
                 X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes,
-                channel, tail, padded)
+                channel, tail)
             vote = (diffs > mid[:, None]).any(axis=1)
-            channel.b_to_a(vote[:, None], tail)
+            channel.b_to_a(bits=1, trials=tail)
             searching = lo < hi
             lo, hi = (np.where(searching & vote, mid + 1, lo),
                       np.where(searching & ~vote, mid, hi))

@@ -1,10 +1,10 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import xorcomm.engine
+import xorcomm.protocols
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -21,14 +21,13 @@ def package_on_subprocess_path():
 
 @pytest.fixture
 def recorder(monkeypatch):
-    """A Channel subclass that also logs each message, installed as
+    """A Channel subclass that also logs each send, installed as
     `xorcomm.engine.Channel` so run_protocol uses it.
 
     It logs a block of one trial, as run_protocol runs: each instance logs
-    (direction, bits) per message, direction "a2b" or "b2a" and bits a
-    tuple of ints, the final answer included (an array send of two or more
-    axes holds a message per last-axis row); the class keeps every
-    instance, in creation order, in `channels`.
+    (direction, bits) for each send that charges the trial, direction "a2b"
+    or "b2a" and bits the count charged, the final answer included; the
+    class keeps every instance, in creation order, in `channels`.
     """
 
     class Recorder(xorcomm.engine.Channel):
@@ -42,13 +41,23 @@ def recorder(monkeypatch):
 
         def _count(self, to_bob, bits, trials=None):
             super()._count(to_bob, bits, trials)
-            if np.ndim(bits) < 2:  # one message
-                bits = [bits]
-            else:
-                bits = np.reshape(bits, (-1, np.shape(bits)[-1]))
-            self.log.extend(("a2b" if to_bob else "b2a",
-                             tuple(int(b) for b in message))
-                            for message in bits)
+            charges = 1 if trials is None else len(trials)
+            self.log.extend([("a2b" if to_bob else "b2a", bits)] * charges)
 
     monkeypatch.setattr(xorcomm.engine, "Channel", Recorder)
     return Recorder
+
+
+@pytest.fixture
+def regions(monkeypatch):
+    """The list of the regions the XOR protocols place each run in: each
+    call of `protocols._region` appends its array, one entry per trial."""
+    taken = []
+    region = xorcomm.protocols._region
+
+    def spy(diffs, r):
+        taken.append(region(diffs, r))
+        return taken[-1]
+
+    monkeypatch.setattr(xorcomm.protocols, "_region", spy)
+    return taken

@@ -19,8 +19,8 @@ from xorcomm.engine import (mc_error_estimate, run_protocol, sweep,
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, sampled_lemma_scan)
-from xorcomm.protocols import (FullSendProtocol, HamProtocol,
-                               OneWayXorProtocol, ParityProtocol,
+from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
+                               HamProtocol, OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, default_buckets)
 from xorcomm.spectral import (binom, krawtchouk_matrix, parseval_check,
                               weight_spectrum)
@@ -130,7 +130,7 @@ def test_07_end_to_end_success(protocol_name, n):
     _ok(f"7 end-to-end {protocol_name} >= 0.9 on full weight grid at n={n}")
 
 
-def test_08_bit_accounting(recorder):
+def test_08_bit_accounting(regions):
     rng = np.random.default_rng(80)
     # parity: exactly 1 content bit
     p = parse_profile("parity", 40)
@@ -154,16 +154,12 @@ def test_08_bit_accounting(recorder):
         prof = parse_profile(spec, n)
         for m in range(0, n + 1, 3):
             pair = weighted_pair(n, m, rng)
+            taken = len(regions)
             _, t = run_protocol(proto, pair, prof, seed=(m, 8))
-            b2a = [bits for direction, bits in recorder.channels[-1].log
-                   if direction == "b2a"]
-            if len(b2a) <= 1:
-                region = "trivial"
-                expected = proto.expected_content_bits(prof, region)
-            else:
-                region = {(0, 0): "lower", (0, 1): "middle",
-                          (1, 0): "upper"}[b2a[0]]
-                expected = proto.expected_content_bits(prof, region)
+            # a trivial profile (r = 0) runs no region test
+            region = {LOWER: "lower", MIDDLE: "middle", UPPER: "upper"}[
+                regions[-1][0]] if len(regions) > taken else "trivial"
+            expected = proto.expected_content_bits(prof, region)
             assert t.content_bits == expected, (spec, n, m, region)
     _ok("8 bit accounting (parity/fullsend/ham/xor2way closed forms, exact)")
 
@@ -176,8 +172,9 @@ def test_09_scaling_report():
     n, trials, seed = 512, 20, 11
     means = {}
     for d in (7, 15, 31, 63):
-        rows = sweep({n: TwoWayXorProtocol()}, f"threshold:{d}", trials,
-                     seed)
+        family = f"threshold:{d}"
+        rows = sweep({n: (parse_profile(family, n), TwoWayXorProtocol())},
+                     family, trials, seed)
         r = rows[0]["r"]
         means[r] = sum(row["mean_bits"] for row in rows) / len(rows)
     assert set(means) == {8, 16, 32, 64}

@@ -19,13 +19,19 @@ def random_pair(n, seed):
                      tuple(int(b) for b in rng.integers(0, 2, n)))
 
 
+def cells(protocol, family, *ns):
+    """sweep's cells {n: (family parsed at n, protocol)}, n in the order
+    given."""
+    return {n: (parse_profile(family, n), protocol) for n in ns}
+
+
 class TestTranscript:
     def test_bit_accounting(self):
         ch = Channel()
-        ch.a_to_b((0, 1, 0, 1))
-        ch.b_to_a((1,))
-        ch.a_to_b((0, 0))
-        ch._final_answer((1,))
+        ch.a_to_b(bits=4)
+        ch.b_to_a(bits=1)
+        ch.a_to_b(bits=2)
+        ch._final_answer()
         t = ch.transcript()
         assert t.bits_a_to_b == 6
         assert t.bits_b_to_a == 2
@@ -38,20 +44,18 @@ class TestTranscript:
         assert t.rounds == 0
         assert t.total_bits == 0
 
-    @given(st.lists(st.tuples(st.booleans(),
-                              st.lists(st.integers(0, 1), min_size=1,
-                                       max_size=8)),
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 8)),
                     max_size=20))
     def test_totals_are_sum_of_payloads(self, items):
         ch = Channel()
         for to_bob, bits in items:
             if to_bob:
-                ch.a_to_b(bits)
+                ch.a_to_b(bits=bits)
             else:
-                ch.b_to_a(bits)
+                ch.b_to_a(bits=bits)
         t = ch.transcript()
-        assert t.total_bits == sum(len(p) for _, p in items)
-        assert t.bits_a_to_b == sum(len(p) for to_bob, p in items if to_bob)
+        assert t.total_bits == sum(bits for _, bits in items)
+        assert t.bits_a_to_b == sum(bits for to_bob, bits in items if to_bob)
         assert t.bits_a_to_b + t.bits_b_to_a == t.total_bits
         blocks = 0
         prev = None
@@ -69,28 +73,35 @@ class TestChannel:
             one_way = True
 
             def run(self, x, y, profile, channel, tape):
-                channel.b_to_a("1")
+                channel.b_to_a(bits=1)
                 return 0
 
         p = parse_profile("parity", 4)
         with pytest.raises(ScheduleViolation):
             run_protocol(Rogue(), random_pair(4, 0), p, seed=0)
 
-    def test_send_needs_an_entry_per_charged_trial(self):
-        ch = Channel(trials=2)
-        with pytest.raises(ValueError, match="3 entries sent to 2 trials"):
+    def test_send_charges_bits_per_listed_trial(self):
+        ch = Channel(trials=3)
+        ch.a_to_b(bits=4)  # every trial
+        assert ch.bits_a_to_b.tolist() == [4, 4, 4]
+        # trial 1 listed twice: charged twice, one round
+        ch.b_to_a(bits=5, trials=np.array([1, 2, 1]))
+        assert ch.bits_b_to_a.tolist() == [0, 10, 5]
+        assert ch.rounds.tolist() == [1, 2, 2]
+        ch.b_to_a(bits=3, trials=np.array([], dtype=np.int64))  # nobody
+        assert ch.bits_b_to_a.tolist() == [0, 10, 5]
+        assert ch.rounds.tolist() == [1, 2, 2]
+        # a send is a count, never a payload
+        with pytest.raises(TypeError):
             ch.a_to_b(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="5 entries sent to 1 trials"):
-            ch.a_to_b(np.zeros((5, 4)), np.array([0]))
-        assert ch.bits_a_to_b.tolist() == [0, 0]  # refused sends count 0
-        ch.a_to_b(np.zeros((2, 4)))
-        ch.a_to_b(np.zeros((3, 2, 4)), np.array([1, 0, 1]))
-        assert ch.bits_a_to_b.tolist() == [12, 20]
+        with pytest.raises(TypeError):
+            ch.b_to_a(1, np.array([0]))
+        assert ch.bits_a_to_b.tolist() == [4, 4, 4]
 
     def test_final_answer_exempt(self, recorder):
         out, transcript = run_protocol(ParityProtocol(), random_pair(6, 1),
                                        parse_profile("parity", 6), seed=0)
-        assert recorder.channels[-1].log[-1] == ("b2a", (out,))
+        assert recorder.channels[-1].log[-1] == ("b2a", 1)
         assert transcript.bits_b_to_a == 1
 
 
@@ -209,7 +220,8 @@ class TestTape:
             return _pcg64_states(seeds)
 
         monkeypatch.setattr(engine, "_pcg64_states", spy)
-        rows = sweep({64: TwoWayXorProtocol()}, "threshold:8", 3, 7)
+        rows = sweep(cells(TwoWayXorProtocol(), "threshold:8", 64),
+                     "threshold:8", 3, 7)
         assert len(rows) == 65
         assert len(derived) == 65 * 3
         assert all(seed[-1] == 0 for seed in derived)
@@ -261,13 +273,15 @@ class TestSeedDerivation:
 
 
 class TestSweep:
+    parity8 = cells(ParityProtocol(), "parity", 8)
+
     def test_empty_n_list(self):
         rows = sweep({}, "parity", 5, 0)
         assert rows == []
 
     def test_single_cell_deterministic(self):
-        rows1 = sweep({8: ParityProtocol()}, "parity", 1, 3, weights=[2])
-        rows2 = sweep({8: ParityProtocol()}, "parity", 1, 3, weights=[2])
+        rows1 = sweep(self.parity8, "parity", 1, 3, weights=[2])
+        rows2 = sweep(self.parity8, "parity", 1, 3, weights=[2])
         assert rows1 == rows2
         assert len(rows1) == 1
         assert rows1[0]["success_rate"] == 1.0
@@ -285,15 +299,15 @@ class TestSweep:
 
         monkeypatch.setattr(engine, "_run_blocks", spy)
         with pytest.raises(ValueError, match="m=99 out of range"):
-            sweep({8: ParityProtocol()}, "parity", 3000, 0,
+            sweep(self.parity8, "parity", 3000, 0,
                   weights=[0, 1, 2, 99])
         assert blocks == []
-        sweep({8: ParityProtocol()}, "parity", 3000, 0, weights=[0, 1, 2])
+        sweep(self.parity8, "parity", 3000, 0, weights=[0, 1, 2])
         assert len(blocks) == 5 and sum(blocks) == 9000
 
     def test_repeated_weight_refused(self):
         with pytest.raises(ValueError, match="list a weight twice"):
-            sweep({8: ParityProtocol()}, "parity", 1, 3, weights=[2, 1, 2])
+            sweep(self.parity8, "parity", 1, 3, weights=[2, 1, 2])
 
     def test_weight_cells_are_seeded_cells(self):
         # weight m of weight_estimates runs the cell seeded (*seed, m)
@@ -304,7 +318,7 @@ class TestSweep:
                        for m in (5, 0, 3)]
 
     def test_rows_sorted(self):
-        rows = sweep({4: FullSendProtocol(), 2: FullSendProtocol()},
+        rows = sweep(cells(FullSendProtocol(), "threshold:1", 4, 2),
                      "threshold:1", 1, 0)
         keys = [(r["n"], r["weight"]) for r in rows]
         assert keys == sorted(keys)

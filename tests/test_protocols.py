@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from xorcomm import engine
 from xorcomm.engine import (MCResult, RandomTape, Transcript,
                             mc_error_estimate, run_protocol, weighted_pair)
-from xorcomm.protocols import (FullSendProtocol, HamProtocol,
-                               OneWayXorProtocol, ParityProtocol,
-                               TwoWayXorProtocol, _bucket_parities, _enum_reps, _probe_reps,
-                               default_buckets, make_protocol)
+from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
+                               HamProtocol, OneWayXorProtocol, ParityProtocol,
+                               TwoWayXorProtocol, _bucket_parities, _enum_reps,
+                               _probe_reps, default_buckets, make_protocol)
 from xorcomm.symfun import (InputPair, TrivialClass, evaluate_F, gap_params,
                             parse_profile)
 
@@ -134,6 +134,35 @@ class _NumpyTape:
         return self._rng.integers(0, upper, size=size)
 
 
+class _ReferenceChannel:
+    """The references' channel: one trial's bits each way and rounds, as
+    plain ints, each message sent as its payload and counted by length."""
+
+    def __init__(self, one_way):
+        self.one_way = one_way
+        self.bits_a_to_b = self.bits_b_to_a = self.rounds = 0
+        self._to_bob = None
+
+    def _count(self, to_bob, bits):
+        if to_bob:
+            self.bits_a_to_b += len(bits)
+        else:
+            self.bits_b_to_a += len(bits)
+        if to_bob is not self._to_bob:
+            self.rounds += 1
+            self._to_bob = to_bob
+
+    def a_to_b(self, bits):
+        self._count(True, bits)
+
+    def b_to_a(self, bits):
+        assert not self.one_way
+        self._count(False, bits)
+
+    def transcript(self):
+        return Transcript(self.bits_a_to_b, self.bits_b_to_a, self.rounds)
+
+
 def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
     """The per-repetition loop: each repetition draws its own n bucket
     indices and takes one bincount per party."""
@@ -164,22 +193,11 @@ def _phase_votes(x, y, tests, b, channel, tape):
     return votes
 
 
-class _SentChannel(engine.Channel):
-    """A channel that also keeps each send as sent, and a copy of its bits
-    as they were then: (to_bob, bits, copy)."""
-
-    def __init__(self, one_way=False, trials=1):
-        super().__init__(one_way, trials)
-        self.sent = []
-
-    def _count(self, to_bob, bits, trials=None):
-        super()._count(to_bob, bits, trials)
-        self.sent.append((to_bob, bits, np.array(bits)))
-
-
 class TestAmplifiedHam:
-    def check_phase(self, n, b, tests, recorder, seed):
-        """Compare one phase against one reference call per test."""
+    def check_phase(self, n, b, tests, seed):
+        """Compare one phase against one reference call per test: votes,
+        transcript, tape position and the tape's next values.  Alice's
+        parity rows, built from x and the tape alone, are the reference's."""
         rng = np.random.default_rng(seed)
         for trial in range(6):
             # x and y differ in `trial` places, or in all but `trial`, so
@@ -187,14 +205,14 @@ class TestAmplifiedHam:
             x = rng.integers(0, 2, size=n).astype(np.uint8)
             y = x ^ np.uint8(trial % 2)
             y[rng.permutation(n)[:trial]] ^= 1
-            got_ch, want_ch = recorder(), recorder()
+            got_ch, want_ch = engine.Channel(), _ReferenceChannel(False)
             got_tape, want_tape = RandomTape(trial), _NumpyTape(trial)
             got = _phase_votes(x, y, tests, b, got_ch, got_tape)
             want = [_reference_amplified_ham(x, y, d, b, reps, want_ch,
                                              want_tape, flip=flip)
                     for flip, d, reps in tests]
             assert got == want
-            assert got_ch.log == want_ch.log
+            assert got_ch.transcript() == want_ch.transcript()
             assert got_tape.position == want_tape.position
             # the shared stream continues exactly where the loop left it
             assert np.array_equal(got_tape.integers(1 << 40, size=3),
@@ -206,30 +224,28 @@ class TestAmplifiedHam:
         (33, 8, 3), (64, 18, 4), (7, 2, 5), (50, 49, 1), (20, 20, 3),
         (21, 50, 2)])
     @pytest.mark.parametrize("flip", [False, True])
-    def test_matches_per_repetition_draws(self, n, b, reps, flip, recorder):
-        self.check_phase(n, b, [(flip, 2, reps)], recorder, (n, b, reps))
+    def test_matches_per_repetition_draws(self, n, b, reps, flip):
+        self.check_phase(n, b, [(flip, 2, reps)], (n, b, reps))
 
     @pytest.mark.parametrize("n, b", [(33, 8), (20, 20), (21, 50)])
-    def test_mixed_flips(self, n, b, recorder):
+    def test_mixed_flips(self, n, b):
         # the region tests' layout, then tests at several thresholds
         tests = [(True, 3, 4), (False, 3, 4), (False, 0, 2), (True, 1, 1),
                  (False, 5, 3), (True, 0, 2)]
-        self.check_phase(n, b, tests, recorder, (n, b))
+        self.check_phase(n, b, tests, (n, b))
 
-    def test_phase_larger_than_one_draw_block(self, recorder):
+    def test_phase_larger_than_one_draw_block(self):
         n, b = 601, 40
         per_block = engine._DRAW_BLOCK // n
         # two whole blocks and a part, the flip changing inside blocks
         tests = [(True, 4, per_block - 3), (False, 4, per_block + 5),
                  (True, 2, 7)]
         assert sum(reps for *_, reps in tests) * n > 2 * engine._DRAW_BLOCK
-        self.check_phase(n, b, tests, recorder, 5)
+        self.check_phase(n, b, tests, 5)
 
-    # The recorder only appends, so sharing it across examples is safe.
-    @settings(deadline=None, max_examples=60,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(deadline=None, max_examples=60)
     @given(data=st.data())
-    def test_matches_reference_any_shape(self, recorder, data):
+    def test_matches_reference_any_shape(self, data):
         # b < n, b = n - 1, n, n + 1 and b > n; some examples add a test that
         # alone spans two draw blocks, at an n where that is under 1700 rows
         long_phase = data.draw(st.integers(0, 7), label="long") == 0
@@ -246,34 +262,29 @@ class TestAmplifiedHam:
             tests.append((flip, data.draw(st.integers(0, 5)),
                           engine._DRAW_BLOCK // n + 1))
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-        self.check_phase(n, b, tests, recorder, seed)
+        self.check_phase(n, b, tests, seed)
 
-    def test_zero_rows_draw_nothing(self, recorder):
+    def test_zero_rows_draw_nothing(self):
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for b in (2, 5, 9):
-            tape, channel = RandomTape(3), recorder()
+            tape, channel = RandomTape(3), engine.Channel()
             diffs = _bucket_parities(x[None], x[None], [], b, [tape], channel)
-            assert channel.log == [] and diffs.size == 0
+            assert channel.transcript() == Transcript(0, 0, 0)
+            assert diffs.size == 0
             assert tape.position == 0
             assert np.array_equal(tape.integers(1 << 40, size=3),
                                   _NumpyTape(3).integers(1 << 40, size=3))
 
-    def test_identity_rows_shared_per_flip(self):
-        # every row of one flip sends the same bits, and every row is sent
-        # from one zero-padded buffer
+    def test_identity_map_counts_exactly(self):
+        # b >= n: the count is the distance, n minus it on a flipped row;
+        # nothing is drawn and the four 8-bit rows go in one round
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
-        tape, channel = RandomTape(0), _SentChannel()
+        tape, channel = RandomTape(0), engine.Channel()
         diffs = _bucket_parities(x[None], y[None], [True, False, True, False],
                                  8, [tape], channel)
-        rows = [tuple(row) for *_, copy in channel.sent
-                for row in np.reshape(copy, (-1, 8))]
-        assert rows[0] == rows[2] and rows[1] == rows[3]
-        assert all(np.shares_memory(bits, channel.sent[0][1])
-                   for _, bits, _ in channel.sent)
-        assert list(rows[1]) == [1, 0, 1, 1, 0, 0, 0, 0]
-        assert list(rows[0]) == [0, 1, 0, 0, 1, 0, 0, 0]
         assert diffs.tolist() == [[3, 2, 3, 2]]
+        assert channel.transcript() == Transcript(32, 0, 1)
         assert tape.position == 0
 
 
@@ -281,34 +292,6 @@ class TestAmplifiedHam:
 # The loop as it was before protocols took a block of trials: one channel,
 # one tape and one protocol body per trial, every Hamming test drawing its
 # own bucket maps through _reference_amplified_ham.
-
-
-class _ReferenceChannel:
-    """One trial's channel: bits each way and rounds, as plain ints."""
-
-    def __init__(self, one_way):
-        self.one_way = one_way
-        self.bits_a_to_b = self.bits_b_to_a = self.rounds = 0
-        self._to_bob = None
-
-    def _count(self, to_bob, bits):
-        if to_bob:
-            self.bits_a_to_b += len(bits)
-        else:
-            self.bits_b_to_a += len(bits)
-        if to_bob is not self._to_bob:
-            self.rounds += 1
-            self._to_bob = to_bob
-
-    def a_to_b(self, bits):
-        self._count(True, bits)
-
-    def b_to_a(self, bits):
-        assert not self.one_way
-        self._count(False, bits)
-
-    def transcript(self):
-        return Transcript(self.bits_a_to_b, self.bits_b_to_a, self.rounds)
 
 
 def _reference_parity(x, y, channel):
@@ -442,8 +425,8 @@ def check_loop(protocol, profile, weights, trials, seed, block):
         mp.setattr(engine, "_DRAW_BLOCK", block)
         mp.setattr(engine, "RandomTape", _LoggedTape)
         _LoggedTape.made = []
-        rows = engine.sweep({n: protocol}, profile_spec(profile), trials,
-                            seed, weights=weights)
+        rows = engine.sweep({n: (profile, protocol)}, profile_spec(profile),
+                            trials, seed, weights=weights)
         tapes = {tape._seed: tape for tape in _LoggedTape.made}
         assert len(tapes) == len(_LoggedTape.made) == len(weights) * trials
         for row, m in zip(rows, sorted(weights)):
@@ -577,14 +560,17 @@ class TestXorPhases:
                                            channel, [tape])
             assert out == evaluate_F(p, pair)
             assert tape.position == 2 * reps * n
-            assert [d for d, _ in channel.log] == ["a2b"] * (2 * reps) + ["b2a"]
+            # one charge for the region phase's 2 * reps rows of b = 2 bits,
+            # then Bob's region report
+            assert channel.log == [("a2b", 2 * reps * 2), ("b2a", 2)]
 
     def test_identity_map_memory(self):
         # mod:3:0 at n=512 has r = 256, so b = 2r^2 = 131072 >= n: every
         # bucket map is the identity, over 8202 rows.  Traced peak of one
         # run: 35.9 MB when each test built its rows with a 2*reps*b-slot
-        # bincount (reps = 16), 0.47 MB with one zero-padded row per flip.
-        # The R x b row matrix would take 1 GB.
+        # bincount (reps = 16), 0.47 MB with one zero-padded row per flip,
+        # 0.15 MB (warm) now that no row is built.  The R x b row matrix
+        # would take 1 GB.
         p = parse_profile("mod:3:0", 512)
         pair = pair_of_weight(512, 10, 0)
         tracemalloc.start()
@@ -595,23 +581,22 @@ class TestXorPhases:
             tracemalloc.stop()
         assert peak < 4 * 10 ** 6
 
-    def test_identity_map_probes_share_one_buffer(self):
+    def test_identity_map_probes_memory(self, recorder):
         # xor2way at the same size: weight 10 is in the lower tail, so the
-        # region phase is followed by ceil(log2 256) = 8 probes.  Every
-        # row is written into one zero-padded buffer made once per run; a
-        # fresh b-byte row per probe cost 8 MB more peak RSS at n = 4096.
+        # region phase is followed by ceil(log2 256) = 8 probes, each of
+        # b = 2 * 256^2 bits a row.  No row is built: a fresh b-byte row
+        # per probe once cost 8 MB more peak RSS at n = 4096.
+        proto, b = TwoWayXorProtocol(), 2 * 256 ** 2
         p = parse_profile("mod:3:0", 512)
         pair = pair_of_weight(512, 10, 0)
-        channel = _SentChannel()
-        TwoWayXorProtocol().run(pair.x[None], pair.y[None], p, channel,
-                                [RandomTape(0)])
-        rows = [bits for to_bob, bits, _ in channel.sent
-                if to_bob and np.shape(bits)[-1] == 2 * 256 ** 2]
-        assert len(rows) == 2 + 8
-        assert all(np.shares_memory(row, rows[0]) for row in rows)
+        channel = recorder()
+        proto.run(pair.x[None], pair.y[None], p, channel, [RandomTape(0)])
+        reps = _probe_reps(256, proto.search_rep_factor)
+        assert [bits for d, bits in channel.log if d == "a2b"] == (
+            [2 * proto.region_reps * b] + [reps * b] * 8)
         tracemalloc.start()
         try:
-            run_protocol(TwoWayXorProtocol(), pair, p, 0)
+            run_protocol(proto, pair, p, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -640,7 +625,7 @@ class TestTwoWay:
         res = mc_error_estimate(TwoWayXorProtocol(), p, 10, 200, seed=5)
         assert res.success_rate >= 0.9
 
-    def test_phase_sum_closed_form(self, recorder):
+    def test_phase_sum_closed_form(self, regions):
         proto = TwoWayXorProtocol()
         for spec, n, ms in (("threshold:3", 48, (0, 2, 3, 20, 46)),
                             ("exact:0", 32, (0, 1, 12, 32)),
@@ -649,11 +634,8 @@ class TestTwoWay:
             for m in ms:
                 pair = pair_of_weight(n, m, m + 1)
                 _, t = run_protocol(proto, pair, p, seed=(m, 3))
-                first_b2a = next(bits for direction, bits
-                                 in recorder.channels[-1].log
-                                 if direction == "b2a")
-                region = {(0, 0): "lower", (0, 1): "middle",
-                          (1, 0): "upper"}[first_b2a]
+                region = {LOWER: "lower", MIDDLE: "middle",
+                          UPPER: "upper"}[regions[-1][0]]
                 assert t.content_bits == proto.expected_content_bits(p, region)
 
     def test_config_validation(self):
@@ -669,7 +651,7 @@ class TestOneWay:
         run_protocol(OneWayXorProtocol(), pair_of_weight(32, 5, 0), p, 0)
         b2a = [bits for direction, bits in recorder.channels[-1].log
                if direction == "b2a"]
-        assert len(b2a) == 1 and len(b2a[0]) == 1  # answer only
+        assert b2a == [1]  # answer only
 
     def test_trivial_profiles_exact(self):
         n = 16

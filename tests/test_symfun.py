@@ -183,8 +183,11 @@ class TestGapParamsProperty:
     @given(st.data())
     def test_flip_swaps_gaps_and_keeps_F(self, data):
         p = data.draw(gapped_profiles())
-        bits = st.lists(st.integers(0, 1), min_size=p.n, max_size=p.n)
-        x, y = np.array(data.draw(bits)), np.array(data.draw(bits))
+        # each input is one n-bit integer unpacked, far cheaper for
+        # hypothesis to draw than a list of n bits
+        x, y = (np.array([(v >> i) & 1 for i in range(p.n)])
+                for v in (data.draw(st.integers(0, 2 ** p.n - 1))
+                          for _ in range(2)))
         q = flip_reduction(p)
         gp, gq = gap_params(p), gap_params(q)
         assert (gq.r0, gq.r1, gq.saturated) == (gp.r1, gp.r0, gp.saturated)
