@@ -29,6 +29,7 @@ to the transcript so both parties know the result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterator, Sequence
 
@@ -103,13 +104,17 @@ def _seed_words(seed) -> Sequence[int]:
                     f"not {seed!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
     """The hash constant before each of `calls` hash steps and after the
-    last, as a (calls + 1, 1) column; it does not depend on the data."""
+    last, as a read-only (calls + 1, 1) column; it does not depend on the
+    data, so one array serves every chunk of the same seed length."""
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:

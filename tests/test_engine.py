@@ -253,6 +253,16 @@ class TestSeedDerivation:
         with pytest.raises(want.type):
             _pcg64_states([seed])
 
+    def test_hash_constants_are_shared_and_read_only(self):
+        # one cached column serves every chunk of a seed length, so no
+        # derivation may write to it
+        first = _pcg64_states(SEEDS)
+        consts = engine._hash_consts(engine._INIT_A, engine._MULT_A, 16)
+        assert consts is engine._hash_consts(engine._INIT_A, engine._MULT_A, 16)
+        with pytest.raises(ValueError):
+            consts[0, 0] = 0
+        assert _pcg64_states(SEEDS) == first
+
     def test_shared_generator_draws_as_fresh_one(self):
         chunk = _SeedChunk(SEEDS, np.random.default_rng(0))
         for i, seed in enumerate(SEEDS):

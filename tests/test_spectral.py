@@ -6,8 +6,8 @@ from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_symmetric_fourier_matrix)
 from xorcomm.spectral import (CACHE_MAX_N, binom, deterministic_bounds,
                               krawtchouk_coefficient, krawtchouk_matrix,
-                              lemma_window_check, parseval_check,
-                              weight_spectrum, window_bounds)
+                              lemma_window_check, packed_columns,
+                              parseval_check, weight_spectrum, window_bounds)
 from xorcomm.symfun import SymmetricProfile, parse_profile
 
 
@@ -61,6 +61,15 @@ class TestKrawtchouk:
         krawtchouk_matrix(55)
         assert krawtchouk_matrix.cache_info().hits == info.hits + 1
 
+    def test_packed_cache_is_bounded(self):
+        assert packed_columns.cache_parameters()["maxsize"] == 4
+        for n in range(50, 56):
+            packed_columns(n)
+        info = packed_columns.cache_info()
+        assert info.currsize <= 4
+        packed_columns(55)
+        assert packed_columns.cache_info().hits == info.hits + 1
+
 
 class TestWeightSpectrum:
     def test_const0(self):
@@ -91,6 +100,36 @@ class TestWeightSpectrum:
             brute_side = P @ brute_symmetric_fourier_matrix(n).T
             assert np.array_equal(spec_side, brute_side)
 
+    def test_coeffs_agree_with_brute_fourier(self):
+        # the packed spectrum itself, for all 1,020 profiles of n = 1..8
+        for n in range(1, 9):
+            B = brute_symmetric_fourier_matrix(n)
+            for row in all_profiles_matrix(n):
+                sp = weight_spectrum(SymmetricProfile(n, tuple(row.tolist())))
+                assert sp.coeffs == tuple((B @ row).tolist()), (n, row)
+
+    def test_packed_equals_direct_sums(self):
+        # const1 puts 2^n in slot 0, the most any slot holds
+        for n in range(1, 41):
+            C = [[krawtchouk_coefficient(n, k, s) for s in range(n + 1)]
+                 for k in range(n + 1)]
+            pairs = tuple((s // 2) % 2 for s in range(n + 1))
+            for p in (parse_profile("const1", n), parse_profile("parity", n),
+                      parse_profile("notparity", n), parse_profile("exact:0", n),
+                      SymmetricProfile(n, pairs)):
+                assert weight_spectrum(p).coeffs == tuple(
+                    sum(c for c, b in zip(row, p.s) if b) for row in C), (n, p.s)
+
+    @pytest.mark.parametrize("spec", ["const1", "threshold:256"])
+    def test_packed_equals_streamed_at_widest_slots(self, spec, monkeypatch):
+        n = CACHE_MAX_N
+        p = parse_profile(spec, n)
+        packed = weight_spectrum(p)
+        monkeypatch.setattr(spectral, "CACHE_MAX_N", n - 1)
+        before = packed_columns.cache_info()
+        assert weight_spectrum(p) == packed
+        assert packed_columns.cache_info() == before
+
     def test_brute_fourier_constant_on_weight_classes(self):
         p = parse_profile("threshold:2", 8)
         table = TruthTable.from_profile(p)
@@ -108,10 +147,11 @@ class TestWeightSpectrum:
     def test_streamed_equals_cached(self, spec, monkeypatch):
         n = CACHE_MAX_N + 1
         p = parse_profile(spec, n)
-        before = krawtchouk_matrix.cache_info()
+        before = krawtchouk_matrix.cache_info(), packed_columns.cache_info()
         streamed = weight_spectrum(p)
-        # the streamed build never calls the cached matrix
-        assert krawtchouk_matrix.cache_info() == before
+        # the streamed build touches neither cache
+        assert (krawtchouk_matrix.cache_info(),
+                packed_columns.cache_info()) == before
         monkeypatch.setattr(spectral, "CACHE_MAX_N", n)
         assert weight_spectrum(p) == streamed
         assert parseval_check(p, streamed)
