@@ -171,7 +171,7 @@ VERIFY_SUITES = {
     "rank": (_verify_rank, {"--n-max": (6, 1, oracle.MAX_RANK_N)}),
     "lemma --exhaustive": (_verify_lemma_exhaustive,
                            {"--n": (12, 2, oracle.MAX_SCAN_N)}),
-    "lemma": (_verify_lemma, {"--n": (12, 2, spectral.CACHE_MAX_N),
+    "lemma": (_verify_lemma, {"--n": (12, 2, oracle.MAX_SAMPLED_SCAN_N),
                               "--samples": (10000, 1, None)}),
     "ham-onesided": (_verify_ham_onesided,
                      {"--n": (12, 1, MAX_HAM_ONESIDED_N),

@@ -26,6 +26,9 @@ MAX_RANK_N = 8
 # exhaustive_lemma_scan holds two tables of 2^((n+1)/2) int64 fingerprints;
 # at n = 39 a fresh process took under 1 s and 76 MB, at n = 40 101 MB.
 MAX_SCAN_N = 39
+# sampled_lemma_scan reads krawtchouk_matrix(n), which stays cached: 13.8 MB
+# and about 0.03 s to build at n = 512, and its size grows as n^3 bits.
+MAX_SAMPLED_SCAN_N = 512
 
 
 @dataclass(frozen=True)

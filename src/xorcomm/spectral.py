@@ -2,7 +2,8 @@
 
 Coefficients are stored scaled by 2^n so everything stays in arbitrary
 precision integer arithmetic; exact zero tests are the whole point, since the
-spectral support determines the rank of the XOR matrix.
+spectral support determines the rank of the XOR matrix.  Every Krawtchouk
+coefficient here comes from the one recurrence of _half_columns.
 """
 
 from __future__ import annotations
@@ -11,17 +12,15 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from operator import add, neg, sub
 
 from .symfun import SymmetricProfile, TrivialClass, classify
 
-# weight_spectrum keeps the packed Krawtchouk columns of n <= CACHE_MAX_N
-# in packed_columns's cache (4.6 MB at n = 512, 0.6 MB at n = 256); above
-# it, the rows are streamed and a spectrum needs O(n) integers.  The cache
-# holds the 4 most recent n: a spectrum at each of n = 497..512 in one
-# process peaked at 50 MB of RSS (99 MB when it cached the 13.8 MB tuple
-# matrices that krawtchouk_matrix still builds for the oracle).
+# weight_spectrum reads the packed half-columns of n <= CACHE_MAX_N from
+# packed_columns's cache of 4 n (4.6 MB at n = 512, 0.6 MB at n = 256), and
+# streams them above.  A spectrum at each of n = 497..512 in one process
+# peaked at 50 MB of RSS (99 MB with krawtchouk_matrix's 13.8 MB tuples).
 CACHE_MAX_N = 512
 
 
@@ -31,55 +30,48 @@ def binomial_table(n: int) -> tuple[int, ...]:
     return tuple(math.comb(n, k) for k in range(n + 1))
 
 
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return binomial_table(n)[k]
-
-
 def krawtchouk_coefficient(n: int, k: int, s: int) -> int:
     """c_{k,s} = sum_t (-1)^t C(k,t) C(n-k,s-t), the character sum of the
     weight-s slice against a weight-k representative.
 
-    The library builds rows with krawtchouk_rows and packed half-columns
-    with packed_columns, both by one recurrence; this direct sum is kept as
-    the independent check of it."""
+    The library reads every coefficient from _half_columns's recurrence;
+    this direct sum is kept as the independent check of it."""
     if not (0 <= k <= n and 0 <= s <= n):
         raise ValueError(f"k={k}, s={s} out of range for n={n}")
-    return sum((-1) ** t * binom(k, t) * binom(n - k, s - t)
+    return sum((-1) ** t * math.comb(k, t) * math.comb(n - k, s - t)
                for t in range(max(0, k + s - n), min(k, s) + 1))
 
 
-def krawtchouk_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the rows C[0], ..., C[n] of the Krawtchouk matrix, in order.
+def _half_columns(n: int) -> Iterator[list[int]]:
+    """Yield the half-columns [C[0][s], ..., C[h-1][s]] of the Krawtchouk
+    matrix, s = 0, ..., h - 1, where h = n//2 + 1; each list is new.
 
     Row k holds the coefficients of P_k(z) = (1-z)^k (1+z)^(n-k), so row 0
     is C(n, 0..n), and (1+z) P_{k+1} = (1-z) P_k gives
-    C[k+1][s] = C[k][s] - C[k][s-1] - C[k+1][s-1] (MacWilliams & Sloane,
-    ch. 5).  Since z^n P_k(1/z) = (-1)^k P_k(z), C[k][n-s] = (-1)^k C[k][s]:
-    only the first half of each row is summed, the rest is mirrored.  Two
-    rows are alive at a time.
+    C[k+1][s] = C[k][s] - (C[k][s-1] + C[k+1][s-1]) (MacWilliams & Sloane,
+    ch. 5), run here down column s from column s - 1.  C[k][n-s] =
+    (-1)^k C[k][s] and C[n-k][s] = (-1)^s C[k][s] give the rest.
     """
-    row = binomial_table(n)
-    yield row
-    half = n // 2 + 1
-    for k in range(1, n + 1):
-        new = []
-        prev_old = prev_new = 0
-        for c in row[:half]:
-            prev_new = c - prev_old - prev_new
-            prev_old = c
-            new.append(prev_new)
-        mirror = reversed(new[:n + 1 - half])
-        new.extend(map(neg, mirror) if k % 2 else mirror)
-        row = tuple(new)
-        yield row
+    h = n // 2 + 1
+    binoms = binomial_table(n)
+    col = [0] * h
+    for s in range(h):
+        col = list(accumulate(map(add, col, col[1:]), sub, initial=binoms[s]))
+        yield col
 
 
 @functools.lru_cache(maxsize=4)
 def krawtchouk_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix C with C[k][s] = c_{k,s}, exact integers."""
-    return tuple(krawtchouk_rows(n))
+    """Matrix C with C[k][s] = c_{k,s}, exact integers, from the
+    half-columns and the two symmetries of _half_columns."""
+    rows = [list(row) for row in zip(*_half_columns(n))]  # k, s <= n//2
+    for k, row in enumerate(rows):  # C[k][n-s] = (-1)^k C[k][s]
+        mirror = reversed(row[:(n + 1) // 2])
+        row.extend(map(neg, mirror) if k % 2 else mirror)
+    for row in reversed(rows[:(n + 1) // 2]):  # C[n-k][s] = (-1)^s C[k][s]
+        rows.append(row[:])
+        rows[-1][1::2] = map(neg, row[1::2])
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -96,11 +88,23 @@ class WeightSpectrum:
     rank: int
 
 
+def _packed(n: int, cols) -> tuple[int, int, tuple[int, ...]]:
+    """(w, offset, P), P[i] = sum_k col[k] * 2^(8*w*k) for the i-th list col
+    of n//2 + 1 integers (Kronecker substitution; see packed_columns)."""
+    w = (n + 2 + 7) // 8
+    half = 1 << (8 * w - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * (n // 2 + 1),
+                            "little")
+    return w, offset, tuple(int.from_bytes(
+        b"".join([(c + half).to_bytes(w, "little") for c in col]),
+        "little") - offset for col in cols)
+
+
 @functools.lru_cache(maxsize=4)
 def packed_columns(n: int) -> tuple[int, int, tuple[int, ...]]:
-    """Columns s < h = n//2 + 1 of the Krawtchouk matrix, rows k < h, each
-    packed into one integer (Kronecker substitution): (w, offset, P) with
-    P[s] = sum_k C[k][s] * 2^(8*w*k), a signed slot of w bytes per k.
+    """The half-columns of _half_columns, packed: (w, offset, P) with
+    P[s] = sum_k C[k][s] * 2^(8*w*k) for s, k < n//2 + 1, a signed slot of
+    w bytes per k.
 
     Adding packed columns adds every slot at once.  A slot that
     weight_spectrum reads back is a sum of +-C[k][s] over distinct weights
@@ -109,69 +113,61 @@ def packed_columns(n: int) -> tuple[int, int, tuple[int, ...]]:
     bits, adding offset, which holds 2^(8*w - 1) in each slot, makes every
     slot a digit in [0, 2^(8*w)), and to_bytes reads them (_read_slots).
     """
-    h = n // 2 + 1
-    w = (n + 2 + 7) // 8
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * h, "little")
-    binoms = binomial_table(n)
-    col = [0] * h
-    packed = []
-    for s in range(h):
-        # krawtchouk_rows's recurrence, run down column s from C[0][s]:
-        # C[k+1][s] = C[k][s] - (C[k][s-1] + C[k+1][s-1])
-        col = list(accumulate(map(add, col, col[1:]), sub, initial=binoms[s]))
-        packed.append(int.from_bytes(
-            b"".join([(c + half).to_bytes(w, "little") for c in col]),
-            "little") - offset)
-    return w, offset, tuple(packed)
+    return _packed(n, _half_columns(n))
 
 
-def _read_slots(total: int, w: int, offset: int, h: int,
-                start: int) -> list[int]:
-    """Slots start, start + 2, ... (below h) of a signed packed sum."""
+def _read_slots(biased: int, w: int, h: int, start: int) -> list[int]:
+    """Slots start, start + 2, ... (below h) of a packed sum plus offset."""
     half = 1 << (8 * w - 1)
-    data = (total + offset).to_bytes(h * w, "little")
+    data = biased.to_bytes(h * w, "little")
     return [int.from_bytes(data[i:i + w], "little") - half
             for i in range(start * w, h * w, 2 * w)]
 
 
-def _packed_coeffs(profile: SymmetricProfile) -> list[int]:
+def _coeffs(profile: SymmetricProfile) -> list[int]:
     n = profile.n
     h = n // 2 + 1
-    w, offset, columns = packed_columns(n)
-    # s < h reads column s; s >= h reads column n - s, as
-    # C[k][s] = (-1)^k C[k][n-s].  Each half is split by the parity of s.
-    direct, mirror = profile.s[:h], profile.s[:h - 1:-1]  # mirror[t]: s = n-t
-    de, do, me, mo = (sum(compress(columns[start::2], bits[start::2]))
-                      for bits, start in ((direct, 0), (direct, 1),
-                                          (mirror, n % 2), (mirror, 1 - n % 2)))
-    # slot k of de + do + (-1)^k (me + mo) is coeffs[k]; as
-    # C[n-k][s] = (-1)^s C[k][s], slot k of de - do + (-1)^k (me - mo) is
-    # coeffs[n-k].  Even k read the + combination, odd k the - one.
+    if n <= CACHE_MAX_N:
+        w, offset, columns = packed_columns(n)
+        # s < h reads column s; s >= h reads column t = n - s (mirror[t]),
+        # as C[k][s] = (-1)^k C[k][n-s].  Each half is split by parity of s.
+        direct, mirror = profile.s[:h], profile.s[:h - 1:-1]
+        de, do, me, mo = (sum(compress(columns[i::2], bits[i::2])) for bits, i
+                          in ((direct, 0), (direct, 1), (mirror, n % 2),
+                              (mirror, 1 - n % 2)))
+    else:
+        # Streamed, over the sparser of S and 1 - S: column t is added for
+        # s = t and, signed by C[k][n-t] = (-1)^k C[k][t], for s = n - t (once,
+        # unsigned, if n - t = t), into the sums of even and odd s, unpacked
+        # (four packed sums took analyze over 40 MB at n = 4096).
+        flip = 2 * sum(profile.s) > n + 1
+        sums = ([0] * h, [0] * h)
+        for t, col in enumerate(_half_columns(n)):
+            for s, odd_k in {n - t: sub, t: add}.items():
+                if profile.s[s] != flip:
+                    total = sums[s % 2]
+                    total[0::2] = map(add, total[0::2], col[0::2])
+                    total[1::2] = map(odd_k, total[1::2], col[1::2])
+        w, offset, (de, do) = _packed(n, sums)
+        del sums  # 2 MB at n = 4096 that the read-back would hold
+        if flip:  # c(S) = c(1) - c(1 - S); c(1) is 2^(n-1) in slot 0 of each
+            de, do = (1 << (n - 1)) - de, (1 << (n - 1)) - do
+        me = mo = 0
+    # As C[n-k][s] = (-1)^s C[k][s], slot k of de +- do + (-1)^k (me +- mo)
+    # is coeffs[k] (+) or coeffs[n-k] (-): even k read d + m, odd k d - m.
+    # Each pair is combined in place, so no packed sum outlives its use.
+    de, do = de + do, de - do
+    me, mo = me + mo, me - mo
     low, high = [0] * h, [0] * h
-    for out, d, m in ((low, de + do, me + mo), (high, de - do, me - mo)):
-        out[0::2] = _read_slots(d + m, w, offset, h, 0)
-        out[1::2] = _read_slots(d - m, w, offset, h, 1)
+    for out, d, m in ((low, de, me), (high, do, mo)):
+        out[0::2] = _read_slots(d + m + offset, w, h, 0)
+        out[1::2] = _read_slots(d - m + offset, w, h, 1)
     return low + high[n - h::-1]
-
-
-def _streamed_coeffs(profile: SymmetricProfile) -> list[int]:
-    n = profile.n
-    # C[n-k][s] = (-1)^s C[k][s], so row k gives both coeffs[k] and
-    # coeffs[n-k] and rows past n/2 are never needed.
-    even = [b if s % 2 == 0 else 0 for s, b in enumerate(profile.s)]
-    odd = [b if s % 2 else 0 for s, b in enumerate(profile.s)]
-    coeffs = [0] * (n + 1)
-    for k, row in enumerate(islice(krawtchouk_rows(n), n // 2 + 1)):
-        e, o = sum(compress(row, even)), sum(compress(row, odd))
-        coeffs[k], coeffs[n - k] = e + o, e - o
-    return coeffs
 
 
 def weight_spectrum(profile: SymmetricProfile) -> WeightSpectrum:
     n = profile.n
-    coeffs = (_packed_coeffs(profile) if n <= CACHE_MAX_N
-              else _streamed_coeffs(profile))
+    coeffs = _coeffs(profile)
     support = tuple(compress(range(n + 1), coeffs))
     rank = sum(compress(binomial_table(n), coeffs))
     return WeightSpectrum(n=n, coeffs=tuple(coeffs), support=support, rank=rank)
@@ -197,9 +193,9 @@ def lemma_window_check(spectrum: WeightSpectrum) -> tuple[bool, int | None]:
 
 def parseval_check(profile: SymmetricProfile, spectrum: WeightSpectrum) -> bool:
     """Exact Parseval identity for 0/1-valued f (standard identity)."""
-    n = profile.n
-    lhs = sum(binom(n, k) * spectrum.coeffs[k] ** 2 for k in range(n + 1))
-    rhs = (1 << n) * sum(binom(n, s) for s in range(n + 1) if profile.s[s])
+    binoms = binomial_table(profile.n)
+    lhs = sum(b * c * c for b, c in zip(binoms, spectrum.coeffs))
+    rhs = (1 << profile.n) * sum(compress(binoms, profile.s))
     return lhs == rhs
 
 

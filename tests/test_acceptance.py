@@ -6,7 +6,6 @@ reproducible by simulation, so the gate combines exact oracle equivalence
 with the measurable upper-bound protocol behavior.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -22,8 +21,7 @@ from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
 from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
                                HamProtocol, OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, default_buckets)
-from xorcomm.spectral import (binom, krawtchouk_matrix, parseval_check,
-                              weight_spectrum)
+from xorcomm.spectral import krawtchouk_matrix, parseval_check, weight_spectrum
 from xorcomm.symfun import SymmetricProfile, parse_profile
 
 

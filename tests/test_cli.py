@@ -10,7 +10,7 @@ import pytest
 from xorcomm import engine
 from xorcomm.cli import (MAX_ANALYZE_N, MAX_HAM_ONESIDED_N, build_parser,
                          main)
-from xorcomm.oracle import MAX_RANK_N, MAX_TABLE_N
+from xorcomm.oracle import MAX_RANK_N, MAX_SAMPLED_SCAN_N, MAX_TABLE_N
 from xorcomm.spectral import CACHE_MAX_N
 
 
@@ -123,8 +123,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv, limit", [
         (("--suite", "rank", "--n-max", str(MAX_RANK_N + 1)), MAX_RANK_N),
         (("--suite", "fourier", "--n-max", str(MAX_TABLE_N + 1)), MAX_TABLE_N),
-        (("--suite", "lemma", "--n", str(CACHE_MAX_N + 1), "--samples", "1"),
-         CACHE_MAX_N),
+        (("--suite", "lemma", "--n", str(MAX_SAMPLED_SCAN_N + 1),
+          "--samples", "1"), MAX_SAMPLED_SCAN_N),
         (("--suite", "ham-onesided", "--n", str(MAX_HAM_ONESIDED_N + 1)),
          MAX_HAM_ONESIDED_N),
     ])

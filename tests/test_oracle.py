@@ -237,7 +237,8 @@ class TestRankCertificate:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("brute_rank used a spectral formula")
-        for name in ("weight_spectrum", "krawtchouk_matrix", "krawtchouk_rows"):
+        for name in ("weight_spectrum", "krawtchouk_matrix", "_half_columns",
+                     "packed_columns"):
             monkeypatch.setattr(spectral, name, forbidden)
         monkeypatch.setattr(oracle, "krawtchouk_matrix", forbidden)
         assert [brute_rank(t) for t in tables] == want

@@ -4,11 +4,35 @@ import pytest
 from xorcomm import spectral
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_symmetric_fourier_matrix)
-from xorcomm.spectral import (CACHE_MAX_N, binom, deterministic_bounds,
+from xorcomm.spectral import (CACHE_MAX_N, deterministic_bounds,
                               krawtchouk_coefficient, krawtchouk_matrix,
                               lemma_window_check, packed_columns,
                               parseval_check, weight_spectrum, window_bounds)
 from xorcomm.symfun import SymmetricProfile, parse_profile
+
+# Two primes near 2^61 (2^61 - 1 and 2^61 + 15) and two fixed points.
+IDENTITY_PRIMES = ((1 << 61) - 1, (1 << 61) + 15)
+IDENTITY_POINTS = (3, 987_654_321)
+
+
+def generating_sums(n, coeffs, bits, u, p):
+    """(sum_k C(n,k) c_k u^k, sum_s S(s) C(n,s) (1-u)^s (1+u)^(n-s)) mod p.
+
+    The two are equal for the spectrum c of S: summing
+    C(n,k) C[k][s] = C(n,s) C[s][k] times u^k over k gives
+    C(n,s) (1-u)^s (1+u)^(n-s) (MacWilliams & Sloane, ch. 5).  O(n) steps
+    with running binomials and powers, and no Krawtchouk recurrence.
+    """
+    lhs = rhs = 0
+    binom, power, term = 1, 1, pow(1 + u, n, p)
+    ratio = (1 - u) * pow(1 + u, -1, p) % p
+    for k in range(n + 1):
+        b = binom % p
+        lhs = (lhs + b * (coeffs[k] % p) * power) % p
+        rhs = (rhs + b * term) % p if bits[k] else rhs
+        binom = binom * (n - k) // (k + 1)
+        power, term = power * u % p, term * ratio % p
+    return lhs, rhs
 
 
 class TestKrawtchouk:
@@ -156,6 +180,23 @@ class TestWeightSpectrum:
         assert weight_spectrum(p) == streamed
         assert parseval_check(p, streamed)
 
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_generating_function_identity_above_cache(self, n):
+        # every coefficient of a streamed spectrum, at even and odd n
+        assert n > CACHE_MAX_N
+        for spec in ("const1", "mod:3:1"):
+            p = parse_profile(spec, n)
+            coeffs = list(weight_spectrum(p).coeffs)
+            checks = [(q, u) for q in IDENTITY_PRIMES for u in IDENTITY_POINTS]
+            for q, u in checks:
+                lhs, rhs = generating_sums(n, coeffs, p.s, u, q)
+                assert lhs == rhs, (spec, q, u)
+            # q > n divides no C(n, k), so one coefficient off by 1 fails
+            coeffs[n // 3] += 1
+            for q, u in checks:
+                lhs, rhs = generating_sums(n, coeffs, p.s, u, q)
+                assert lhs != rhs, (spec, q, u)
+
 
 class TestRank:
     def test_equality_full_rank(self):
@@ -213,8 +254,3 @@ class TestBounds:
     def test_const0(self):
         p = parse_profile("const0", 8)
         assert deterministic_bounds(p, weight_spectrum(p)) == (0, 0)
-
-    def test_binom_edges(self):
-        assert binom(5, -1) == 0
-        assert binom(5, 6) == 0
-        assert binom(5, 2) == 10
