@@ -19,9 +19,10 @@ from .spectral import krawtchouk_matrix, window_bounds
 from .symfun import SymmetricProfile
 
 MAX_TABLE_N = 16
-# verify --suite rank checks all 2^(n+1) profiles at each n; at n = 9 one
-# rank takes 0.05-0.12 s, so the 1,024 profiles there alone take over a
-# minute (about 70 s).
+# verify --suite rank checks all 2^(n+1) profiles at each n, with one
+# elimination per reversal pair (paired_brute_ranks); at n = 9 one rank
+# takes 0.05-0.12 s, so the 528 eliminations there alone would take about
+# 36 s.
 MAX_RANK_N = 8
 # exhaustive_lemma_scan holds two tables of 2^((n+1)/2) int64 fingerprints;
 # at n = 39 a fresh process took under 1 s and 76 MB, at n = 40 101 MB.
@@ -343,6 +344,27 @@ def brute_rank(table: TruthTable) -> int:
     if table.n > MAX_RANK_N:
         raise ValueError(f"brute_rank limited to n <= {MAX_RANK_N}")
     return _exact_rank(xor_matrix(table), _primes_above(_RANK_PRIMES, 1)[0])
+
+
+def paired_brute_ranks(n: int) -> list[int]:
+    """brute_rank of every profile at n, by index as in all_profiles_matrix,
+    with one elimination per reversal pair.
+
+    The reversed profile s'(k) = s(n - k) has index the bit-reverse of i
+    over n + 1 bits, and the same rank: |x xor y xor 1^n| = n - |x xor y|,
+    so M_s'[x, y] = s(n - |x xor y|) = M_s[x xor 1^n, y], and M_s' is M_s
+    with its rows permuted by x -> x xor 1^n (the Hamming scheme's
+    complement symmetry; MacWilliams & Sloane, ch. 5).  So the
+    2^(n+1) profiles take (2^(n+1) + 2^ceil((n+1)/2)) / 2 eliminations,
+    one per pair and one per palindrome.
+    """
+    ranks = []
+    for i in range(1 << (n + 1)):
+        s = tuple((i >> k) & 1 for k in range(n + 1))
+        partner = sum(1 << (n - k) for k in range(n + 1) if s[k])
+        ranks.append(ranks[partner] if partner < i else brute_rank(
+            TruthTable.from_profile(SymmetricProfile(n, s))))
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -88,23 +88,11 @@ class WeightSpectrum:
     rank: int
 
 
-def _packed(n: int, cols) -> tuple[int, int, tuple[int, ...]]:
-    """(w, offset, P), P[i] = sum_k col[k] * 2^(8*w*k) for the i-th list col
-    of n//2 + 1 integers (Kronecker substitution; see packed_columns)."""
-    w = (n + 2 + 7) // 8
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * (n // 2 + 1),
-                            "little")
-    return w, offset, tuple(int.from_bytes(
-        b"".join([(c + half).to_bytes(w, "little") for c in col]),
-        "little") - offset for col in cols)
-
-
 @functools.lru_cache(maxsize=4)
 def packed_columns(n: int) -> tuple[int, int, tuple[int, ...]]:
     """The half-columns of _half_columns, packed: (w, offset, P) with
     P[s] = sum_k C[k][s] * 2^(8*w*k) for s, k < n//2 + 1, a signed slot of
-    w bytes per k.
+    w bytes per k (Kronecker substitution).
 
     Adding packed columns adds every slot at once.  A slot that
     weight_spectrum reads back is a sum of +-C[k][s] over distinct weights
@@ -113,7 +101,13 @@ def packed_columns(n: int) -> tuple[int, int, tuple[int, ...]]:
     bits, adding offset, which holds 2^(8*w - 1) in each slot, makes every
     slot a digit in [0, 2^(8*w)), and to_bytes reads them (_read_slots).
     """
-    return _packed(n, _half_columns(n))
+    w = (n + 2 + 7) // 8
+    half = 1 << (8 * w - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * (n // 2 + 1),
+                            "little")
+    return w, offset, tuple(int.from_bytes(
+        b"".join([(c + half).to_bytes(w, "little") for c in col]),
+        "little") - offset for col in _half_columns(n))
 
 
 def _read_slots(biased: int, w: int, h: int, start: int) -> list[int]:
@@ -127,32 +121,33 @@ def _read_slots(biased: int, w: int, h: int, start: int) -> list[int]:
 def _coeffs(profile: SymmetricProfile) -> list[int]:
     n = profile.n
     h = n // 2 + 1
-    if n <= CACHE_MAX_N:
-        w, offset, columns = packed_columns(n)
-        # s < h reads column s; s >= h reads column t = n - s (mirror[t]),
-        # as C[k][s] = (-1)^k C[k][n-s].  Each half is split by parity of s.
-        direct, mirror = profile.s[:h], profile.s[:h - 1:-1]
-        de, do, me, mo = (sum(compress(columns[i::2], bits[i::2])) for bits, i
-                          in ((direct, 0), (direct, 1), (mirror, n % 2),
-                              (mirror, 1 - n % 2)))
-    else:
+    if n > CACHE_MAX_N:
         # Streamed, over the sparser of S and 1 - S: column t is added for
         # s = t and, signed by C[k][n-t] = (-1)^k C[k][t], for s = n - t (once,
-        # unsigned, if n - t = t), into the sums of even and odd s, unpacked
-        # (four packed sums took analyze over 40 MB at n = 4096).
+        # unsigned, if n - t = t), into the sums E and O of even and odd s.
+        # As C[n-k][s] = (-1)^s C[k][s], coeffs[k] = E[k] + O[k] and
+        # coeffs[n-k] = E[k] - O[k], combined in place so that no third list
+        # of h big integers is held.
         flip = 2 * sum(profile.s) > n + 1
-        sums = ([0] * h, [0] * h)
+        even, odd = [0] * h, [0] * h
         for t, col in enumerate(_half_columns(n)):
             for s, odd_k in {n - t: sub, t: add}.items():
                 if profile.s[s] != flip:
-                    total = sums[s % 2]
+                    total = odd if s % 2 else even
                     total[0::2] = map(add, total[0::2], col[0::2])
                     total[1::2] = map(odd_k, total[1::2], col[1::2])
-        w, offset, (de, do) = _packed(n, sums)
-        del sums  # 2 MB at n = 4096 that the read-back would hold
-        if flip:  # c(S) = c(1) - c(1 - S); c(1) is 2^(n-1) in slot 0 of each
-            de, do = (1 << (n - 1)) - de, (1 << (n - 1)) - do
-        me = mo = 0
+        for k, (e, o) in enumerate(zip(even, odd)):
+            even[k], odd[k] = (-e - o, o - e) if flip else (e + o, e - o)
+        if flip:  # c(S) = c(1) - c(1 - S), and c(1) is 2^n at k = 0 only
+            even[0] += 1 << n
+        return even + odd[n - h::-1]
+    w, offset, columns = packed_columns(n)
+    # s < h reads column s; s >= h reads column t = n - s (mirror[t]),
+    # as C[k][s] = (-1)^k C[k][n-s].  Each half is split by parity of s.
+    direct, mirror = profile.s[:h], profile.s[:h - 1:-1]
+    de, do, me, mo = (sum(compress(columns[i::2], bits[i::2])) for bits, i
+                      in ((direct, 0), (direct, 1), (mirror, n % 2),
+                          (mirror, 1 - n % 2)))
     # As C[n-k][s] = (-1)^s C[k][s], slot k of de +- do + (-1)^k (me +- mo)
     # is coeffs[k] (+) or coeffs[n-k] (-): even k read d + m, odd k d - m.
     # Each pair is combined in place, so no packed sum outlives its use.

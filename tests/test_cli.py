@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,9 +6,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from xorcomm import engine
+from xorcomm import engine, oracle, spectral
 from xorcomm.cli import (MAX_ANALYZE_N, MAX_HAM_ONESIDED_N, build_parser,
                          main)
 from xorcomm.oracle import MAX_RANK_N, MAX_SAMPLED_SCAN_N, MAX_TABLE_N
@@ -101,6 +103,52 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "rank",
                                "--n-max", "4")
         assert code == 0
+
+    # A planted fault must show whichever side of a reversal pair it is on:
+    # the rank suite runs one elimination per pair, yet compares every
+    # profile's own weight_spectrum.
+    @pytest.mark.parametrize("bad", [(1, 1, 0, 1, 0), (0, 1, 0, 1, 1)])
+    def test_rank_planted_fault(self, capsys, monkeypatch, bad):
+        real = spectral.weight_spectrum
+
+        def planted(profile):
+            spectrum = real(profile)
+            if profile.s != bad:
+                return spectrum
+            return dataclasses.replace(spectrum, rank=spectrum.rank + 1)
+
+        monkeypatch.setattr(spectral, "weight_spectrum", planted)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "rank",
+                               "--n-max", "4")
+        assert code == 1
+        assert out == "suite=rank checked=60 mismatches=1 FAIL\n"
+
+    def test_fourier_planted_fault(self, capsys, monkeypatch):
+        # one wrong entry at n = 5: the suite compares matrices, and must
+        # still count what the per-profile products count
+        real = spectral.krawtchouk_matrix
+
+        def planted(n):
+            C = real(n)
+            if n != 5:
+                return C
+            return tuple(tuple(c + ((k, s) == (2, 3))
+                               for s, c in enumerate(row))
+                         for k, row in enumerate(C))
+
+        monkeypatch.setattr(spectral, "krawtchouk_matrix", planted)
+        expected = 0
+        for n in range(1, 7):
+            P = oracle.all_profiles_matrix(n)
+            C = np.array(planted(n), dtype=np.int64)
+            B = oracle.brute_symmetric_fourier_matrix(n)
+            expected += int((P @ C.T != P @ B.T).sum())
+        assert expected == 1 << 5  # the profiles with s[3] = 1
+        code, out, _ = run_cli(capsys, "verify", "--suite", "fourier",
+                               "--n-max", "6")
+        assert code == 1
+        assert out == (f"suite=fourier checked=1536 mismatches={expected} "
+                       "FAIL\n")
 
     def test_lemma_exhaustive(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma",
@@ -540,6 +588,12 @@ class TestGoldenOutput:
         (("verify", "--suite", "ham-onesided", "--n", "6", "--trials", "3",
           "--seed", "5"),
          "babc06247407091be392c7e08f6e35b9e06f274ebe2956e870ec0d71a6694748"),
+        # Recorded while the rank suite ran one elimination per profile and
+        # the fourier suite multiplied every profile by both matrices.
+        (("verify", "--suite", "rank", "--n-max", "5"),
+         "952db3a9e9cc15b08ff551935d71c2c1534aaf1be16bf692aa88ad1a11449da7"),
+        (("verify", "--suite", "fourier", "--n-max", "10"),
+         "0ceb0ccbfbfa1f1ebfbf15e66261eb6939114d76b379c878c9e76011d4cd5a6e"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)

@@ -145,6 +145,44 @@ def symmetric_profiles(n):
         yield SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
 
 
+class TestReversalPairs:
+    def test_reversed_matrix_is_row_permutation(self):
+        # the identity paired_brute_ranks rests on, at every n the rank
+        # suite accepts: M_s' is M_s with rows x -> x xor 1^n
+        for n in range(1, oracle.MAX_RANK_N + 1):
+            flipped = np.arange(1 << n) ^ ((1 << n) - 1)
+            for p in symmetric_profiles(n):
+                rev = SymmetricProfile(n, p.s[::-1])
+                M = xor_matrix(TruthTable.from_profile(p))
+                assert np.array_equal(
+                    xor_matrix(TruthTable.from_profile(rev)), M[flipped])
+
+    def test_matches_one_rank_per_profile(self):
+        for n in range(1, 6):
+            assert oracle.paired_brute_ranks(n) == [
+                brute_rank(TruthTable.from_profile(p))
+                for p in symmetric_profiles(n)]
+
+    def test_one_elimination_per_pair(self, monkeypatch):
+        # a stand-in rank that numbers its calls and logs their tables
+        calls = []
+
+        def numbered(table):
+            calls.append(table.values)
+            return len(calls) - 1
+
+        monkeypatch.setattr(oracle, "brute_rank", numbered)
+        for n in range(1, oracle.MAX_RANK_N + 1):
+            calls.clear()
+            ranks = oracle.paired_brute_ranks(n)
+            palindromes = 1 << ((n + 2) // 2)  # 2^ceil((n+1)/2)
+            assert len(calls) == ((1 << (n + 1)) + palindromes) // 2
+            for p, call in zip(symmetric_profiles(n), ranks):
+                rev = SymmetricProfile(n, p.s[::-1])
+                assert calls[call] in (TruthTable.from_profile(p).values,
+                                       TruthTable.from_profile(rev).values)
+
+
 class TestRankCertificate:
     # det = -3: p = 3 divides it, p = 5 does not
     M = np.array([[1, 1], [1, -2]], dtype=np.int64)
