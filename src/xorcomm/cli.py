@@ -130,9 +130,8 @@ def _verify_rank(seed, n_max) -> tuple[int, int]:
     checked = mismatches = 0
     for n in range(1, n_max + 1):
         for i, brute in enumerate(oracle.paired_brute_ranks(n)):
-            s = tuple((i >> k) & 1 for k in range(n + 1))
-            formula = spectral.weight_spectrum(
-                symfun.SymmetricProfile(n, s)).rank
+            formula = spectral.weight_spectrum(symfun.SymmetricProfile(
+                n, oracle.profile_of_index(n, i))).rank
             checked += 1
             mismatches += int(formula != brute)
     return checked, mismatches

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The Monte-Carlo trial loop lives in engine; these names stay importable here.
+# The Monte-Carlo trial loop lives in engine.  perfbench/tracer.py still
+# binds oracle.weighted_pair and oracle.mc_error_estimate, whose metrics
+# BENCHMARK.json declares, so these re-exports stay until the tracer binds
+# the engine names.
 from .engine import MCResult, mc_error_estimate, weighted_pair  # noqa: F401
 from .spectral import krawtchouk_matrix, window_bounds
-from .symfun import SymmetricProfile
+from .symfun import SymmetricProfile, TrivialClass, classify, flip_reduction
 
 MAX_TABLE_N = 16
 # verify --suite rank checks all 2^(n+1) profiles at each n, with one
@@ -92,11 +95,9 @@ def all_profiles_matrix(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n + 1)) & 1).astype(np.int64)
 
 
-def trivial_profile_indices(n: int) -> tuple[int, int, int, int]:
-    """Row indices of const0, const1, parity, notparity in all_profiles_matrix."""
-    const1 = (1 << (n + 1)) - 1
-    parity = sum(1 << k for k in range(1, n + 1, 2))
-    return 0, const1, parity, const1 ^ parity
+def profile_of_index(n: int, i: int) -> tuple[int, ...]:
+    """Row i of all_profiles_matrix(n), the profile bits s[k] = bit k of i."""
+    return tuple((i >> k) & 1 for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +359,13 @@ def paired_brute_ranks(n: int) -> list[int]:
     2^(n+1) profiles take (2^(n+1) + 2^ceil((n+1)/2)) / 2 eliminations,
     one per pair and one per palindrome.
     """
-    ranks = []
+    ranks = {}
     for i in range(1 << (n + 1)):
-        s = tuple((i >> k) & 1 for k in range(n + 1))
-        partner = sum(1 << (n - k) for k in range(n + 1) if s[k])
-        ranks.append(ranks[partner] if partner < i else brute_rank(
-            TruthTable.from_profile(SymmetricProfile(n, s))))
-    return ranks
+        p = SymmetricProfile(n, profile_of_index(n, i))
+        partner = flip_reduction(p)
+        ranks[p] = ranks[partner] if partner in ranks else brute_rank(
+            TruthTable.from_profile(p))
+    return list(ranks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +445,7 @@ def _window_matches(n: int, target) -> list[int]:
     low_idx = order[starts + np.arange(starts.size)]
     candidates = (np.repeat(hit, count) << half) | low_idx
     return [i for i in sorted(candidates.tolist())
-            if _window_equals(rows, [t for t in range(n + 1) if i >> t & 1],
+            if _window_equals(rows, np.flatnonzero(profile_of_index(n, i)),
                               target)]
 
 
@@ -456,18 +457,19 @@ def exhaustive_lemma_scan(n: int) -> list[SymmetricProfile]:
         raise ValueError(f"exhaustive scan needs n >= 0, got {n}")
     if n > MAX_SCAN_N:
         raise ValueError(f"exhaustive scan limited to n <= {MAX_SCAN_N}")
+    if n < 2:  # every profile at n <= 1 is 2-periodic
+        return []
     lo, hi = window_bounds(n)
-    skip = set(trivial_profile_indices(n))
-    return [SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
-            for i in _window_matches(n, [0] * max(0, hi - lo + 1))
-            if i not in skip]
+    found = (SymmetricProfile(n, profile_of_index(n, i))
+             for i in _window_matches(n, [0] * (hi - lo + 1)))
+    return [p for p in found if classify(p) is TrivialClass.NONTRIVIAL]
 
 
 def sampled_lemma_scan(n: int, samples: int, seed) -> int:
     """Count of random nontrivial profiles failing the window check.
 
-    Profiles are drawn with i.i.d. uniform bits, rejecting the four trivial
-    ones.  One random-linear fingerprint of the window vector mod
+    Profiles are drawn with i.i.d. uniform bits, rejecting the 2-periodic
+    (trivial) ones.  One random-linear fingerprint of the window vector mod
     2^31 - 1, a single mat-vec per batch, clears almost every profile; a
     profile whose window vanishes has fingerprint 0, and each such suspect
     gets the exact big-integer recheck.
@@ -482,14 +484,11 @@ def sampled_lemma_scan(n: int, samples: int, seed) -> int:
     p = 2_147_483_647
     # a sum of n+1 residues below 2^31 stays inside int64
     cols = np.array(_column_fingerprints(rows, n, p)[1], dtype=np.int64)
-    parity = np.arange(n + 1) % 2
     count = drawn = 0
     while drawn < samples:
         take = min(4096, 4 * (samples - drawn) + 16)
         P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
-        ones = P.sum(axis=1)
-        trivial = ((ones == 0) | (ones == n + 1)
-                   | np.all(P == parity, axis=1) | np.all(P != parity, axis=1))
+        trivial = (P[:, 2:] == P[:, :-2]).all(axis=1)
         K = P[~trivial][:samples - drawn]
         drawn += K.shape[0]
         for row in K[(K @ cols) % p == 0]:

@@ -199,18 +199,16 @@ def _enum_reps(r: int, factor: int) -> int:
 
 def _middle_representative(profile: SymmetricProfile, r: int,
                            parity: np.ndarray) -> np.ndarray:
-    """s[k] for the least k in [r, n-r] with k = parity mod 2, in each
-    trial.
+    """s[k] for the least k >= r with k = parity mod 2, in each trial:
+    gap_params makes S 2-periodic on [r, n-r], so that k names its parity
+    class there.
 
-    On the (tiny-interval) parity mismatch the fallback is s[r], counted
-    honestly as a potential error.
+    Where that k is past n-r (the middle holds at most the point r), the
+    fallback is s[r], counted honestly as a potential error.
     """
-    n = profile.n
-    out = []
-    for p in (0, 1):
-        k = next((k for k in range(r, n - r + 1) if k % 2 == p), None)
-        out.append(profile.s[k] if k is not None else profile.s[r])
-    return np.array(out)[parity]
+    n, s = profile.n, profile.s
+    ks = [r + (p - r) % 2 for p in (0, 1)]
+    return np.array([s[k] if k <= n - r else s[r] for k in ks])[parity]
 
 
 def _is_constant(gp: GapParams) -> bool:

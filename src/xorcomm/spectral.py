@@ -199,14 +199,13 @@ def deterministic_bounds(profile: SymmetricProfile,
     """(log-rank lower bound, trivial upper bound) on D(F), where spectrum
     is weight_spectrum(profile).
 
-    Upper bound counts Bob's 1-bit answer so both parties learn the output.
+    The upper bound is 0 for a constant, which needs no bits.  Parity and
+    notparity take 1: Alice's parity bit of x, from which Bob alone learns
+    F.  Any other profile takes n + 1: the n bits of x, then Bob's 1-bit
+    answer, so both parties learn F.
     """
     lower = (max(spectrum.rank, 1) - 1).bit_length()  # ceil(log2 rank)
-    cls = classify(profile)
-    if cls in (TrivialClass.CONST0, TrivialClass.CONST1):
-        upper = 0
-    elif cls in (TrivialClass.PARITY, TrivialClass.NOTPARITY):
-        upper = 1
-    else:
-        upper = profile.n + 1
+    upper = {TrivialClass.CONST0: 0, TrivialClass.CONST1: 0,
+             TrivialClass.PARITY: 1, TrivialClass.NOTPARITY: 1}.get(
+        classify(profile), profile.n + 1)
     return lower, upper

@@ -43,9 +43,6 @@ class SymmetricProfile:
             raise ProfileError("profile entries must be 0 or 1")
         object.__setattr__(self, "s", tuple(int(b) for b in self.s))
 
-    def __getitem__(self, k: int) -> int:
-        return self.s[k]
-
 
 @dataclass(frozen=True)
 class GapParams:
@@ -117,19 +114,6 @@ def evaluate_F(profile: SymmetricProfile, pair: InputPair) -> int:
     return profile.s[pair.xor_weight()]
 
 
-def classify(profile: SymmetricProfile) -> TrivialClass:
-    s = profile.s
-    if all(b == 0 for b in s):
-        return TrivialClass.CONST0
-    if all(b == 1 for b in s):
-        return TrivialClass.CONST1
-    if all(b == k % 2 for k, b in enumerate(s)):
-        return TrivialClass.PARITY
-    if all(b == 1 - k % 2 for k, b in enumerate(s)):
-        return TrivialClass.NOTPARITY
-    return TrivialClass.NONTRIVIAL
-
-
 def _feasible(s: tuple[int, ...], n: int, r0p: int, r1p: int) -> bool:
     # S(k) = S(k+2) for every pair {k, k+2} inside [r0p, n-r1p].  Taking
     # pairs (not left endpoints) keeps the condition mirror-symmetric, so
@@ -140,6 +124,22 @@ def _feasible(s: tuple[int, ...], n: int, r0p: int, r1p: int) -> bool:
 def _period_breaks(s: tuple[int, ...]) -> list[int]:
     """Every t with s[t] != s[t+2]: where S fails to be 2-periodic."""
     return [t for t in range(len(s) - 2) if s[t] != s[t + 2]]
+
+
+# A profile with no period break is 2-periodic everywhere, so S(0) and S(1)
+# name it; these four are exactly the profiles of r0 = r1 = 0.
+_PERIODIC_CLASSES = {(0, 0): TrivialClass.CONST0, (1, 1): TrivialClass.CONST1,
+                     (0, 1): TrivialClass.PARITY,
+                     (1, 0): TrivialClass.NOTPARITY}
+
+
+def _trivial_class(s: tuple[int, ...], breaks: list[int]) -> TrivialClass:
+    return TrivialClass.NONTRIVIAL if breaks else _PERIODIC_CLASSES[s[:2]]
+
+
+def classify(profile: SymmetricProfile) -> TrivialClass:
+    """Trivial (constant cost) iff S has no period break."""
+    return _trivial_class(profile.s, _period_breaks(profile.s))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -165,7 +165,7 @@ def gap_params(profile: SymmetricProfile) -> GapParams:
         raise AssertionError(
             f"joint feasibility violated for {profile}: r0={r0}, r1={r1}")
     return GapParams(r0=r0, r1=r1, r=max(r0, r1),
-                     trivial_class=classify(profile), saturated=saturated)
+                     trivial_class=_trivial_class(s, bad), saturated=saturated)
 
 
 def flip_reduction(profile: SymmetricProfile) -> SymmetricProfile:

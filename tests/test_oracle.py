@@ -9,11 +9,12 @@ from xorcomm.engine import mc_error_estimate, weighted_pair
 from xorcomm.oracle import (MAX_SCAN_N, TruthTable, all_profiles_matrix,
                             brute_fourier, brute_rank,
                             brute_symmetric_fourier_matrix,
-                            exhaustive_lemma_scan, sampled_lemma_scan,
-                            trivial_profile_indices, xor_matrix)
+                            exhaustive_lemma_scan, profile_of_index,
+                            sampled_lemma_scan, xor_matrix)
 from xorcomm.protocols import FullSendProtocol, ParityProtocol
 from xorcomm.spectral import weight_spectrum
-from xorcomm.symfun import SymmetricProfile, parse_profile
+from xorcomm.symfun import (SymmetricProfile, TrivialClass, classify,
+                            parse_profile)
 
 
 def bareiss_rank(M):
@@ -142,7 +143,7 @@ class TestBruteRank:
 
 def symmetric_profiles(n):
     for i in range(1 << (n + 1)):
-        yield SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+        yield SymmetricProfile(n, profile_of_index(n, i))
 
 
 class TestReversalPairs:
@@ -403,11 +404,15 @@ class TestScans:
     def test_profile_matrix_and_trivial_rows(self):
         n = 3
         P = all_profiles_matrix(n)
-        i0, i1, ip, inp = trivial_profile_indices(n)
-        assert list(P[i0]) == [0, 0, 0, 0]
-        assert list(P[i1]) == [1, 1, 1, 1]
-        assert list(P[ip]) == [0, 1, 0, 1]
-        assert list(P[inp]) == [1, 0, 1, 0]
+        profiles = [SymmetricProfile(n, profile_of_index(n, i))
+                    for i in range(len(P))]
+        assert [p.s for p in profiles] == [tuple(row) for row in P.tolist()]
+        trivial = {p.s: classify(p) for p in profiles
+                   if classify(p) is not TrivialClass.NONTRIVIAL}
+        assert trivial == {(0, 0, 0, 0): TrivialClass.CONST0,
+                           (1, 1, 1, 1): TrivialClass.CONST1,
+                           (0, 1, 0, 1): TrivialClass.PARITY,
+                           (1, 0, 1, 0): TrivialClass.NOTPARITY}
 
     def test_exhaustive_small_runs(self):
         # execution contract: the list is reported as-is
@@ -465,7 +470,8 @@ def window_vector(n, i):
     """Exact window vector of profile index i (reference only)."""
     lo, hi = spectral.window_bounds(n)
     C = spectral.krawtchouk_matrix(n)
-    return [sum(C[k][t] for t in range(n + 1) if i >> t & 1)
+    s = profile_of_index(n, i)
+    return [sum(C[k][t] for t in range(n + 1) if s[t])
             for k in range(lo, hi + 1)]
 
 
@@ -482,11 +488,11 @@ def brute_window_matches(n, target):
 
 def product_lemma_scan(n):
     """The retired scan's method without its 2^18-row chunks: every profile
-    row times the window rows, trivial profiles skipped (reference only)."""
-    skip = set(trivial_profile_indices(n))
-    return [SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
-            for i in brute_window_matches(n, [0] * len(window_vector(n, 0)))
-            if i not in skip]
+    row times the window rows, 2-periodic (trivial) profiles skipped
+    (reference only)."""
+    found = (profile_of_index(n, i) for i in
+             brute_window_matches(n, [0] * len(window_vector(n, 0))))
+    return [SymmetricProfile(n, s) for s in found if s[2:] != s[:-2]]
 
 
 class TestMeetInTheMiddle:
@@ -593,7 +599,6 @@ class TestRankIdentityGeneral:
 
     def test_symmetric_rank_equals_weight_formula(self):
         for n in (3, 5):
-            for i in range(1 << (n + 1)):
-                p = SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+            for p in symmetric_profiles(n):
                 assert brute_rank(TruthTable.from_profile(p)) == \
                     weight_spectrum(p).rank

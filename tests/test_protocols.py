@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from xorcomm import engine
 from xorcomm.engine import (MCResult, RandomTape, Transcript,
                             mc_error_estimate, run_protocol, weighted_pair)
+from xorcomm.oracle import profile_of_index
 from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
                                HamProtocol, OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, _bucket_parities, _enum_reps,
-                               _probe_reps, default_buckets, make_protocol)
-from xorcomm.symfun import (InputPair, TrivialClass, evaluate_F, gap_params,
-                            parse_profile)
+                               _middle_representative, _probe_reps,
+                               default_buckets, make_protocol)
+from xorcomm.symfun import (InputPair, SymmetricProfile, TrivialClass,
+                            evaluate_F, gap_params, parse_profile)
 
 
 def pair_of_weight(n, m, seed):
@@ -742,6 +744,17 @@ class TestFactory:
             "d": 2, "buckets": None, "repetitions": 1}
         assert make_protocol("xor1way", p).params() == {
             "region_reps": 5, "search_rep_factor": 2}
+
+
+def test_middle_representative_matches_region_search():
+    # the read at r + (p - r) mod 2 against the search of [r, n-r]
+    for n in range(1, 11):
+        for i in range(1 << (n + 1)):
+            p = SymmetricProfile(n, profile_of_index(n, i))
+            for r in range((n + 1) // 2 + 1):
+                got = _middle_representative(p, r, np.array([0, 1]))
+                assert got.tolist() == [_reference_middle(p, r, 0),
+                                        _reference_middle(p, r, 1)]
 
 
 def test_probe_reps_formula():

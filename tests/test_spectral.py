@@ -3,7 +3,7 @@ import pytest
 
 from xorcomm import spectral
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
-                            brute_symmetric_fourier_matrix)
+                            brute_symmetric_fourier_matrix, profile_of_index)
 from xorcomm.spectral import (CACHE_MAX_N, deterministic_bounds,
                               krawtchouk_coefficient, krawtchouk_matrix,
                               lemma_window_check, packed_columns,
@@ -209,7 +209,7 @@ class TestRank:
     def test_rank_zero_iff_const0(self):
         for n in (2, 5):
             for i in range(1 << (n + 1)):
-                p = SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+                p = SymmetricProfile(n, profile_of_index(n, i))
                 assert (weight_spectrum(p).rank == 0) == (i == 0)
 
 
@@ -217,7 +217,7 @@ class TestParseval:
     def test_exhaustive_small(self):
         for n in range(1, 9):
             for i in range(1 << (n + 1)):
-                p = SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+                p = SymmetricProfile(n, profile_of_index(n, i))
                 assert parseval_check(p, weight_spectrum(p))
 
 

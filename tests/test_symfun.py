@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorcomm.oracle import profile_of_index
 from xorcomm.symfun import (InputPair, ProfileError, SymmetricProfile,
                             TrivialClass, classify,
                             conjectured_unbounded_measure, evaluate_F,
@@ -12,7 +13,7 @@ from xorcomm.symfun import (InputPair, ProfileError, SymmetricProfile,
 
 def all_profiles(n):
     for i in range(1 << (n + 1)):
-        yield SymmetricProfile(n, tuple((i >> k) & 1 for k in range(n + 1)))
+        yield SymmetricProfile(n, profile_of_index(n, i))
 
 
 profiles = st.integers(min_value=1, max_value=12).flatmap(
@@ -99,10 +100,18 @@ class TestClassify:
         assert classify(parse_profile(spec, 8)) is expected
 
     def test_trivial_iff_r_zero(self):
-        # the four templates are exactly the 2-periodic profiles
+        # the four templates, built by parse_profile, are exactly the
+        # 2-periodic profiles
+        names = {"const0": TrivialClass.CONST0, "const1": TrivialClass.CONST1,
+                 "parity": TrivialClass.PARITY,
+                 "notparity": TrivialClass.NOTPARITY}
         for n in range(1, 13):
+            templates = {parse_profile(name, n).s: cls
+                         for name, cls in names.items()}
             for p in all_profiles(n):
                 gp = gap_params(p)
+                assert classify(p) is templates.get(
+                    p.s, TrivialClass.NONTRIVIAL)
                 is_trivial = classify(p) is not TrivialClass.NONTRIVIAL
                 assert is_trivial == (gp.r == 0)
 
