@@ -1,7 +1,7 @@
 """Exact analysis and protocol simulation for symmetric XOR communication
 problems F(x, y) = S(|x xor y|)."""
 
-from .engine import (Channel, MCResult, Protocol, ProtocolReport, RandomTape,
+from .engine import (Channel, MCResult, Protocol, RandomTape,
                      ScheduleViolation, Transcript, mc_error_estimate,
                      run_protocol, sweep, weight_estimates)
 from .oracle import (TruthTable, brute_fourier, brute_rank,

@@ -242,9 +242,8 @@ def cmd_simulate(args) -> int:
     trials = engine.run_trials(protocol, profile, args.weight, args.trials,
                                seed)
     for t, (out, truth, transcript) in enumerate(trials):
-        report = engine.make_report(protocol, out, truth, transcript)
-        # a shallow copy: the report holds no nested dataclass
-        _emit({**vars(report), "trial": t, "weight": args.weight, "seed": seed})
+        _emit({**engine.make_report(protocol, out, truth, transcript),
+               "trial": t, "weight": args.weight, "seed": seed})
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ to the transcript so both parties know the result.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -298,20 +298,6 @@ class Protocol:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class ProtocolReport:
-    protocol: str
-    output: int
-    truth: int
-    correct: bool
-    bits_a_to_b: int
-    bits_b_to_a: int
-    total_bits: int
-    content_bits: int
-    rounds: int
-    params: dict = field(default_factory=dict)
-
-
 def _run_block(protocol: Protocol, profile: SymmetricProfile, X, Y,
                tapes: list[RandomTape]) -> tuple[np.ndarray, Channel]:
     """Run one block, row t of X and Y and tapes[t] being trial t's; return
@@ -376,13 +362,15 @@ def run_protocol(protocol: Protocol, pair: InputPair,
 
 
 def make_report(protocol: Protocol, output: int, truth: int,
-                transcript: Transcript) -> ProtocolReport:
-    return ProtocolReport(
-        protocol=protocol.name, output=output, truth=truth,
-        correct=output == truth,
-        bits_a_to_b=transcript.bits_a_to_b, bits_b_to_a=transcript.bits_b_to_a,
-        total_bits=transcript.total_bits, content_bits=transcript.content_bits,
-        rounds=transcript.rounds, params=protocol.params())
+                transcript: Transcript) -> dict:
+    """One run's row of `simulate`, without the trial, weight and seed."""
+    return {"protocol": protocol.name, "output": output, "truth": truth,
+            "correct": output == truth,
+            "bits_a_to_b": transcript.bits_a_to_b,
+            "bits_b_to_a": transcript.bits_b_to_a,
+            "total_bits": transcript.total_bits,
+            "content_bits": transcript.content_bits,
+            "rounds": transcript.rounds, "params": protocol.params()}
 
 
 @dataclass(frozen=True)

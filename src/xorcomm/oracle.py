@@ -15,9 +15,9 @@ import numpy as np
 
 # The Monte-Carlo trial loop lives in engine.  perfbench/tracer.py still
 # binds oracle.weighted_pair and oracle.mc_error_estimate, whose metrics
-# BENCHMARK.json declares, so these re-exports stay until the tracer binds
-# the engine names.
-from .engine import MCResult, mc_error_estimate, weighted_pair  # noqa: F401
+# BENCHMARK.json declares, so these two re-exports stay until the tracer
+# binds the engine names.
+from .engine import mc_error_estimate, weighted_pair  # noqa: F401
 from .spectral import krawtchouk_matrix, window_bounds
 from .symfun import SymmetricProfile, TrivialClass, classify, flip_reduction
 

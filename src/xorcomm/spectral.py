@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import add, neg, sub
 
-from .symfun import SymmetricProfile, TrivialClass, classify
+from .symfun import SymmetricProfile, TrivialClass, gap_params
 
 # weight_spectrum reads the packed half-columns of n <= CACHE_MAX_N from
 # packed_columns's cache of 4 n (4.6 MB at n = 512, 0.6 MB at n = 256), and
@@ -199,13 +199,14 @@ def deterministic_bounds(profile: SymmetricProfile,
     """(log-rank lower bound, trivial upper bound) on D(F), where spectrum
     is weight_spectrum(profile).
 
-    The upper bound is 0 for a constant, which needs no bits.  Parity and
-    notparity take 1: Alice's parity bit of x, from which Bob alone learns
-    F.  Any other profile takes n + 1: the n bits of x, then Bob's 1-bit
-    answer, so both parties learn F.
+    Bits are content bits (Transcript.content_bits: Bob's answer bit not
+    counted), of the cheapest always-correct protocol the engine runs: 0
+    for a constant (xor2way and xor1way send nothing), 1 for parity and
+    notparity (the parity of |x|, as parity, xor2way and xor1way send it),
+    n for any other profile (fullsend's n bits of x).
     """
     lower = (max(spectrum.rank, 1) - 1).bit_length()  # ceil(log2 rank)
     upper = {TrivialClass.CONST0: 0, TrivialClass.CONST1: 0,
              TrivialClass.PARITY: 1, TrivialClass.NOTPARITY: 1}.get(
-        classify(profile), profile.n + 1)
+        gap_params(profile).trivial_class, profile.n)
     return lower, upper

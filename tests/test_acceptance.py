@@ -22,7 +22,8 @@ from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
 from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
                                HamProtocol, OneWayXorProtocol, ParityProtocol,
                                TwoWayXorProtocol, default_buckets)
-from xorcomm.spectral import krawtchouk_matrix, parseval_check, weight_spectrum
+from xorcomm.spectral import (deterministic_bounds, krawtchouk_matrix,
+                              parseval_check, weight_spectrum)
 from xorcomm.symfun import SymmetricProfile, parse_profile
 
 
@@ -46,8 +47,11 @@ def test_02_rank_identity():
     for n in range(1, 9):
         for i, brute in enumerate(paired_brute_ranks(n)):
             p = SymmetricProfile(n, profile_of_index(n, i))
-            formula = weight_spectrum(p).rank
+            spectrum = weight_spectrum(p)
+            formula = spectrum.rank
             assert formula == brute, f"n={n} profile={p.s}: {formula} != {brute}"
+            lower, upper = deterministic_bounds(p, spectrum)
+            assert lower <= upper, f"n={n} profile={p.s}: {lower} > {upper}"
     # general identity on random non-symmetric tables
     rng = np.random.default_rng(2024)
     n = 6
@@ -58,7 +62,8 @@ def test_02_rank_identity():
             1 for wmask in range(1 << n)
             if brute_fourier(t, tuple((wmask >> i) & 1 for i in range(n))) != 0)
         assert brute_rank(t) == support, f"table={vals}"
-    _ok("2 rank identity (symmetric n=1..8 + 100 random tables at n=6, exact)")
+    _ok("2 rank identity and lower <= upper (symmetric n=1..8) + 100 random "
+        "tables at n=6, exact")
 
 
 def test_03_lemma_window_scans():

@@ -352,6 +352,6 @@ class TestReport:
         pair = random_pair(6, 8)
         out, t = run_protocol(ParityProtocol(), pair, p, seed=0)
         rep = make_report(ParityProtocol(), out, out, t)
-        assert rep.correct
+        assert rep["correct"]
         rep2 = make_report(ParityProtocol(), out, 1 - out, t)
-        assert not rep2.correct
+        assert not rep2["correct"]

@@ -596,9 +596,3 @@ class TestRankIdentityGeneral:
                 1 for wmask in range(1 << n)
                 if brute_fourier(t, tuple((wmask >> i) & 1 for i in range(n))))
             assert brute_rank(t) == support
-
-    def test_symmetric_rank_equals_weight_formula(self):
-        for n in (3, 5):
-            for p in symmetric_profiles(n):
-                assert brute_rank(TruthTable.from_profile(p)) == \
-                    weight_spectrum(p).rank

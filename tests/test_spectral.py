@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from xorcomm import spectral
+from xorcomm.engine import run_protocol, weighted_pair
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_symmetric_fourier_matrix, profile_of_index)
+from xorcomm.protocols import make_protocol
 from xorcomm.spectral import (CACHE_MAX_N, deterministic_bounds,
                               krawtchouk_coefficient, krawtchouk_matrix,
                               lemma_window_check, packed_columns,
                               parseval_check, weight_spectrum, window_bounds)
-from xorcomm.symfun import SymmetricProfile, parse_profile
+from xorcomm.symfun import SymmetricProfile, evaluate_F, parse_profile
 
 # Two primes near 2^61 (2^61 - 1 and 2^61 + 15) and two fixed points.
 IDENTITY_PRIMES = ((1 << 61) - 1, (1 << 61) + 15)
@@ -116,13 +118,6 @@ class TestWeightSpectrum:
         for n in range(1, 11):
             sp = weight_spectrum(parse_profile("parity", n))
             assert sp.support == (0, n)
-
-    def test_agrees_with_brute_fourier(self):
-        for n in range(1, 9):
-            P = all_profiles_matrix(n)
-            spec_side = P @ np.array(krawtchouk_matrix(n), dtype=np.int64).T
-            brute_side = P @ brute_symmetric_fourier_matrix(n).T
-            assert np.array_equal(spec_side, brute_side)
 
     def test_coeffs_agree_with_brute_fourier(self):
         # the packed spectrum itself, for all 1,020 profiles of n = 1..8
@@ -249,8 +244,29 @@ class TestBounds:
 
     def test_equality(self):
         p = parse_profile("exact:0", 10)
-        assert deterministic_bounds(p, weight_spectrum(p)) == (10, 11)
+        assert deterministic_bounds(p, weight_spectrum(p)) == (10, 10)
 
     def test_const0(self):
         p = parse_profile("const0", 8)
         assert deterministic_bounds(p, weight_spectrum(p)) == (0, 0)
+
+    @pytest.mark.parametrize("n", [3, 8, 17])
+    def test_upper_is_engine_content_bits(self, n):
+        """The upper bound is the content bits of the engine's run of the
+        cheapest always-correct protocol: xor2way and xor1way on a constant
+        (nothing sent); parity on parity, and xor2way and xor1way on parity
+        and notparity (one bit); fullsend on any other profile (n bits)."""
+        rng = np.random.default_rng(n)
+        for spec, names in (("const0", ("xor2way", "xor1way")),
+                            ("const1", ("xor2way", "xor1way")),
+                            ("parity", ("parity", "xor2way", "xor1way")),
+                            ("notparity", ("xor2way", "xor1way")),
+                            (f"threshold:{n // 2}", ("fullsend",)),
+                            ("exact:0", ("fullsend",))):
+            p = parse_profile(spec, n)
+            upper = deterministic_bounds(p, weight_spectrum(p))[1]
+            for name in names:
+                pair = weighted_pair(n, int(rng.integers(n + 1)), rng)
+                out, t = run_protocol(make_protocol(name, p), pair, p, 0)
+                assert out == evaluate_F(p, pair), (spec, n, name)
+                assert upper == t.content_bits, (spec, n, name)
