@@ -25,9 +25,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import engine, oracle, protocols, spectral, symfun
+from ._np import np
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -80,7 +79,29 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+# analyze writes its coefficients this many at a time: at n = 4096 the
+# decimal strings of all 4,097, or a JSON text around them, would hold every
+# coefficient a second time beside the ints (about 9 MB for a dense profile).
+_COEFF_BLOCK = 256
+
+
+def _emit_analysis(report: dict) -> None:
+    """_emit(report), with report["spectrum"]["coeffs"], ints, written as
+    decimal strings a block at a time."""
+    spectrum = report["spectrum"]
+    head, tail = json.dumps({**report, "spectrum": {**spectrum, "coeffs": []}},
+                            sort_keys=True).split('"coeffs": []')
+    coeffs = spectrum["coeffs"]
+    write = sys.stdout.write
+    write(head + '"coeffs": [')
+    for i in range(0, len(coeffs), _COEFF_BLOCK):
+        write((", " if i else "") + ", ".join(
+            f'"{c}"' for c in coeffs[i:i + _COEFF_BLOCK]))
+    write("]" + tail + "\n")
+
+
 def analysis_report(profile: symfun.SymmetricProfile, spec: str) -> dict:
+    """The analyze report, its coefficients as ints (see _emit_analysis)."""
     gp = symfun.gap_params(profile)
     spectrum = spectral.weight_spectrum(profile)
     holds, witness = spectral.lemma_window_check(spectrum)
@@ -95,7 +116,7 @@ def analysis_report(profile: symfun.SymmetricProfile, spec: str) -> dict:
         "conjectured_unbounded_measure":
             symfun.conjectured_unbounded_measure(profile),
         "spectrum": {
-            "coeffs": [str(c) for c in spectrum.coeffs],
+            "coeffs": spectrum.coeffs,
             "support": list(spectrum.support),
             "rank": str(spectrum.rank),
         },
@@ -107,7 +128,7 @@ def analysis_report(profile: symfun.SymmetricProfile, spec: str) -> dict:
 def cmd_analyze(args) -> int:
     _check_bounds("analyze", [("--n", args.n, 1, MAX_ANALYZE_N)])
     profile = symfun.parse_profile(args.profile, args.n)
-    _emit(analysis_report(profile, args.profile))
+    _emit_analysis(analysis_report(profile, args.profile))
     return EXIT_OK
 
 

@@ -33,8 +33,7 @@ import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Sequence
 
-import numpy as np
-
+from ._np import np
 from .symfun import InputPair, ProfileError, SymmetricProfile, gap_params
 
 # Most input bits one block of trials holds (trials * n), and most tape

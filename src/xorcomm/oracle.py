@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._np import np
 
 # The Monte-Carlo trial loop lives in engine.  perfbench/tracer.py still
 # binds oracle.weighted_pair and oracle.mc_error_estimate, whose metrics

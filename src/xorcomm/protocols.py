@@ -39,9 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import engine
+from ._np import np
 from .engine import Channel, Protocol, RandomTape
 from .symfun import (GapParams, SymmetricProfile, TrivialClass, gap_params,
                      threshold_of)
@@ -129,13 +128,15 @@ def _distance_parity(X, Y, channel: Channel, trials=None) -> np.ndarray:
 
 
 class ParityProtocol(Protocol):
-    """Alice sends |x| mod 2; the output is the parity of |x xor y|."""
+    """Alice sends |x| mod 2; the output is S at the parity of |x xor y|.
+    That is F exactly when S is 2-periodic (const0, const1, parity or
+    notparity), the only profiles make_protocol gives it."""
 
     name = "parity"
     one_way = True
 
     def run(self, X, Y, profile, channel, tapes):
-        return _distance_parity(X, Y, channel)
+        return np.array(profile.s)[_distance_parity(X, Y, channel)]
 
 
 class FullSendProtocol(Protocol):
@@ -397,7 +398,8 @@ def make_protocol(name: str, profile: SymmetricProfile, **flags) -> Protocol:
     """CLI-facing factory: the protocol `name` with the flags, keyed by
     field name; a flag left at None takes its default, and ham's d is the
     profile's threshold.  A flag that is not a field the named protocol
-    reads raises ValueError rather than being ignored."""
+    reads raises ValueError rather than being ignored, as does a profile
+    that ham (not a threshold) or parity (not 2-periodic) cannot decide."""
     if name not in PROTOCOLS:
         raise ValueError(f"unknown protocol {name!r}")
     cls = PROTOCOLS[name]
@@ -410,4 +412,8 @@ def make_protocol(name: str, profile: SymmetricProfile, **flags) -> Protocol:
         flags["d"] = threshold_of(profile)
         if flags["d"] is None:
             raise ValueError("ham protocol needs a threshold:<d> profile")
+    if (cls is ParityProtocol
+            and gap_params(profile).trivial_class is TrivialClass.NONTRIVIAL):
+        raise ValueError("parity protocol needs a const0, const1, parity or "
+                         "notparity profile")
     return cls(**flags)

@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from ._np import np
 
 
 class TrivialClass(str, Enum):

@@ -454,6 +454,15 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and "--weight 9" in err
 
+    def test_parity_protocol_refuses_threshold_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "parity",
+                                 "--profile", "threshold:3", "--n", "8",
+                                 "--weight", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: parity protocol needs a const0, const1, "
+                       "parity or notparity profile\n")
+
     def test_deterministic_output(self, capsys):
         args = ["simulate", "--protocol", "xor2way", "--profile", "exact:0",
                 "--n", "32", "--weight", "0", "--trials", "10",
@@ -676,3 +685,47 @@ class TestSubprocessDeterminism:
         a = subprocess.run(cmd, capture_output=True, env=env)
         row = json.loads(a.stdout)
         assert row["seed"] == 123
+
+
+class TestNumpyOnFirstUse:
+    # numpy's compiled core.  Not "numpy": the placeholder that xorcomm._np
+    # binds is under that name from the start, loaded or not.
+    CORE = "numpy._core._multiarray_umath"
+
+    @pytest.mark.parametrize("argv, code, loaded", [
+        (("analyze", "--n", "64", "--profile", "threshold:16"), 0, False),
+        (("--help",), 0, False),
+        (("simulate", "--protocol", "parity", "--profile", "parity", "--n",
+          "4", "--weight", "9"), 2, False),
+        # the control: the first array operation loads it
+        (("simulate", "--protocol", "parity", "--profile", "parity", "--n",
+          "4", "--weight", "1"), 0, True),
+    ])
+    def test_loaded_at_exit(self, argv, code, loaded):
+        # python -m xorcomm, reporting at exit whether numpy was loaded
+        script = (
+            "import atexit, runpy, sys\n"
+            f"atexit.register(lambda: print({self.CORE!r} in sys.modules,"
+            " file=sys.stderr))\n"
+            f"sys.argv = ['xorcomm', *{argv!r}]\n"
+            "runpy.run_module('xorcomm', run_name='__main__', alter_sys=True)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stderr.splitlines()[-1] == str(loaded)
+
+    def test_one_numpy(self):
+        # numpy is imported already, so the binding is numpy itself
+        from xorcomm import _np, cli, engine, oracle, protocols, symfun
+        assert _np._numpy() is sys.modules["numpy"] is np
+        for module in (cli, engine, oracle, protocols, symfun):
+            assert module.np is np
+
+    def test_no_numpy_is_an_import_error(self):
+        script = ("import sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  "import xorcomm\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ModuleNotFoundError: import of numpy halted" in proc.stderr

@@ -42,6 +42,20 @@ class TestParity:
             _, t = run_protocol(ParityProtocol(), pair_of_weight(10, m, m), p, 0)
             assert t.content_bits == 1
 
+    @pytest.mark.parametrize("n", [3, 8, 17])
+    def test_notparity_every_trial(self, n):
+        # the output is S at the parity of the distance, not the parity
+        # itself, which is wrong on every trial of notparity
+        p = parse_profile("notparity", n)
+        proto = make_protocol("parity", p)
+        for res in engine.weight_estimates(proto, p, range(n + 1), 20, (n,)):
+            assert res.successes == res.trials == 20
+
+    def test_refuses_a_profile_with_a_period_break(self):
+        with pytest.raises(ValueError, match="parity protocol needs a "
+                           "const0, const1, parity or notparity profile"):
+            make_protocol("parity", parse_profile("threshold:3", 8))
+
 
 class TestFullSend:
     def test_exhaustive_n6(self):
@@ -312,7 +326,7 @@ def _reference_body(protocol, x, y, profile, channel, tape):
     """One trial of `protocol`, as the protocols ran before batching."""
     n, s = profile.n, profile.s
     if protocol.name == "parity":
-        return _reference_parity(x, y, channel)
+        return s[_reference_parity(x, y, channel)]
     if protocol.name == "fullsend":
         channel.a_to_b(x)
         return s[int(np.count_nonzero(x != y))]
@@ -480,6 +494,8 @@ class TestBatchedLoop:
         spec = {"threshold": f"threshold:{k}", "exact": f"exact:{k}",
                 "mod": f"mod:{k % 5 + 2}:{k % 3}"}[
             "threshold" if name == "ham" else family]
+        if name == "parity":  # the only profiles it decides
+            spec = ("const0", "const1", "parity", "notparity")[k % 4]
         profile = parse_profile(spec, n)
         if name == "ham":
             # b < n and b >= n
@@ -689,7 +705,9 @@ def test_one_way_alice_messages_independent_of_y(recorder, data):
     n = data.draw(st.integers(1, 24))
     d = data.draw(st.integers(0, n))
     spec = f"threshold:{d}" if name == "ham" else data.draw(
-        st.sampled_from((f"threshold:{d}", f"exact:{d}", "mod:3:0", "parity")))
+        st.sampled_from((f"threshold:{d}", f"exact:{d}", "mod:3:0", "parity")
+                        if name != "parity" else
+                        ("const0", "const1", "parity", "notparity")))
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
     x, y1, y2 = data.draw(bits), data.draw(bits), data.draw(bits)
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
@@ -705,12 +723,14 @@ def test_one_way_alice_messages_independent_of_y(recorder, data):
 class TestFactory:
     def test_names(self):
         p = parse_profile("threshold:2", 8)
-        for name, cls in (("parity", ParityProtocol),
-                          ("fullsend", FullSendProtocol),
+        for name, cls in (("fullsend", FullSendProtocol),
                           ("ham", HamProtocol),
                           ("xor2way", TwoWayXorProtocol),
                           ("xor1way", OneWayXorProtocol)):
             assert isinstance(make_protocol(name, p), cls)
+        # parity decides only the 2-periodic profiles
+        assert isinstance(make_protocol("parity", parse_profile("parity", 8)),
+                          ParityProtocol)
 
     def test_ham_requires_threshold_profile(self):
         with pytest.raises(ValueError):
