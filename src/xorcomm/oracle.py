@@ -22,10 +22,11 @@ from .spectral import krawtchouk_matrix, window_bounds
 from .symfun import SymmetricProfile, TrivialClass, classify, flip_reduction
 
 MAX_TABLE_N = 16
-# verify --suite rank checks all 2^(n+1) profiles at each n, with one
-# elimination per reversal pair (paired_brute_ranks); at n = 9 one rank
-# takes 0.05-0.12 s, so the 528 eliminations there alone would take about
-# 36 s.
+# verify --suite rank checks all 2^(n+1) profiles at each n, with one rank
+# per reversal pair (paired_brute_ranks).  At n = 9 the 528 ranks took 22 s
+# of wall time and 44 s of CPU time in one run on a 2-core host: a
+# full-rank matrix is certified in about 0.04 s, a deficient one still
+# takes an elimination of 0.05-0.12 s.
 MAX_RANK_N = 8
 # exhaustive_lemma_scan holds two tables of 2^((n+1)/2) int64 fingerprints;
 # at n = 39 a fresh process took under 1 s and 76 MB, at n = 40 101 MB.
@@ -328,11 +329,50 @@ def _exact_rank(M: np.ndarray, p: int) -> int:
     return _max_rank_mod_primes(M) if rank is None else rank
 
 
+def _nonsingular(M: np.ndarray) -> bool:
+    """True only if the square integer matrix M is proved nonsingular.
+
+    A float64 inverse R is only a hint (Rump, "Verification methods", Acta
+    Numerica 2010): Z = rint(2^s R) is an integer matrix, and E = M Z - 2^s I
+    is computed exactly.  If max_i sum_j |E_ij| < 2^s, then
+    ||I - M Z / 2^s||_inf < 1, so M Z / 2^s is invertible, and so is M.
+    The guard m * max|M| * max|Z| < 2^53 keeps every partial sum of the
+    BLAS product an integer below 2^53, so the product is exact in any
+    summation order (and M exact in float64, unless Z = 0, which fails);
+    then every comparison is on integers, and a wrong hint can only make
+    the proof fail.
+    """
+    m = M.shape[0]
+    F = M.astype(np.float64)
+    try:
+        Z = np.linalg.inv(F)  # R, made into Z in place
+    except np.linalg.LinAlgError:
+        return False
+    # 2^s > 4 m^2, and rounding Z adds at most m^2 / 2 to a row sum of |E|
+    # when M is 0/1
+    s = 2 * m.bit_length() + 2
+    np.ldexp(Z, s, out=Z)
+    np.rint(Z, out=Z)
+    zmax = float(np.abs(Z).max())
+    # written so that NaN and inf fail; the bound is a Python int product
+    if not zmax < 1 << 53 or m * int(np.abs(M).max()) * int(zmax) >= 1 << 53:
+        return False
+    E = (F @ Z).astype(np.int64)
+    E[np.diag_indices(m)] -= 1 << s
+    np.abs(E, out=E)
+    if E.max() >= 1 << s:  # also keeps the row sums below m * 2^s
+        return False
+    return int(E.sum(axis=1).max()) < 1 << s
+
+
 def brute_rank(table: TruthTable) -> int:
     """Exact rank over the rationals of [f(x xor y)], proved from both sides.
 
-    Lower bound: one elimination modulo the first prime p above 2^22; the
-    rank mod p, r_p, never exceeds the rational rank, so r_p = 2^n ends it.
+    Full rank first: a float inverse as a hint and one exact integer
+    product prove M nonsingular (_nonsingular), with no elimination.
+    Otherwise, lower bound: one elimination modulo the first prime p above
+    2^22; the rank mod p, r_p, never exceeds the rational rank, so
+    r_p = 2^n ends it.
     Upper bound: below full rank, the 2^n - r_p kernel vectors of the
     reduced echelon form mod p are lifted to integers by rational
     reconstruction and M V = 0 is checked exactly, which proves the rank
@@ -344,20 +384,23 @@ def brute_rank(table: TruthTable) -> int:
     """
     if table.n > MAX_RANK_N:
         raise ValueError(f"brute_rank limited to n <= {MAX_RANK_N}")
-    return _exact_rank(xor_matrix(table), _primes_above(_RANK_PRIMES, 1)[0])
+    M = xor_matrix(table)
+    if _nonsingular(M):
+        return M.shape[0]
+    return _exact_rank(M, _primes_above(_RANK_PRIMES, 1)[0])
 
 
 def paired_brute_ranks(n: int) -> list[int]:
     """brute_rank of every profile at n, by index as in all_profiles_matrix,
-    with one elimination per reversal pair.
+    with one brute_rank call per reversal pair.
 
     The reversed profile s'(k) = s(n - k) has index the bit-reverse of i
     over n + 1 bits, and the same rank: |x xor y xor 1^n| = n - |x xor y|,
     so M_s'[x, y] = s(n - |x xor y|) = M_s[x xor 1^n, y], and M_s' is M_s
     with its rows permuted by x -> x xor 1^n (the Hamming scheme's
     complement symmetry; MacWilliams & Sloane, ch. 5).  So the
-    2^(n+1) profiles take (2^(n+1) + 2^ceil((n+1)/2)) / 2 eliminations,
-    one per pair and one per palindrome.
+    2^(n+1) profiles take (2^(n+1) + 2^ceil((n+1)/2)) / 2 calls, one per
+    pair and one per palindrome.
     """
     ranks = {}
     for i in range(1 << (n + 1)):
@@ -489,8 +532,12 @@ def sampled_lemma_scan(n: int, samples: int, seed) -> int:
         take = min(4096, 4 * (samples - drawn) + 16)
         P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
         trivial = (P[:, 2:] == P[:, :-2]).all(axis=1)
-        K = P[~trivial][:samples - drawn]
-        drawn += K.shape[0]
-        for row in K[(K @ cols) % p == 0]:
-            count += _window_equals(rows, np.flatnonzero(row).tolist(), zero)
+        # every drawn row is fingerprinted in place, so the kept rows are
+        # never copied out of P
+        fp = P @ cols
+        fp %= p
+        keep = np.flatnonzero(~trivial)[:samples - drawn]
+        drawn += keep.size
+        for i in keep[fp[keep] == 0]:
+            count += _window_equals(rows, np.flatnonzero(P[i]).tolist(), zero)
     return count

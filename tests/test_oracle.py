@@ -283,6 +283,122 @@ class TestRankCertificate:
         assert [brute_rank(t) for t in tables] == want
 
 
+# full rank: threshold:2 at 4, mod:3:0 at 5; singular, with LAPACK raising
+# LinAlgError (const0, const1, parity, mod:3:1) or returning a float
+# "inverse" (threshold:1 and threshold:3 at 5, ranks 22)
+NONSINGULAR = [("threshold:2", 4), ("mod:3:0", 5)]
+SINGULAR = [("const0", 4), ("const1", 4), ("parity", 4), ("const0", 5),
+            ("const1", 5), ("parity", 5), ("mod:3:1", 5), ("threshold:1", 5),
+            ("threshold:3", 5)]
+
+
+def profile_matrix(name, n):
+    t = TruthTable.from_profile(parse_profile(name, n))
+    return t, xor_matrix(t)
+
+
+class TestNonsingular:
+    def test_full_rank_iff_certified(self):
+        # every profile at n <= 6: 252 matrices, 154 of them full rank
+        for n in range(1, 7):
+            for p in symmetric_profiles(n):
+                M = xor_matrix(TruthTable.from_profile(p))
+                assert oracle._nonsingular(M) == (
+                    oracle._max_rank_mod_primes(M) == 1 << n), p
+
+    @pytest.mark.parametrize("name, n", SINGULAR)
+    def test_singular_refused(self, name, n):
+        _, M = profile_matrix(name, n)
+        assert oracle._nonsingular(M) is False
+
+    # "nearby", the inverse of M + 2^-10 I, is a valid hint for a
+    # nonsingular M, so it is tried on the singular ones only
+    @pytest.mark.parametrize("hint, name, n", [
+        (hint, name, n)
+        for hint in ("perturbed", "identity", "zeros", "random")
+        for name, n in NONSINGULAR + SINGULAR] + [
+        ("nearby", name, n) for name, n in SINGULAR])
+    def test_wrong_hint_never_certifies(self, monkeypatch, hint, name, n):
+        t, M = profile_matrix(name, n)
+        want = oracle._max_rank_mod_primes(M)
+        rng = np.random.default_rng(3)
+        pinv = np.linalg.pinv
+
+        def inv(F):
+            if hint == "identity":
+                return np.eye(len(F))
+            if hint == "zeros":
+                return np.zeros_like(F)
+            if hint == "nearby":
+                return pinv(F + np.ldexp(np.eye(len(F)), -10))
+            if hint == "random":
+                return rng.normal(size=F.shape)
+            # M (R + J) = I + M J, and each row of M holds a 1
+            return pinv(F) + 1.0
+        monkeypatch.setattr(oracle.np.linalg, "inv", inv)
+        assert oracle._nonsingular(M) is False
+        assert brute_rank(t) == want
+
+    def test_linalg_error_refused(self, monkeypatch):
+        t, M = profile_matrix(*NONSINGULAR[0])
+
+        def inv(F):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(oracle.np.linalg, "inv", inv)
+        assert oracle._nonsingular(M) is False
+        assert brute_rank(t) == 16
+
+    def test_row_sum_bound_is_strict(self, monkeypatch):
+        # the singular all-ones M = J at m = 2 (s = 6) with the hint I / 2:
+        # E = 32 J - 64 I, each row sum exactly 2^s
+        M = np.ones((2, 2), dtype=np.int64)
+        monkeypatch.setattr(oracle.np.linalg, "inv", lambda F: np.eye(2) / 2)
+        assert oracle._nonsingular(M) is False
+
+    def test_entries_near_2_61_refused(self):
+        # det -1, but float64 rounds 2^61 + 1 to 2^61
+        c = (1 << 61) + 1
+        assert oracle._nonsingular(
+            np.array([[c, 1], [1, 0]], dtype=np.int64)) is False
+        # singular, rows (2, 3) and q (2, 3); rounded to float64, they are
+        # not parallel
+        q = 23312007253771414
+        assert oracle._nonsingular(
+            np.array([[2, 3], [2 * q, 3 * q]], dtype=np.int64)) is False
+
+    def test_guard_refuses_inexact_product(self, monkeypatch):
+        # M = diag(A, I) is singular: A's rows are (a, b) and 3 (a, b).  The
+        # hint Z = diag(ZA, 2^8 I) has A ZA = [[25, 74], [75, 222]] exactly,
+        # from terms near 2^60; summed in float64 they round to a product
+        # that passes the row-sum test.  Every entry is below 2^53, so
+        # only the guard m * max|M| * max|Z| < 2^53 refuses it.
+        a, b = 665921401, 678131111
+        ZA = [[1791764644, -12924564], [-1759504029, 12691858]]
+        A = [[a, b], [3 * a, 3 * b]]
+        exact = [[sum(A[i][k] * ZA[k][j] for k in range(2)) for j in range(2)]
+                 for i in range(2)]
+        assert exact == [[25, 74], [75, 222]]
+        rounded = [[float(A[i][0]) * ZA[0][j] + float(A[i][1]) * ZA[1][j]
+                    for j in range(2)] for i in range(2)]
+        shift = 1 << 8  # s = 2 * m.bit_length() + 2 at m = 4
+        assert max(abs(rounded[i][0] - shift * (i == 0))
+                   + abs(rounded[i][1] - shift * (i == 1))
+                   for i in range(2)) < shift
+        M = np.eye(4, dtype=np.int64)
+        M[:2, :2] = A
+        Z = np.eye(4) * shift
+        Z[:2, :2] = ZA
+        monkeypatch.setattr(oracle.np.linalg, "inv", lambda F: Z / shift)
+        assert oracle._nonsingular(M) is False
+
+    def test_brute_rank_skips_elimination_at_full_rank(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a full-rank matrix was eliminated")
+        monkeypatch.setattr(oracle, "_exact_rank", forbidden)
+        for name, n in NONSINGULAR:
+            assert brute_rank(profile_matrix(name, n)[0]) == 1 << n
+
+
 RANK_P = oracle._primes_above(oracle._RANK_PRIMES, 1)[0]
 BLOCK = oracle._PANEL
 
@@ -464,6 +580,30 @@ class TestScans:
         want = sum(s[0] == 0 for s in accepted)
         assert 0 < want < samples
         assert sampled_lemma_scan(n, samples, seed) == want
+
+    def test_sampled_rechecks_every_suspect_in_draw_order(self, monkeypatch):
+        # zero column fingerprints make every drawn row a suspect, so the
+        # exact recheck sees exactly the accepted rows, in draw order
+        n, samples, seed = 6, 5000, 4
+        monkeypatch.setattr(oracle, "_column_fingerprints",
+                            lambda rows, m, p: ([0] * len(rows), [0] * (m + 1)))
+        seen = []
+
+        def record(rows, ones, target):
+            seen.append(ones)
+            return False
+        monkeypatch.setattr(oracle, "_window_equals", record)
+        assert sampled_lemma_scan(n, samples, seed) == 0
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        accepted = []
+        while len(accepted) < samples:
+            take = min(4096, 4 * (samples - len(accepted)) + 16)
+            P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
+            keep = [row for row in P.tolist() if row[2:] != row[:-2]]
+            accepted += keep[:samples - len(accepted)]
+        assert len(seen) == samples
+        assert seen == [[t for t, b in enumerate(row) if b]
+                        for row in accepted]
 
 
 def window_vector(n, i):
