@@ -161,7 +161,9 @@ def _rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if p + 2 * _PANEL * (p - 1) ** 2 >= 1 << 53:
         raise ValueError(f"p = {p} is too large for exact float64 "
                          f"elimination")
-    AT = np.mod(M, p).T.astype(np.float64, order="C")
+    if M.min() < 0 or M.max() >= p:  # a 0/1 matrix is reduced already
+        M = np.mod(M, p)
+    AT = M.T.astype(np.float64, order="C")
     ncols, m = AT.shape
     free = np.ones(m, dtype=np.int64)  # 1 at the rows not yet pivots
     rows, pivots = [], []
@@ -222,9 +224,19 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
 
 
 def xor_matrix(table: TruthTable) -> np.ndarray:
+    """[f(x xor y)] as float64, which holds its 0/1 entries exactly."""
     idx = np.arange(1 << table.n)
-    vals = np.array(table.values, dtype=np.int64)
+    vals = np.array(table.values, dtype=np.float64)
     return vals[np.bitwise_xor.outer(idx, idx)]
+
+
+def _exact_product(M: np.ndarray, V: np.ndarray) -> np.ndarray | None:
+    """M V on float64 BLAS if ncols * max|M| * max|V| < 2^53, else None.
+    For integer M and V every entry and partial sum is then an integer
+    below 2^53, exact in any summation order; float64 rounds monotonically,
+    so a true bound of 2^53 or more fails, as do NaN and inf."""
+    bound = M.shape[1] * float(np.abs(M).max()) * float(np.abs(V).max())
+    return M @ V if bound < 1 << 53 else None
 
 
 def _rational_lift(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -278,19 +290,14 @@ def _kernel_certificate(M: np.ndarray, p: int) -> int | None:
         return None
     a, b = lifted
     lcms = [math.lcm(*col.tolist()) for col in b.T]
-    wide = max(lcms) >= 1 << 31  # else |a| * lcm / b < 2^43, as p < 2^24
-    dtype = object if wide else np.int64
-    L = np.array(lcms, dtype=dtype)
-    V = np.zeros((ncols, free.size), dtype=dtype)
+    if max(lcms) >= 1 << 31:  # else |a| * lcm / b < 2^43, as p < 2^24
+        return None
+    L = np.array(lcms, dtype=np.int64)
+    V = np.zeros((ncols, free.size))
     V[free, np.arange(free.size)] = L
-    V[pivots] = a.astype(dtype) * (L // b.astype(dtype))
-    # Below 2^53 every partial sum of M V is an exact float64 integer, so
-    # the product can run on BLAS; above it, on Python ints.
-    if ncols * int(np.abs(M).max()) * int(np.abs(V).max()) < 1 << 53:
-        residual = M.astype(np.float64) @ V.astype(np.float64)
-    else:
-        residual = M.astype(object) @ V.astype(object)
-    return rank if not np.any(residual) else None
+    V[pivots] = a * (L // b)
+    residual = _exact_product(M, V)
+    return rank if residual is not None and not residual.any() else None
 
 
 def _fallback_primes(m: int) -> tuple[int, ...]:
@@ -334,18 +341,14 @@ def _nonsingular(M: np.ndarray) -> bool:
 
     A float64 inverse R is only a hint (Rump, "Verification methods", Acta
     Numerica 2010): Z = rint(2^s R) is an integer matrix, and E = M Z - 2^s I
-    is computed exactly.  If max_i sum_j |E_ij| < 2^s, then
+    is computed exactly (_exact_product).  If max_i sum_j |E_ij| < 2^s, then
     ||I - M Z / 2^s||_inf < 1, so M Z / 2^s is invertible, and so is M.
-    The guard m * max|M| * max|Z| < 2^53 keeps every partial sum of the
-    BLAS product an integer below 2^53, so the product is exact in any
-    summation order (and M exact in float64, unless Z = 0, which fails);
-    then every comparison is on integers, and a wrong hint can only make
-    the proof fail.
+    Every comparison is on integers, so a wrong hint can only make the
+    proof fail.
     """
     m = M.shape[0]
-    F = M.astype(np.float64)
     try:
-        Z = np.linalg.inv(F)  # R, made into Z in place
+        Z = np.linalg.inv(M)  # R, made into Z in place
     except np.linalg.LinAlgError:
         return False
     # 2^s > 4 m^2, and rounding Z adds at most m^2 / 2 to a row sum of |E|
@@ -353,16 +356,14 @@ def _nonsingular(M: np.ndarray) -> bool:
     s = 2 * m.bit_length() + 2
     np.ldexp(Z, s, out=Z)
     np.rint(Z, out=Z)
-    zmax = float(np.abs(Z).max())
-    # written so that NaN and inf fail; the bound is a Python int product
-    if not zmax < 1 << 53 or m * int(np.abs(M).max()) * int(zmax) >= 1 << 53:
+    E = _exact_product(M, Z)
+    if E is None:
         return False
-    E = (F @ Z).astype(np.int64)
     E[np.diag_indices(m)] -= 1 << s
     np.abs(E, out=E)
-    if E.max() >= 1 << s:  # also keeps the row sums below m * 2^s
-        return False
-    return int(E.sum(axis=1).max()) < 1 << s
+    # a float64 row sum cannot overflow, is never below its largest
+    # entry, and, rounding monotonically, is below 2^s iff its true value is
+    return bool(E.sum(axis=1).max() < 1 << s)
 
 
 def brute_rank(table: TruthTable) -> int:

@@ -133,13 +133,9 @@ _PERIODIC_CLASSES = {(0, 0): TrivialClass.CONST0, (1, 1): TrivialClass.CONST1,
                      (1, 0): TrivialClass.NOTPARITY}
 
 
-def _trivial_class(s: tuple[int, ...], breaks: list[int]) -> TrivialClass:
-    return TrivialClass.NONTRIVIAL if breaks else _PERIODIC_CLASSES[s[:2]]
-
-
 def classify(profile: SymmetricProfile) -> TrivialClass:
     """Trivial (constant cost) iff S has no period break."""
-    return _trivial_class(profile.s, _period_breaks(profile.s))
+    return gap_params(profile).trivial_class
 
 
 @functools.lru_cache(maxsize=4096)
@@ -164,8 +160,9 @@ def gap_params(profile: SymmetricProfile) -> GapParams:
     if not _feasible(s, n, r0, r1):
         raise AssertionError(
             f"joint feasibility violated for {profile}: r0={r0}, r1={r1}")
-    return GapParams(r0=r0, r1=r1, r=max(r0, r1),
-                     trivial_class=_trivial_class(s, bad), saturated=saturated)
+    trivial = TrivialClass.NONTRIVIAL if bad else _PERIODIC_CLASSES[s[:2]]
+    return GapParams(r0=r0, r1=r1, r=max(r0, r1), trivial_class=trivial,
+                     saturated=saturated)
 
 
 def flip_reduction(profile: SymmetricProfile) -> SymmetricProfile:

@@ -206,21 +206,41 @@ class TestRankCertificate:
         assert oracle._exact_rank(self.M, 5) == 2
         assert calls == []
 
-    def test_object_array_check(self):
-        # ncols * max|M| * max|V| reaches 2^53, so the check runs on
-        # Python ints
+    def test_inexact_check_reaches_fallback(self):
+        # ncols * max|M| * max|V| reaches 2^53, so the M V check is refused
+        # and the fallback primes give the rank
         big = 1 << 61
         p = oracle._primes_above(oracle._RANK_PRIMES, 1)[0]
-        assert oracle._kernel_certificate(np.full((2, 2), big), p) == 1
+        M = np.full((2, 2), big)
+        assert oracle._kernel_certificate(M, p) is None
+        assert oracle._exact_rank(M, p) == 1
         # mod p both columns agree, over Q the kernel is not (-1, 1)
         M = np.array([[big, big + p]], dtype=np.int64)
         assert oracle._kernel_certificate(M, p) is None
         assert oracle._exact_rank(M, p) == 1
         # kernel vector (-1/q1, -1/q2, -1/q3, 1): each q is below the lift
-        # bound isqrt(p/2) = 1448, and the lcm q1*q2*q3 > 2^31
+        # bound isqrt(p/2) = 1448, and the lcm q1*q2*q3 >= 2^31 is refused
         q1, q2, q3 = 1291, 1297, 1301
         M = np.array([[q1, 0, 0, 1], [0, q2, 0, 1], [0, 0, q3, 1]])
-        assert oracle._kernel_certificate(M, p) == 3
+        assert oracle._kernel_certificate(M, p) is None
+        assert oracle._exact_rank(M, p) == 3
+
+    def test_exact_product_guard_boundary(self):
+        # ncols * max|M| * max|V| exactly 2^53 is refused, one below it is
+        # computed, and exactly
+        V = np.ones((2, 1))
+        assert oracle._exact_product(np.full((1, 2), 1 << 52), V) is None
+        top = (1 << 53) - 1
+        assert oracle._exact_product(np.array([[top]]),
+                                     np.ones((1, 1))).tolist() == [[top]]
+        q = top // 3  # bound 3q = 2^53 - 2
+        M = np.array([[q, -q, q]])
+        assert oracle._exact_product(M, np.ones((3, 1))).tolist() == [[q]]
+        assert oracle._exact_product(M, np.full((3, 1), 2)) is None
+        for bad in (np.nan, np.inf, -np.inf):
+            assert oracle._exact_product(np.array([[1.0, bad]]), V) is None
+            assert oracle._exact_product(np.ones((1, 2)),
+                                         np.array([[1.0], [bad]])) is None
 
     def test_lift_failure_reaches_fallback(self, monkeypatch):
         # the reduced echelon form holds +-1/2, above the lift bound

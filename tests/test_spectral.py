@@ -270,3 +270,22 @@ class TestBounds:
                 out, t = run_protocol(make_protocol(name, p), pair, p, 0)
                 assert out == evaluate_F(p, pair), (spec, n, name)
                 assert upper == t.content_bits, (spec, n, name)
+
+    @pytest.mark.parametrize("spec, name", [
+        ("const0", "xor2way"), ("const1", "xor2way"), ("parity", "parity"),
+        ("notparity", "parity"), ("threshold:4", "fullsend"),
+        ("exact:0", "fullsend"), ("mod:3:1", "fullsend")])
+    def test_upper_is_charged_at_every_weight(self, spec, name):
+        """At n = 8 the upper bound is the content bits the engine charges
+        the protocol named for its class, on a pair of every weight: 0
+        under xor2way, 1 under parity, n under fullsend."""
+        n = 8
+        p = parse_profile(spec, n)
+        upper = deterministic_bounds(p, weight_spectrum(p))[1]
+        assert upper == {"xor2way": 0, "parity": 1, "fullsend": n}[name]
+        rng = np.random.default_rng(8)
+        for m in range(n + 1):
+            pair = weighted_pair(n, m, rng)
+            out, t = run_protocol(make_protocol(name, p), pair, p, m)
+            assert out == evaluate_F(p, pair), m
+            assert t.content_bits == upper, m
