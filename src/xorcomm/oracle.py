@@ -28,8 +28,9 @@ MAX_TABLE_N = 16
 # full-rank matrix is certified in about 0.04 s, a deficient one still
 # takes an elimination of 0.05-0.12 s.
 MAX_RANK_N = 8
-# exhaustive_lemma_scan holds two tables of 2^((n+1)/2) int64 fingerprints;
-# at n = 39 a fresh process took under 1 s and 76 MB, at n = 40 101 MB.
+# exhaustive_lemma_scan enumerates 2^q assignments, q about n/4: at n = 39,
+# q = 10, and a fresh process took 0.14-0.15 s and 30 MB of peak RSS on a
+# 2-core x86-64 host.  39 is kept until a limit is measured for it.
 MAX_SCAN_N = 39
 # sampled_lemma_scan reads krawtchouk_matrix(n), which stays cached: 13.8 MB
 # and about 0.03 s to build at n = 512, and its size grows as n^3 bits.
@@ -161,7 +162,7 @@ def _rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if p + 2 * _PANEL * (p - 1) ** 2 >= 1 << 53:
         raise ValueError(f"p = {p} is too large for exact float64 "
                          f"elimination")
-    if M.min() < 0 or M.max() >= p:  # a 0/1 matrix is reduced already
+    if M.size and (M.min() < 0 or M.max() >= p):  # 0/1 is reduced already
         M = np.mod(M, p)
     AT = M.T.astype(np.float64, order="C")
     ncols, m = AT.shape
@@ -416,9 +417,6 @@ def paired_brute_ranks(n: int) -> list[int]:
 # Lemma window scans
 
 
-# Random-linear fingerprints of window vectors live mod this prime; a sum of
-# two residues stays below 2^62, inside int64.
-_FINGERPRINT_P = (1 << 61) - 1
 _FINGERPRINT_SEED = 0x5CA7
 
 
@@ -433,14 +431,14 @@ def _subset_sums_mod(cols: list[int], p: int) -> np.ndarray:
     return f
 
 
-def _column_fingerprints(rows, n: int, p: int) -> tuple[list[int], list[int]]:
-    """Weights w from _FINGERPRINT_SEED (never a caller's seed) and the
-    fingerprints sum_k w[k] rows[k][t] mod p of the columns t = 0..n."""
+def _column_fingerprints(rows, n: int, p: int) -> list[int]:
+    """The fingerprints sum_k w[k] rows[k][t] mod p of the columns
+    t = 0..n, with weights w from _FINGERPRINT_SEED (never a caller's
+    seed)."""
     weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
         0, p, size=len(rows)).tolist()
-    cols = [sum(w * row[t] for w, row in zip(weights, rows)) % p
+    return [sum(w * row[t] for w, row in zip(weights, rows)) % p
             for t in range(n + 1)]
-    return weights, cols
 
 
 def _window_equals(rows, ones, target) -> bool:
@@ -454,14 +452,15 @@ def _window_matches(n: int, target) -> list[int]:
     trivial profiles included, whose window vector
     (sum_t s[t] C[k][t] for k in window_bounds(n)) equals target; ascending.
 
-    Meet in the middle (Horowitz & Sahni, JACM 1974): the window vector is
-    linear in s, so a random-linear fingerprint of it mod p is the sum of
-    the fingerprints of the set columns.  The subset sums of the low and the
-    high columns are tabulated separately, the low table is sorted, and each
-    high sum looks up the low sums that complete it to the target's
-    fingerprint.  Every true match collides whatever the random weights
-    are, so none is missed; every collision is rechecked exactly on Python
-    ints, so none is false.  The result does not depend on the seed.
+    The window vector is linear in s, so the matches are the 0/1 solutions
+    of [window rows | target].  One elimination of it mod the rank oracle's
+    prime p leaves q free columns; as C C = 2^n I, the window rows stay
+    independent mod every odd p, so q = n + 1 - (hi - lo + 1), about n/4.
+    Each pivot bit is b - sum_f a_f s_f mod p, one subset sum per pivot row
+    over the 2^q assignments of the free bits, and an assignment is kept if
+    every pivot bit is 0 or 1.  A true match solves the system mod every p,
+    so none is missed; every kept candidate is rechecked exactly on Python
+    ints, so none is false.
     """
     lo, hi = window_bounds(n)
     rows = krawtchouk_matrix(n)[lo:hi + 1]
@@ -469,34 +468,30 @@ def _window_matches(n: int, target) -> list[int]:
     if len(target) != len(rows):
         raise ValueError(f"target has {len(target)} entries, the window "
                          f"at n={n} has {len(rows)}")
-    p = _FINGERPRINT_P
-    weights, cols = _column_fingerprints(rows, n, p)
-    goal = sum(w * v for w, v in zip(weights, target)) % p
-    half = (n + 1) // 2
-    low = _subset_sums_mod(cols[:half], p)
-    high = _subset_sums_mod(cols[half:], p)
-    order = np.argsort(low, kind="stable")
-    low = low[order]
-    want = np.subtract(goal, high, out=high)
-    want %= p
-    first = np.searchsorted(low, want)
-    # first = low.size means want is above every low sum; clipped, it
-    # points at a smaller entry and still misses
-    np.minimum(first, low.size - 1, out=first)
-    hit = np.flatnonzero(low[first] == want)
-    count = np.searchsorted(low, want[hit], side="right") - first[hit]
-    starts = np.repeat(first[hit] - np.cumsum(count) + count, count)
-    low_idx = order[starts + np.arange(starts.size)]
-    candidates = (np.repeat(hit, count) << half) | low_idx
-    return [i for i in sorted(candidates.tolist())
+    p = _primes_above(_RANK_PRIMES, 1)[0]
+    R, pivots = _rref_mod_p(np.array(
+        [[c % p for c in (*row, v)] for row, v in zip(rows, target)],
+        dtype=np.int64).reshape(len(rows), n + 2), p)
+    if n + 1 in pivots:  # no solution mod p, so none over Q
+        return []
+    free = [t for t in range(n + 1) if t not in pivots]
+    # powers of two below 2^(n+1) never wrap: entry a is the index of the
+    # free bits that a sets
+    index = _subset_sums_mod([1 << t for t in free], 1 << (n + 1))
+    kept = np.ones(index.size, dtype=bool)
+    for row, t in zip(R, pivots):
+        bit = (int(row[-1]) - _subset_sums_mod(row[free].tolist(), p)) % p
+        kept &= bit <= 1
+        index[bit == 1] += 1 << t
+    return [i for i in sorted(index[kept].tolist())
             if _window_equals(rows, np.flatnonzero(profile_of_index(n, i)),
                               target)]
 
 
 def exhaustive_lemma_scan(n: int) -> list[SymmetricProfile]:
     """All nontrivial profiles at n whose support misses the middle window,
-    in ascending profile index, found by a meet-in-the-middle search for
-    the zero window vector."""
+    in ascending profile index: the 0/1 solutions of a zero window vector
+    (_window_matches)."""
     if n < 0:
         raise ValueError(f"exhaustive scan needs n >= 0, got {n}")
     if n > MAX_SCAN_N:
@@ -521,13 +516,15 @@ def sampled_lemma_scan(n: int, samples: int, seed) -> int:
     if n < 2:  # the rejection loop would never end
         raise ValueError(f"every profile at n={n} is trivial; "
                          f"sampling needs n >= 2")
+    if n > MAX_SAMPLED_SCAN_N:
+        raise ValueError(f"sampled scan limited to n <= {MAX_SAMPLED_SCAN_N}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo, hi = window_bounds(n)
     rows = krawtchouk_matrix(n)[lo:hi + 1]
     zero = [0] * len(rows)
     p = 2_147_483_647
     # a sum of n+1 residues below 2^31 stays inside int64
-    cols = np.array(_column_fingerprints(rows, n, p)[1], dtype=np.int64)
+    cols = np.array(_column_fingerprints(rows, n, p), dtype=np.int64)
     count = drawn = 0
     while drawn < samples:
         take = min(4096, 4 * (samples - drawn) + 16)

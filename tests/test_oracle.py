@@ -6,8 +6,8 @@ import pytest
 
 from xorcomm import oracle, spectral
 from xorcomm.engine import mc_error_estimate, weighted_pair
-from xorcomm.oracle import (MAX_SCAN_N, TruthTable, all_profiles_matrix,
-                            brute_fourier, brute_rank,
+from xorcomm.oracle import (MAX_SAMPLED_SCAN_N, MAX_SCAN_N, TruthTable,
+                            all_profiles_matrix, brute_fourier, brute_rank,
                             brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, profile_of_index,
                             sampled_lemma_scan, xor_matrix)
@@ -575,6 +575,10 @@ class TestScans:
         # sanity: at tiny n random nontrivial profiles exist and scan runs
         assert sampled_lemma_scan(4, 500, seed=1) >= 0
 
+    def test_sampled_cap(self):
+        with pytest.raises(ValueError):
+            sampled_lemma_scan(MAX_SAMPLED_SCAN_N + 1, 1, seed=1)
+
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_sampled_refuses_n_without_nontrivial_profiles(self, n):
         # every profile at n <= 1 is trivial: rejection sampling never ends
@@ -606,7 +610,7 @@ class TestScans:
         # exact recheck sees exactly the accepted rows, in draw order
         n, samples, seed = 6, 5000, 4
         monkeypatch.setattr(oracle, "_column_fingerprints",
-                            lambda rows, m, p: ([0] * len(rows), [0] * (m + 1)))
+                            lambda rows, m, p: [0] * (m + 1))
         seen = []
 
         def record(rows, ones, target):
@@ -683,15 +687,43 @@ class TestMeetInTheMiddle:
             assert exhaustive_lemma_scan(n) == [], f"n={n}"
 
     def test_exact_recheck_removes_collisions(self, monkeypatch):
-        # With p = 5 nearly every fifth pair collides; the output must not
-        # change, whatever the modulus or the seed of the weights.
+        # At p = 3, 5 and 7 a pivot bit b - sum a_f s_f is 0 or 1 mod p for
+        # many assignments whose bit over Q is not; the output must not
+        # change, whatever the prime.  _primes_above(start, 1) is 3, 5 and 7
+        # at start 2, 4 and 6.
         n = 9
         targets = [[0] * len(window_vector(n, 0)), window_vector(n, 300)]
         want = [brute_window_matches(n, t) for t in targets]
-        monkeypatch.setattr(oracle, "_FINGERPRINT_P", 5)
-        for seed in (1, 2):
-            monkeypatch.setattr(oracle, "_FINGERPRINT_SEED", seed)
+        equals, rechecked = oracle._window_equals, []
+
+        def record(rows, ones, target):
+            rechecked.append(ones)
+            return equals(rows, ones, target)
+        monkeypatch.setattr(oracle, "_window_equals", record)
+        for start in (2, 4, 6):
+            monkeypatch.setattr(oracle, "_RANK_PRIMES", start)
             assert [oracle._window_matches(n, t) for t in targets] == want
+        # each prime rechecks every true match; any more were false
+        assert len(rechecked) > 3 * sum(map(len, want))
+
+    def test_zero_target_is_trivial_past_brute_force(self):
+        # past n = 16 the scan itself is checked to find something: the
+        # zero window vector has exactly the four 2-periodic profiles
+        for n in range(17, MAX_SCAN_N + 1):
+            ones = (1 << (n + 1)) - 1
+            odd = sum(1 << t for t in range(1, n + 1, 2))  # parity
+            zero = [0] * len(window_vector(n, 0))
+            assert oracle._window_matches(n, zero) == sorted(
+                [0, ones, odd, ones ^ odd]), f"n={n}"
+
+    @pytest.mark.parametrize("n", [20, 30, MAX_SCAN_N])
+    def test_planted_targets_past_brute_force(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for i in rng.integers(0, 1 << (n + 1), size=4).tolist():
+            target = window_vector(n, i)
+            got = oracle._window_matches(n, target)
+            assert i in got
+            assert all(window_vector(n, j) == target for j in got)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
