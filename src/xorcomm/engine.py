@@ -18,7 +18,10 @@ trials' seeds at once, across cells, running SeedSequence's hash as uint32
 array operations, and each input, and each tape from its first draw, swaps
 its own state into the loop's one generator.  A chunk's tape states are
 derived on the first draw of any of its tapes.  The tests check the states
-and the draws against numpy's own SeedSequence.
+and the draws against numpy's own SeedSequence.  RandomTape.position counts
+the values a tape has drawn, so it is where the tape's stream stands: a
+protocol may stop drawing early, in its tape's last phase, without moving
+any value it does draw.
 
 Bits are counted, not transmitted: a send is a bit count, which the
 channel charges to the trials it lists, keeping running totals per
@@ -211,7 +214,7 @@ class RandomTape:
     tapes around each draw.  Its starting state comes from its chunk (seed
     `index` of it; by default a chunk of its own seed) on the first draw,
     so a run that never draws (every bucket map the identity) pays nothing
-    for its tape.
+    for its tape.  `position` counts the values drawn so far.
     """
 
     def __init__(self, seed, chunk: _SeedChunk | None = None, index: int = 0):

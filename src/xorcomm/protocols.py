@@ -15,18 +15,30 @@ bucket needs an odd number of differing positions, so the vote can never
 overshoot the true distance: error is one-sided and ANY-voting amplifies it
 away.  Cost is repetitions * b bits, all Alice to Bob.
 
-Every repetition of one protocol phase (ham's repetitions, xor2way's two
-region tests, each of xor2way's search probes, xor1way's region and
-enumeration tests), in every trial of the block, is computed by one kernel,
-_bucket_parities: the (trial, repetition) rows are one axis, split into
-whole-row draw blocks of at most _DRAW_BLOCK tape values, each trial's rows
-drawn from its own tape in order, and each draw block counted by one
-bincount.  The sends and votes still follow the protocol's order; xor2way's
-probes are each sent, and voted on by Bob, one at a time.  A send is a bit
-count (see engine.Channel), so no protocol builds the bits it sends: a
-phase charges R * b bits to each of its trials at once, and the sketch
-needs, per bucket, only how many positions have Alice's bit and Bob's
-differ.
+A protocol phase is a send of Alice's R rows (ham's repetitions, xor2way's
+two region tests, each of xor2way's search probes, xor1way's region and
+enumeration tests).  A send is a bit count (see engine.Channel), so no
+protocol builds the bits it sends: a phase charges its R * b bits to each of
+its trials with one channel.a_to_b, and the sketch needs, per bucket, only
+how many positions have Alice's bit and Bob's differ.  The rows that Bob
+reads, in every trial of the block, are counted by one kernel,
+_bucket_parities: the (trial, row) pairs are one axis, split into whole-row
+draw blocks of at most _DRAW_BLOCK tape values, each trial's rows drawn
+from its own tape in order, and each draw block counted by one bincount.
+The sends and votes still follow the protocol's order; xor2way's probes
+are each sent, and voted on by Bob, one at a time.
+
+Where a phase is the last use of the tape, a trial leaves undrawn the
+trailing rows whose counts cannot change Bob's output, though Alice still
+sends, and the channel still charges, every row.  A trial draws its rows in
+order, so each row it draws holds the values it would hold were every row
+drawn, and the outputs and transcripts are those of a run that counts every
+row; only the tape's end position differs.  ham draws the other R - 1
+repetitions only in the trials whose first one voted "<= d" (its output is
+an ANY-vote), and xor1way draws its enumeration rows only in the tail
+trials (a middle trial's output reads none of them).  xor2way's region
+phase is not its tape's last use in a tail trial, which draws search probes
+after it.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -56,18 +68,17 @@ def _flag(default, flag: str):
 
 
 def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
-                     tapes: list[RandomTape], channel: Channel,
-                     trials=None) -> np.ndarray:
-    """Send Alice's bucket-parity rows of one phase, in each trial that
-    `trials` selects (an index array; None: every trial), and return each
-    row's count of differing buckets, shape (k, R) for k trials.
+                     tapes: list[RandomTape], trials=None) -> np.ndarray:
+    """Count Alice's bucket-parity rows of one phase, in each trial that
+    `trials` selects (an index array; None: every trial): return each row's
+    count of differing buckets, shape (k, R) for k trials.  It charges
+    nothing; the caller charges the phase's send.
 
     Each of a trial's R rows hashes the n positions into b buckets and
     compares Alice's bucket parities with Bob's, who uses y.  Alice uses x,
     or its complement where flips is true, which turns a test on
     |x xor y| into one on n - |x xor y|; flips has shape (R,), shared by the
     trials, or (k, R).  A repetition votes ">d" iff its count exceeds d.
-    A row is b bits, so the phase charges R * b bits to each selected trial.
 
     When b >= n the bucket map is the identity: nothing is drawn and the
     count is the distance itself.  Otherwise the (trial, row) pairs form
@@ -83,8 +94,6 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     flips = np.asarray(flips, dtype=bool)
     R = flips.shape[-1]
     flips = np.broadcast_to(flips, (k, R))
-    if R:
-        channel.a_to_b(bits=R * b, trials=trials)
     if b >= n:
         distance = np.count_nonzero(Xs != Ys, axis=1)[:, None]
         return np.where(flips, n - distance, distance)
@@ -179,9 +188,16 @@ class HamProtocol(Protocol):
             # distance can never exceed n; zero communication
             return np.zeros(T, dtype=np.int64)
         b = self.buckets or default_buckets(d, n)
-        diffs = _bucket_parities(X, Y, [False] * self.repetitions, b, tapes,
-                                 channel)
-        return (diffs > d).any(axis=1)
+        R = self.repetitions
+        channel.a_to_b(bits=R * b)
+        # an ANY-vote: Bob reads the other R - 1 repetitions only where the
+        # first one voted "<= d"
+        votes = _bucket_parities(X, Y, [False], b, tapes)[:, 0] > d
+        rest = np.flatnonzero(~votes)
+        if R > 1:
+            votes[rest] = (_bucket_parities(X, Y, [False] * (R - 1), b, tapes,
+                                            rest) > d).any(axis=1)
+        return votes
 
 
 def _probe_reps(r: int, factor: int) -> int:
@@ -280,9 +296,9 @@ class TwoWayXorProtocol(_XorProtocol):
         n, r = profile.n, gp.r
         s = np.array(profile.s)
         b = 2 * r * r
-        diffs = _bucket_parities(X, Y, _region_flips(self.region_reps), b,
-                                 tapes, channel)
-        region = _region(diffs, r)
+        flips = _region_flips(self.region_reps)
+        channel.a_to_b(bits=len(flips) * b)
+        region = _region(_bucket_parities(X, Y, flips, b, tapes), r)
         channel.b_to_a(bits=2)  # Bob's report of the region
         out = np.empty(len(X), dtype=np.int64)
 
@@ -297,9 +313,9 @@ class TwoWayXorProtocol(_XorProtocol):
         hi = np.full(len(tail), r - 1)
         for _ in range(_probe_count(r)):
             mid = (lo + hi) // 2
+            channel.a_to_b(bits=reps * b, trials=tail)
             diffs = _bucket_parities(
-                X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes,
-                channel, tail)
+                X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes, tail)
             vote = (diffs > mid[:, None]).any(axis=1)
             channel.b_to_a(bits=1, trials=tail)
             searching = lo < hi
@@ -343,30 +359,33 @@ class OneWayXorProtocol(_XorProtocol):
         n, r = profile.n, gp.r
         s = np.array(profile.s)
         b = 2 * r * r
-        T = len(X)
         parity = _distance_parity(X, Y, channel)
-        region_rows = 2 * self.region_reps
+        region_flips = _region_flips(self.region_reps)
         reps = _enum_reps(r, self.search_rep_factor)
-        # the region tests, then the tests at d = 0..r-1 on x and then on
-        # its complement, all in one phase
-        diffs = _bucket_parities(
-            X, Y, _region_flips(self.region_reps)
-            + [False] * (r * reps) + [True] * (r * reps), b, tapes, channel)
-        region = _region(diffs[:, :region_rows], r)
-        flip = region == UPPER
-        # tests[t, v]: trial t's amplified vote ">v", on its region's side
-        tests = (diffs[:, region_rows:].reshape(T, 2, r, reps)
-                 > np.arange(r)[:, None]).any(axis=3)[np.arange(T), flip * 1]
+        # the tests at d = 0..r-1 on x and then on its complement
+        enum_flips = [False] * (r * reps) + [True] * (r * reps)
+        # Alice sends the region and enumeration rows as one phase; Bob
+        # reads the enumeration rows only in the tail trials
+        channel.a_to_b(bits=(len(region_flips) + len(enum_flips)) * b)
+        region = _region(_bucket_parities(X, Y, region_flips, b, tapes), r)
+        out = _middle_representative(profile, r, parity)
+        tail = np.flatnonzero(region != MIDDLE)
+        k = len(tail)
+        diffs = _bucket_parities(X, Y, enum_flips, b, tapes, tail)
+        flip = region[tail] == UPPER
+        # tests[t, v]: tail trial t's amplified vote ">v", on its region's
+        # side
+        tests = (diffs.reshape(k, 2, r, reps)
+                 > np.arange(r)[:, None]).any(axis=3)[np.arange(k), flip * 1]
         # candidate v is consistent iff the test at v-1 (none at v = 0)
         # says above and the one at v says at most v
         above_prev = np.ones_like(tests)
         above_prev[:, 1:] = tests[:, :-1]
         consistent = above_prev & ~tests
         v = consistent.argmax(axis=1)
-        out = np.where(consistent.any(axis=1),
-                       np.where(flip, s[n - v], s[v]), s[0])
-        return np.where(region == MIDDLE,
-                        _middle_representative(profile, r, parity), out)
+        out[tail] = np.where(consistent.any(axis=1),
+                             np.where(flip, s[n - v], s[v]), s[0])
+        return out
 
     def expected_content_bits(self, profile: SymmetricProfile) -> int:
         gp = gap_params(profile)

@@ -208,9 +208,9 @@ def parse_profile(spec: str, n: int) -> SymmetricProfile:
         m = _parse_int(m_str, spec)
         if m < 1:
             raise ProfileError(f"modulus must be >= 1 in {spec!r}")
-        residues = {_parse_int(tok, spec) % m for tok in res_str.split(",") if tok != ""}
-        if not residues:
+        if not res_str:
             raise ProfileError(f"no residues given in {spec!r}")
+        residues = {_parse_int(tok, spec) % m for tok in res_str.split(",")}
         s = tuple(1 if k % m in residues else 0 for k in range(n + 1))
     elif name == "bits":
         if len(rest) != n + 1 or any(c not in "01" for c in rest):
@@ -223,10 +223,12 @@ def parse_profile(spec: str, n: int) -> SymmetricProfile:
 
 
 def _parse_int(token: str, spec: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ProfileError(f"bad integer {token!r} in profile spec {spec!r}") from None
+    """An optional '-' then ASCII digits, and nothing else: int() alone
+    would also take spaces, '_', '+' and non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ProfileError(f"bad integer {token!r} in profile spec {spec!r}")
+    return int(token)
 
 
 def threshold_of(profile: SymmetricProfile) -> int | None:

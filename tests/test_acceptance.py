@@ -13,8 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from xorcomm.engine import (mc_error_estimate, run_protocol, sweep,
-                            weighted_pair)
+from xorcomm.engine import (RandomTape, mc_error_estimate, run_protocol,
+                            sweep, weighted_pair)
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, paired_brute_ranks,
@@ -86,7 +86,7 @@ def test_04_parseval():
     _ok("4 parseval identity (all profiles, n<=12, exact)")
 
 
-def test_05_ham_one_sidedness():
+def test_05_ham_one_sidedness(monkeypatch):
     n = 12
     for d in range(n + 1):
         proto = HamProtocol(d=d)
@@ -102,6 +102,27 @@ def test_05_ham_one_sidedness():
         for m in range(d + 1):
             res = mc_error_estimate(proto, profile, m, per_m, seed=(51, d, m))
             assert res.successes == res.trials, f"n=256 d={d} m={m}"
+    # d = 16 has b = 578 >= n, the identity map, so the sketch runs only at
+    # d = 4 above.  d = 8 has b = 162 < n; at 3 repetitions, every trial's
+    # first one votes "<= d", so it also draws the other two.  About 0.7 s.
+    drawn = []
+    integers = RandomTape.integers
+
+    def counted(tape, upper, size=None):
+        drawn.append(size)
+        return integers(tape, upper, size)
+
+    monkeypatch.setattr(RandomTape, "integers", counted)
+    d, reps = 8, 3
+    proto = HamProtocol(d=d, repetitions=reps)
+    profile = parse_profile(f"threshold:{d}", n)
+    assert default_buckets(d, n) == 162
+    per_m = -(-10000 // (d + 1))
+    for m in range(d + 1):
+        drawn.clear()
+        res = mc_error_estimate(proto, profile, m, per_m, seed=(52, d, m))
+        assert res.successes == res.trials, f"n=256 d={d} m={m} reps={reps}"
+        assert sum(drawn) == per_m * reps * n
     _ok("5 ham one-sidedness (exhaustive n=12 + sampled n=256, zero tolerance)")
 
 

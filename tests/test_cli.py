@@ -325,6 +325,21 @@ class TestBadNumericInput:
             ("sweep", "--protocol", "parity", "--profile", "parity", "--n",
              "4,8,4"), "--n '4,8,4' lists n=4 twice",
             id="argv35---n '4,8,4' lists n=4 twice"),
+        # each ran: an empty residue was skipped, and int() took the space
+        # and the '_'
+        pytest.param(
+            ("analyze", "--n", "8", "--profile", "mod:3:1,,2"),
+            "'mod:3:1,,2'", id="argv36-mod:3:1,,2"),
+        pytest.param(
+            ("analyze", "--n", "8", "--profile", "mod:3:1,"),
+            "'mod:3:1,'", id="argv37-mod:3:1,"),
+        pytest.param(
+            ("analyze", "--n", "8", "--profile", "threshold: 1"),
+            "'threshold: 1'", id="argv38-threshold: 1"),
+        pytest.param(
+            ("simulate", "--protocol", "ham", "--profile", "exact:1_0",
+             "--n", "16", "--weight", "3"), "'exact:1_0'",
+            id="argv39-exact:1_0"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

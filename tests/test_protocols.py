@@ -196,10 +196,11 @@ def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
 
 def _phase_votes(x, y, tests, b, channel, tape):
     """Run the amplified tests (flip, d, reps), in order, as one phase of
-    _bucket_parities, a block of one trial that sends every row; return
-    each test's vote."""
+    _bucket_parities, a block of one trial that sends, and counts, every
+    row; return each test's vote."""
     flips = [flip for flip, _, reps in tests for _ in range(reps)]
-    diffs = _bucket_parities(x[None], y[None], flips, b, [tape], channel)
+    channel.a_to_b(bits=len(flips) * b)
+    diffs = _bucket_parities(x[None], y[None], flips, b, [tape])
     assert diffs.shape == (1, len(flips))
     diffs = diffs[0]
     votes, lo = [], 0
@@ -283,9 +284,8 @@ class TestAmplifiedHam:
     def test_zero_rows_draw_nothing(self):
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for b in (2, 5, 9):
-            tape, channel = RandomTape(3), engine.Channel()
-            diffs = _bucket_parities(x[None], x[None], [], b, [tape], channel)
-            assert channel.transcript() == Transcript(0, 0, 0)
+            tape = RandomTape(3)
+            diffs = _bucket_parities(x[None], x[None], [], b, [tape])
             assert diffs.size == 0
             assert tape.position == 0
             assert np.array_equal(tape.integers(1 << 40, size=3),
@@ -293,27 +293,34 @@ class TestAmplifiedHam:
 
     def test_identity_map_counts_exactly(self):
         # b >= n: the count is the distance, n minus it on a flipped row;
-        # nothing is drawn and the four 8-bit rows go in one round
+        # nothing is drawn
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
-        tape, channel = RandomTape(0), engine.Channel()
+        tape = RandomTape(0)
         diffs = _bucket_parities(x[None], y[None], [True, False, True, False],
-                                 8, [tape], channel)
+                                 8, [tape])
         assert diffs.tolist() == [[3, 2, 3, 2]]
-        assert channel.transcript() == Transcript(32, 0, 1)
         assert tape.position == 0
 
 
 # --- The per-trial reference of the batched trial loop ----------------------
 # The loop as it was before protocols took a block of trials: one channel,
 # one tape and one protocol body per trial, every Hamming test drawing its
-# own bucket maps through _reference_amplified_ham.
+# own bucket maps through _reference_amplified_ham.  Where a phase is the
+# tape's last use, Alice sends every row but only the rows Bob reads are
+# hashed: ham's repetitions after a first one that voted ">d", and xor1way's
+# enumeration tests in a middle trial, are sent by _reference_unread.
 
 
 def _reference_parity(x, y, channel):
     pa = int(x.sum()) & 1
     channel.a_to_b((pa,))
     return (pa + int(y.sum())) & 1
+
+
+def _reference_unread(channel, rows, b):
+    """Alice's rows that Bob's output does not read: sent, never hashed."""
+    channel.a_to_b(np.zeros(rows * b, dtype=np.uint8))
 
 
 def _reference_middle(profile, r, p):
@@ -333,9 +340,12 @@ def _reference_body(protocol, x, y, profile, channel, tape):
     if protocol.name == "ham":
         if protocol.d >= n:
             return 0
-        b = protocol.buckets or default_buckets(protocol.d, n)
-        return int(_reference_amplified_ham(x, y, protocol.d, b,
-                                            protocol.repetitions, channel,
+        d, reps = protocol.d, protocol.repetitions
+        b = protocol.buckets or default_buckets(d, n)
+        if _reference_amplified_ham(x, y, d, b, 1, channel, tape):
+            _reference_unread(channel, reps - 1, b)
+            return 1
+        return int(_reference_amplified_ham(x, y, d, b, reps - 1, channel,
                                             tape))
     gp = gap_params(profile)
     if gp.r == 0:
@@ -355,10 +365,11 @@ def _reference_body(protocol, x, y, profile, channel, tape):
     region = "upper" if not up else "middle" if low else "lower"
     if protocol.name == "xor1way":
         reps = _enum_reps(r, protocol.search_rep_factor)
+        if region == "middle":
+            _reference_unread(channel, 2 * r * reps, b)
+            return _reference_middle(profile, r, parity)
         tests = [[test(d, reps, flip) for d in range(r)]
                  for flip in (False, True)]
-        if region == "middle":
-            return _reference_middle(profile, r, parity)
         flip = region == "upper"
         for v in range(r):
             if (v == 0 or tests[flip][v - 1]) and not tests[flip][v]:
@@ -432,7 +443,8 @@ def profile_spec(profile):
 def check_loop(protocol, profile, weights, trials, seed, block):
     """Run sweep (every weight's trials in one loop), run_trials,
     mc_error_estimate and run_protocol with _DRAW_BLOCK set to `block`,
-    against the per-trial reference, trial by trial."""
+    against the per-trial reference, trial by trial.  Return the end
+    position of each of the sweep's tapes, by its seed."""
     n = profile.n
     want = {m: list(_reference_trials(protocol, profile, m, trials,
                                       (seed, n, m)))
@@ -445,6 +457,7 @@ def check_loop(protocol, profile, weights, trials, seed, block):
                             trials, seed, weights=weights)
         tapes = {tape._seed: tape for tape in _LoggedTape.made}
         assert len(tapes) == len(_LoggedTape.made) == len(weights) * trials
+        positions = {key: tape.position for key, tape in tapes.items()}
         for row, m in zip(rows, sorted(weights)):
             res = _reference_mc(want[m], trials)
             assert (row["weight"], row["success_rate"], row["mean_bits"],
@@ -476,6 +489,7 @@ def check_loop(protocol, profile, weights, trials, seed, block):
         assert engine.run_protocol(protocol, pair, profile, (seed, 1)) == (
             out, ref_channel.transcript())
         _same_tape(_LoggedTape.made[0], ref_tape)
+    return positions
 
 
 class TestBatchedLoop:
@@ -528,12 +542,19 @@ class TestBatchedLoop:
 
     def test_phase_longer_than_draw_block(self):
         # one trial's phase spans two whole draw blocks and part of a third,
-        # at the real _DRAW_BLOCK, and 3 trials split the blocks unevenly
+        # at the real _DRAW_BLOCK, and 3 trials split the blocks unevenly.
+        # A trial at weight 3 <= d draws every repetition (its first one
+        # never votes ">d"); at this seed every other trial's first one
+        # votes ">d", so it draws no more.
         n, d = 601, 4
         reps = 2 * (engine._DRAW_BLOCK // n) + 7
-        check_loop(HamProtocol(d=d, buckets=40, repetitions=reps),
-                   parse_profile(f"threshold:{d}", n), [3, 5, 9], 3, 2,
-                   engine._DRAW_BLOCK)
+        assert reps * n > 2 * engine._DRAW_BLOCK
+        positions = check_loop(HamProtocol(d=d, buckets=40, repetitions=reps),
+                               parse_profile(f"threshold:{d}", n), [3, 5, 9],
+                               3, 2, engine._DRAW_BLOCK)
+        assert len(positions) == 9
+        for (*_, m, _, _), position in positions.items():
+            assert position == (reps * n if m == 3 else n)
 
     @pytest.mark.parametrize("protocol", [
         TwoWayXorProtocol(), HamProtocol(d=3, buckets=10, repetitions=3)])
@@ -563,6 +584,48 @@ class TestBatchedLoop:
                 tracemalloc.stop()
         assert abs(peaks[1024] - peaks[64]) < 2 ** 18
         assert peaks[1024] < 10 ** 6
+
+
+class TestUnreadRows:
+    """A phase that is the tape's last use draws no row that Bob's output
+    does not read, and still charges every row Alice sends.  Each run is a
+    block of one trial."""
+
+    @staticmethod
+    def run_one(protocol, profile, m, seed):
+        pair = pair_of_weight(profile.n, m, seed)
+        tape = RandomTape(seed)
+        out, channel = engine._run_block(protocol, profile, pair.x[None],
+                                         pair.y[None], [tape])
+        return int(out[0]), tape.position, channel.transcript().content_bits
+
+    def test_ham_stops_after_a_far_first_repetition(self):
+        n, d, reps = 64, 2, 4
+        proto, p = HamProtocol(d=d, repetitions=reps), parse_profile(
+            f"threshold:{d}", n)
+        bits = reps * default_buckets(d, n)
+        for seed in range(10):
+            # weight 40 >> d: the first repetition votes ">d" and decides
+            assert self.run_one(proto, p, 40, seed) == (1, n, bits)
+            # weight d: no repetition votes ">d", so each one is drawn
+            assert self.run_one(proto, p, d, seed) == (0, reps * n, bits)
+
+    def test_xor1way_middle_trial_draws_only_the_region_rows(self, regions):
+        n, proto = 64, OneWayXorProtocol()
+        p = parse_profile("threshold:4", n)
+        r = gap_params(p).r
+        region_rows = 2 * proto.region_reps
+        rows = region_rows + 2 * r * _enum_reps(r, proto.search_rep_factor)
+        bits = proto.expected_content_bits(p)
+        for seed in range(10):
+            _, position, content = self.run_one(proto, p, n // 2, seed)
+            assert regions[-1].tolist() == [MIDDLE]
+            assert (position, content) == (region_rows * n, bits)
+            # weight 0 is never placed in the middle (the lower test cannot
+            # vote ">r-1"), so the trial reads every enumeration row
+            _, position, content = self.run_one(proto, p, 0, seed)
+            assert regions[-1].tolist() != [MIDDLE]
+            assert (position, content) == (rows * n, bits)
 
 
 class TestXorPhases:

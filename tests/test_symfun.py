@@ -297,6 +297,20 @@ class TestParse:
         with pytest.raises(ProfileError):
             parse_profile(bad, 8)
 
+    # each of these was accepted: empty residues were skipped, and int()
+    # takes spaces, '_', '+' and non-ASCII digits
+    @pytest.mark.parametrize("bad", [
+        "mod:3:1,,2", "mod:3:1,", "mod:3:,1", "threshold: 1", "threshold:1 ",
+        "exact:1_0", "threshold:+1", "exact:\u0662", "mod: 3:1", "mod:3:-",
+        "threshold:"])
+    def test_rejects_loose_integers(self, bad):
+        with pytest.raises(ProfileError, match="bad integer"):
+            parse_profile(bad, 16)
+
+    def test_integers_are_ascii_digits_with_optional_minus(self):
+        assert parse_profile("mod:3:-1,0", 6) == parse_profile("mod:3:2,0", 6)
+        assert parse_profile("exact:007", 8) == parse_profile("exact:7", 8)
+
     def test_profile_validation(self):
         with pytest.raises(ProfileError):
             SymmetricProfile(3, (0, 1))
