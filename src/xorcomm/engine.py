@@ -5,23 +5,20 @@ Protocols run a block of trials at once: X and Y hold one trial's input per
 row, tapes[t] is trial t's own shared tape and the channel counts each
 trial's bits and rounds in arrays.  _run_block runs one block (run_protocol
 a block of one); _run_blocks, the one trial loop and the one place that
-derives trial seeds, runs every other trial: run_trials, mc_error_estimate,
-weight_estimates and sweep.  A block holds at most _DRAW_BLOCK // n trials,
-so peak memory does not grow with the number of trials.  Trial t of a cell
-with base seed s draws its input from (*s, t, 0) and its tape from
-(*s, t, 1), whatever block it runs in, so every trial is replayable on its
-own.
+lays out trial streams, runs every other trial: run_trials,
+mc_error_estimate, weight_estimates and sweep.  A block holds at most
+_DRAW_BLOCK // n trials, so peak memory does not grow with the number of
+trials.
 
-Each stream is that of PCG64(SeedSequence(seed)), but no trial builds numpy
-objects: _pcg64_states derives the PCG64 states of _SEED_CHUNK (256)
-trials' seeds at once, across cells, running SeedSequence's hash as uint32
-array operations, and each input, and each tape from its first draw, swaps
-its own state into the loop's one generator.  A chunk's tape states are
-derived on the first draw of any of its tapes.  The tests check the states
-and the draws against numpy's own SeedSequence.  RandomTape.position counts
-the values a tape has drawn, so it is where the tape's stream stands: a
-protocol may stop drawing early, in its tape's last phase, without moving
-any value it does draw.
+Every random stream is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): value i of stream s (0: input, 1:
+tape) of trial t in a cell seeded `seed` is mix64(_cell_key(seed) +
+((2t + s) * 2^32 + i) * GAMMA mod 2^64), mix64 being SplitMix64's output
+function, a bijection (Steele, Lea & Flood, OOPSLA 2014).  GAMMA is odd, so
+a cell's streams never overlap; a stream holds 2^32 values, and a draw past
+them is refused.  Trial t is a pure function of (seed, t), the same in any
+block, so it replays on its own.  A block's inputs are one array expression
+(_weighted_pairs), and so is each draw block of a phase (RandomTape).
 
 Bits are counted, not transmitted: a send is a bit count, which the
 channel charges to the trials it lists, keeping running totals per
@@ -32,7 +29,6 @@ to the transcript so both parties know the result.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Sequence
 
@@ -43,15 +39,10 @@ from .symfun import InputPair, ProfileError, SymmetricProfile, gap_params
 # values one draw block of a protocol phase takes.  A larger phase is split
 # into blocks of whole rows (at least one), which bounds the memory of the
 # draw and of its bincount: the traced peak of a sweep cell stays under
-# 1.1 MB.  At 2^16 the blocks' arrays, and a block's seeded tapes (then
-# about 4 KB a trial; a drawn tape, which holds only its state, now takes
-# under 1 KB), took about 4.5 MB more peak RSS; at 2^13 the benchmark's
-# sweep cells ran slower, paying more blocks' fixed costs.
+# 1.1 MB.  At 2^16 the blocks' arrays took about 4.5 MB more peak RSS; at
+# 2^13 the benchmark's sweep cells ran slower, paying more blocks' fixed
+# costs.
 _DRAW_BLOCK = 1 << 14
-# Trials whose seeds' PCG64 states are derived in one vectorised hash.  The
-# hash has a fixed cost of a few dozen numpy calls, so a chunk spans cells:
-# a sweep cell holds only a few trials.
-_SEED_CHUNK = 256
 
 
 class ScheduleViolation(RuntimeError):
@@ -75,20 +66,23 @@ class Transcript:
         return self.total_bits - 1
 
 
-# NumPy's SeedSequence (NEP 19) hash constants, and PCG64's 128-bit LCG
-# multiplier (O'Neill 2014).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# SplitMix64's increment and output multipliers (Steele, Lea & Flood 2014).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+# A trial's streams: s = 0 its input, s = 1 its tape.  Each holds 2^32
+# values, and 2t + s < 2^32 keeps trial t's counters below 2^64.
+_INPUT, _TAPE = 0, 1
+_STREAM_VALUES = 1 << 32
+_MAX_TRIALS = 1 << 31
+# The largest tape bound: (half * upper) >> 32 is then exact in int64.
+_MAX_UPPER = 1 << 31
 
 
 def _seed_words(seed) -> Sequence[int]:
-    """seed's uint32 entropy words, as SeedSequence coerces them: a
-    non-negative int is its 32-bit words, least significant first (0 is
-    [0]), and a sequence is its items' words in turn.  Strings, which
-    SeedSequence parses, are refused."""
+    """seed's uint32 words: a non-negative int is its 32-bit words, least
+    significant first (0 is [0]), and a sequence is its items' words in
+    turn.  Negative ints, strings and other types are refused."""
     if type(seed) is tuple and all(type(item) is int and 0 <= item <= _MASK32
                                    for item in seed):
         return seed  # a word an item, as the engine's seeds mostly are
@@ -106,133 +100,139 @@ def _seed_words(seed) -> Sequence[int]:
                     f"not {seed!r}")
 
 
-@functools.lru_cache(maxsize=64)
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constant before each of `calls` hash steps and after the
-    last, as a read-only (calls + 1, 1) column; it does not depend on the
-    data, so one array serves every chunk of the same seed length."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
+def _mix64(z: int) -> int:
+    """SplitMix64's output function of a word below 2^64, on Python ints."""
+    z = (z ^ z >> 30) * _MIX_A & _MASK64
+    z = (z ^ z >> 27) * _MIX_B & _MASK64
+    return z ^ z >> 31
 
 
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, step i on row i: xor with consts[i], then
-    multiply by consts[i + 1]."""
-    values = values ^ consts[:-1]
-    values *= consts[1:]
-    values ^= values >> 16
-    return values
+def _cell_key(seed) -> int:
+    """The 64-bit key of a cell seed: its words folded by _mix64."""
+    key = 0
+    for word in _seed_words(seed):
+        key = _mix64((key + _GAMMA + word) & _MASK64)
+    return key
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x
-    out -= _MIX_R * y
-    out ^= out >> 16
-    return out
+def _stream_starts(keys: np.ndarray, trials: np.ndarray,
+                   stream: int) -> np.ndarray:
+    """The counter of value 0 of trial t's stream for each (key, t),
+    key + (2t + stream) * 2^32 * GAMMA mod 2^64, as uint64."""
+    starts = (trials.astype(np.uint64) * 2 + stream) << 32
+    starts *= _GAMMA
+    starts += keys
+    return starts
 
 
-def _pool_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) seeded from each column of `entropy`, a
-    (words, seeds) uint32 array, through SeedSequence's pool of 4."""
-    length, k = entropy.shape
-    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, length - 4))
-    pool = np.zeros((4, k), dtype=np.uint32)
-    pool[:length] = entropy[:4]
-    pool = _hashmix(pool, consts[:5])
-    # each pool word, mixed into the other three, then each further
-    # entropy word into all four; call counts the hash steps taken
-    call = 4
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst],
-                         _hashmix(pool[src], consts[call:call + 4]))
-        call += 3
-    for src in range(4, length):
-        pool = _mix(pool, _hashmix(entropy[src], consts[call:call + 5]))
-        call += 4
-    # generate_state(4, uint64): 8 words off the pool, paired little-endian
-    words = _hashmix(np.tile(pool, (2, 1)),
-                     _hash_consts(_INIT_B, _MULT_B, 8))
-    seeded = []
-    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
-            words.T, dtype="<u4").view("<u8").tolist():
-        # PCG64's srandom: inc = 2 * initseq + 1, two LCG steps around
-        # adding the initial state
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        seeded.append((state, inc))
-    return seeded
+def _stream_words(starts: np.ndarray, width: int) -> np.ndarray:
+    """The (k, width) uint64 array mix64(starts[r] + i * GAMMA), i < width:
+    `width` values of each row's stream, starts[r] the counter of its first.
+    The mix runs in place, with one scratch buffer."""
+    words = np.arange(width, dtype=np.uint64)
+    words *= _GAMMA
+    words = starts[:, None] + words
+    scratch = np.empty_like(words)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+        np.right_shift(words, shift, out=scratch)
+        words ^= scratch
+        if mult is not None:
+            words *= mult
+    return words
 
 
-def _pcg64_states(seeds) -> list[tuple[int, int]]:
-    """The (state, inc) that PCG64(SeedSequence(seed)) starts from, for
-    each seed: the SeedSequence hash runs as uint32 array operations over
-    every seed of one word count at once."""
-    words = [_seed_words(seed) for seed in seeds]
-    by_length = {}
-    for i, w in enumerate(words):
-        by_length.setdefault(len(w), []).append(i)
-    states = [None] * len(words)
-    for rows in by_length.values():
-        entropy = np.array([words[i] for i in rows], dtype=np.uint32).T
-        for i, state in zip(rows, _pool_states(entropy)):
-            states[i] = state
-    return states
-
-
-class _SeedChunk:
-    """Seeds whose PCG64 states are derived together, on the first request
-    for any of them, and the generator their streams take turns on (None:
-    one made on that request)."""
-
-    __slots__ = ("seeds", "gen", "_states")
-
-    def __init__(self, seeds, gen=None):
-        self.seeds, self.gen, self._states = seeds, gen, None
-
-    def state(self, i: int) -> dict:
-        """Seed i's PCG64 starting state, as the bit generator's .state."""
-        if self._states is None:
-            self._states = _pcg64_states(self.seeds)
-            if self.gen is None:
-                self.gen = np.random.default_rng(0)
-        state, inc = self._states[i]
-        return {"bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
+def _weighted_pairs(n: int, weights: np.ndarray,
+                    starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's input sampler: (X, Y), (k, n) uint8, row r from the
+    input stream starting at counter starts[r], at XOR-weight weights[r].
+    x is the low-first bits of the stream's first ceil(n/64) values; y
+    flips the weights[r] positions whose keys, the next n values with the
+    position in the low bits (so none tie), rank lowest."""
+    head = -(-n // 64)
+    words = _stream_words(starts, head + n)
+    X = np.unpackbits(words[:, :head].astype("<u8", copy=False).view(np.uint8),
+                      axis=1, count=n, bitorder="little")
+    keys = words[:, head:]
+    keys &= ~((1 << (n - 1).bit_length()) - 1) & _MASK64
+    keys |= np.arange(n, dtype=np.uint64)
+    rows = np.arange(len(weights))
+    cut = np.sort(keys, axis=1)[rows, np.maximum(weights - 1, 0)]
+    flips = keys <= cut[:, None]
+    flips[weights == 0] = False
+    return X, X ^ flips
 
 
 class RandomTape:
-    """One shared public-coin stream, consumed in lock-step by both parties.
+    """One trial's shared public coin, consumed in lock-step by both
+    parties: the tape stream of trial `trial` in the cell seeded `seed`.
 
-    The tape is the stream of PCG64(SeedSequence(seed)).  It keeps its own
-    bit-generator state and swaps it into a generator it shares with other
-    tapes around each draw.  Its starting state comes from its chunk (seed
-    `index` of it; by default a chunk of its own seed) on the first draw,
-    so a run that never draws (every bucket map the identity) pays nothing
-    for its tape.  `position` counts the values drawn so far.
+    Tape value p is the 32-bit half p mod 2 (low first) of stream value
+    p // 2, scaled to (half * upper) >> 32, so each of the `upper` values
+    has a probability within 2^-32 of 1/upper.  `position` is where the
+    stream stands: the values drawn, and any a protocol skipped.  A run
+    that never draws computes nothing for its tape.  integers is the one
+    way values leave a tape; a draw block of whole rows of several tapes is
+    one tape too (RandomTape.rows), drawn by one integers call.
     """
 
-    def __init__(self, seed, chunk: _SeedChunk | None = None, index: int = 0):
-        self._seed = seed
-        self._chunk = chunk if chunk is not None else _SeedChunk([seed])
-        self._index = index
-        self._state = None
+    def __init__(self, seed, trial: int = 0):
+        if not 0 <= trial < _MAX_TRIALS:
+            raise ValueError(f"trial {trial} out of range")
+        self._start = int(_stream_starts(
+            np.array([_cell_key(seed)], dtype=np.uint64), np.array([trial]),
+            _TAPE)[0])
+        self._rows = None
         self.position = 0
 
-    def integers(self, upper: int, size: int | None = None) -> np.ndarray:
-        if self._state is None:
-            self._state = self._chunk.state(self._index)
-        gen = self._chunk.gen
-        gen.bit_generator.state = self._state
-        self.position += size if size is not None else 1
-        out = gen.integers(0, upper, size=size)
-        self._state = gen.bit_generator.state
-        return out
+    @classmethod
+    def _at(cls, start: int) -> RandomTape:
+        """The tape whose value 0 is at counter `start`."""
+        tape = cls.__new__(cls)
+        tape._start, tape._rows, tape.position = start, None, 0
+        return tape
+
+    @classmethod
+    def rows(cls, tapes: Sequence[RandomTape], counts: Sequence[int],
+             width: int) -> RandomTape:
+        """The draw block of counts[i] rows of `width` values off tapes[i],
+        each tape's rows in order from its position."""
+        block = cls._at(0)
+        block._rows = (tapes, counts, width)
+        return block
+
+    def integers(self, upper: int, size: int) -> np.ndarray:
+        """The next `size` values below upper (<= 2^31) as int64 (a draw
+        block's rows, row by row), moving each tape past them; a draw past
+        a stream's end is refused before anything is computed."""
+        if not 1 <= upper <= _MAX_UPPER:
+            raise ValueError(f"tape bound {upper} out of range")
+        tapes, counts, width = self._rows or ((self,), (1,), size)
+        counts = np.asarray(counts, dtype=np.int64)
+        k = int(counts.sum())
+        if k * width != size:
+            raise ValueError(f"size {size} is not {k} rows of {width}")
+        positions = np.array([tape.position for tape in tapes], dtype=np.int64)
+        ends = positions + counts * width
+        if len(ends) and ends.max() > 2 * _STREAM_VALUES:
+            raise ValueError("draw past the end of a tape's stream")
+        for tape, end in zip(tapes, ends.tolist()):
+            tape.position = end
+        # row j of tape i starts at positions[i] + width * (its index
+        # among tape i's rows)
+        firsts = np.repeat(positions - width * (np.cumsum(counts) - counts),
+                           counts) + width * np.arange(k)
+        starts = np.repeat(np.array([tape._start for tape in tapes],
+                                    dtype=np.uint64), counts)
+        starts += (firsts >> 1).astype(np.uint64) * _GAMMA
+        odd = (firsts & 1).astype(bool)
+        halves = _stream_words(starts, (width + 1 + odd.any()) // 2).astype(
+            "<u8", copy=False).view("<u4")
+        chosen = halves[:, :width]
+        if odd.any():
+            chosen = np.where(odd[:, None], halves[:, 1:width + 1], chosen)
+        values = np.multiply(chosen, upper, dtype=np.int64)
+        values >>= 32
+        return values.reshape(-1)
 
 
 # the direction of a trial's last message, in Channel._last
@@ -316,39 +316,25 @@ def _run_blocks(protocol: Protocol, profile: SymmetricProfile, cells,
     """The trial loop: run `trials` trials of each (m, seed) cell, cell by
     cell, in blocks of at most _DRAW_BLOCK // n trials, and yield each
     block's (outputs, truths, channel), row t of each being the block's
-    trial t.  A cell's trial t takes its input (weighted_pair at weight m)
-    from (*seed, t, 0) and its tape from (*seed, t, 1).  trials and every
-    cell's m are checked before the first block runs."""
+    trial t.  A cell's trial t takes its input (_weighted_pairs at weight
+    m) from its stream 0 and its tape from its stream 1.  trials and every
+    cell's m and seed are checked before the first block runs."""
     n = profile.n
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    cells = [(m, tuple(seed) if isinstance(seed, (tuple, list)) else (seed,))
-             for m, seed in cells]
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be 1 to 2^31, got {trials}")
     for m, _ in cells:
         if not 0 <= m <= n:
             raise ValueError(f"weight m={m} out of range for n={n}")
+    weights = np.array([m for m, _ in cells], dtype=np.int64)
+    keys = np.array([_cell_key(seed) for _, seed in cells], dtype=np.uint64)
     s = np.array(profile.s)
-    # One generator for the whole loop; each input and each tape swaps its
-    # own state in.  The seeds of _SEED_CHUNK trials, across cells, are
-    # derived together: the inputs' at once, the tapes' on their first draw.
-    gen = np.random.default_rng(0)
     total, size = len(cells) * trials, max(1, _DRAW_BLOCK // n)
     for lo in range(0, total, size):
-        rows = range(lo, min(lo + size, total))
-        X = np.empty((len(rows), n), dtype=np.uint8)
-        Y = np.empty_like(X)
-        tapes = []
-        for row, i in enumerate(rows):
-            j = i % _SEED_CHUNK
-            if j == 0:
-                keys = [(*cells[k // trials][1], k % trials)
-                        for k in range(i, min(i + _SEED_CHUNK, total))]
-                inputs = _SeedChunk([(*key, 0) for key in keys], gen)
-                tape_seeds = _SeedChunk([(*key, 1) for key in keys], gen)
-            gen.bit_generator.state = inputs.state(j)
-            pair = weighted_pair(n, cells[i // trials][0], gen)
-            X[row], Y[row] = pair.x, pair.y
-            tapes.append(RandomTape(tape_seeds.seeds[j], tape_seeds, j))
+        cell, t = np.divmod(np.arange(lo, min(lo + size, total)), trials)
+        X, Y = _weighted_pairs(n, weights[cell],
+                               _stream_starts(keys[cell], t, _INPUT))
+        tapes = [RandomTape._at(start) for start in
+                 _stream_starts(keys[cell], t, _TAPE).tolist()]
         out, channel = _run_block(protocol, profile, X, Y, tapes)
         yield out, s[np.count_nonzero(X != Y, axis=1)], channel
 
@@ -386,13 +372,15 @@ class MCResult:
 
 
 def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
-    """Uniform x and y = x xor (uniform weight-m mask), via a seeded shuffle."""
-    # The int64 draw fixes the stream; a uint8 draw would take other values.
-    x = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    y = x.copy()
-    y[rng.permutation(n)[:m]] ^= 1
-    # fresh 0/1 uint8 arrays of length n: InputPair's copy and checks would
+    """Uniform x and y = x xor (uniform weight-m mask): _weighted_pairs on
+    the input stream whose value 0 is at a counter drawn from rng."""
+    if not 0 <= m <= n:
+        raise ValueError(f"weight m={m} out of range for n={n}")
+    start = rng.integers(0, 1 << 64, size=1, dtype=np.uint64)
+    X, Y = _weighted_pairs(n, np.array([m]), start)
+    # fresh 0/1 uint8 rows of length n: InputPair's copy and checks would
     # find nothing
+    x, y = X[0], Y[0]
     x.flags.writeable = y.flags.writeable = False
     return InputPair._of_bits(x, y)
 

@@ -225,8 +225,10 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
 
 
 def xor_matrix(table: TruthTable) -> np.ndarray:
-    """[f(x xor y)] as float64, which holds its 0/1 entries exactly."""
-    idx = np.arange(1 << table.n)
+    """[f(x xor y)] as float64, which holds its 0/1 entries exactly; the
+    x xor y table is the least unsigned type (uint16 to n = 16)."""
+    idx = np.arange(1 << table.n,
+                    dtype=np.min_scalar_type((1 << table.n) - 1))
     vals = np.array(table.values, dtype=np.float64)
     return vals[np.bitwise_xor.outer(idx, idx)]
 
@@ -235,8 +237,11 @@ def _exact_product(M: np.ndarray, V: np.ndarray) -> np.ndarray | None:
     """M V on float64 BLAS if ncols * max|M| * max|V| < 2^53, else None.
     For integer M and V every entry and partial sum is then an integer
     below 2^53, exact in any summation order; float64 rounds monotonically,
-    so a true bound of 2^53 or more fails, as do NaN and inf."""
-    bound = M.shape[1] * float(np.abs(M).max()) * float(np.abs(V).max())
+    so a true bound of 2^53 or more fails, as do NaN and inf (min and max
+    both return a NaN).  max|A| is read without an |A| copy."""
+    bound = M.shape[1]
+    for A in (M, V):
+        bound *= max(-float(A.min()), float(A.max()))
     return M @ V if bound < 1 << 53 else None
 
 

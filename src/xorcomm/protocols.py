@@ -24,21 +24,23 @@ how many positions have Alice's bit and Bob's differ.  The rows that Bob
 reads, in every trial of the block, are counted by one kernel,
 _bucket_parities: the (trial, row) pairs are one axis, split into whole-row
 draw blocks of at most _DRAW_BLOCK tape values, each trial's rows drawn
-from its own tape in order, and each draw block counted by one bincount.
+from its own tape in order, and each draw block drawn by one
+RandomTape.integers call and counted by one bincount.
 The sends and votes still follow the protocol's order; xor2way's probes
 are each sent, and voted on by Bob, one at a time.
 
-Where a phase is the last use of the tape, a trial leaves undrawn the
-trailing rows whose counts cannot change Bob's output, though Alice still
-sends, and the channel still charges, every row.  A trial draws its rows in
-order, so each row it draws holds the values it would hold were every row
-drawn, and the outputs and transcripts are those of a run that counts every
-row; only the tape's end position differs.  ham draws the other R - 1
-repetitions only in the trials whose first one voted "<= d" (its output is
-an ANY-vote), and xor1way draws its enumeration rows only in the tail
-trials (a middle trial's output reads none of them).  xor2way's region
-phase is not its tape's last use in a tail trial, which draws search probes
-after it.
+Where a phase is the last use of the tape, a trial draws only the rows
+whose counts can change Bob's output, though Alice still sends, and the
+channel still charges, every row.  Each row a trial draws keeps its tape
+index, so it holds the values it would hold were every row drawn, and the
+outputs and transcripts are those of a run that counts every row; only the
+tape's end position differs.  ham draws the other R - 1 repetitions only in
+the trials whose first one voted "<= d" (its output is an ANY-vote).
+xor1way draws its enumeration rows only in the tail trials (a middle
+trial's output reads none of them), and only its side's: a lower trial
+draws the rows on x, the first half, and an upper trial skips those to
+draw the rows on the complement.  xor2way's region phase is not its tape's
+last use in a tail trial, which draws search probes after it.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -82,10 +84,9 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
 
     When b >= n the bucket map is the identity: nothing is drawn and the
     count is the distance itself.  Otherwise the (trial, row) pairs form
-    one axis, trial-major, split into draw blocks of whole rows; each
-    trial's rows come from draws of whole rows off its own tape, in order.
-    For PCG64 that is the same stream, and the same end state, as one draw
-    of n values per row.
+    one axis, trial-major, split into draw blocks of whole rows, each drawn
+    by one RandomTape.integers call: a trial's rows come off its own tape,
+    in order, n values a row, whatever block they fall in.
     """
     if trials is None:
         trials = np.arange(len(X))
@@ -106,14 +107,14 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     flip_of = flips.reshape(-1, 1)
     step = max(1, min(engine._DRAW_BLOCK // n, k * R))
     offsets = b * np.arange(step)[:, None]
-    block = np.empty((step, n), dtype=np.int64)
+    own = [tapes[t] for t in trials.tolist()]
     for lo in range(0, k * R, step):
         hi = min(lo + step, k * R)
-        slot = block[:hi - lo]
-        for i in range(lo // R, (hi - 1) // R + 1):
-            first, last = max(lo, i * R), min(hi, (i + 1) * R)
-            slot[first - lo:last - lo] = tapes[trials[i]].integers(
-                b, size=(last - first) * n).reshape(last - first, n)
+        first, last = lo // R, (hi - 1) // R + 1
+        counts = [min(hi, (i + 1) * R) - max(lo, i * R)
+                  for i in range(first, last)]
+        slot = RandomTape.rows(own[first:last], counts, n).integers(
+            b, size=(hi - lo) * n).reshape(hi - lo, n)
         # Position j of block row i counts into cell ((i*b + slot) << 1) +
         # code: one bincount gives, per row and bucket, how many positions
         # have Alice's bit equal to Bob's and how many differ.  The
@@ -362,21 +363,21 @@ class OneWayXorProtocol(_XorProtocol):
         parity = _distance_parity(X, Y, channel)
         region_flips = _region_flips(self.region_reps)
         reps = _enum_reps(r, self.search_rep_factor)
-        # the tests at d = 0..r-1 on x and then on its complement
-        enum_flips = [False] * (r * reps) + [True] * (r * reps)
-        # Alice sends the region and enumeration rows as one phase; Bob
-        # reads the enumeration rows only in the tail trials
-        channel.a_to_b(bits=(len(region_flips) + len(enum_flips)) * b)
+        # one phase: the region rows, then the tests at d = 0..r-1 on x and
+        # then on its complement, of which a tail trial reads its side's
+        channel.a_to_b(bits=(len(region_flips) + 2 * r * reps) * b)
         region = _region(_bucket_parities(X, Y, region_flips, b, tapes), r)
         out = _middle_representative(profile, r, parity)
         tail = np.flatnonzero(region != MIDDLE)
-        k = len(tail)
-        diffs = _bucket_parities(X, Y, enum_flips, b, tapes, tail)
         flip = region[tail] == UPPER
-        # tests[t, v]: tail trial t's amplified vote ">v", on its region's
-        # side
-        tests = (diffs.reshape(k, 2, r, reps)
-                 > np.arange(r)[:, None]).any(axis=3)[np.arange(k), flip * 1]
+        if b < n:  # an identity map draws nothing, so skips nothing
+            for t in tail[flip].tolist():
+                tapes[t].position += r * reps * n
+        diffs = _bucket_parities(X, Y, np.repeat(flip[:, None], r * reps,
+                                                 axis=1), b, tapes, tail)
+        # tests[t, v]: tail trial t's amplified vote ">v", on its side
+        tests = (diffs.reshape(len(tail), r, reps)
+                 > np.arange(r)[:, None]).any(axis=2)
         # candidate v is consistent iff the test at v-1 (none at v = 0)
         # says above and the one at v says at most v
         above_prev = np.ones_like(tests)

@@ -179,12 +179,14 @@ def parse_profile(spec: str, n: int) -> SymmetricProfile:
     """Parse the profile mini-language.
 
     Forms: const0 | const1 | parity | notparity | threshold:<d> | exact:<k>
-    | mod:<m>:<r1,r2,...> | bits:<(n+1)-char 0/1 string>.
+    | mod:<m>:<r1,r2,...> | bits:<(n+1)-char 0/1 string>, the name exactly
+    so (lower case, no spaces) and no ':' after a parameterless one.
     """
     if n < 1:
         raise ProfileError(f"n must be positive, got {n}")
-    name, _, rest = spec.partition(":")
-    name = name.strip().lower()
+    name, colon, rest = spec.partition(":")
+    if colon and name in ("const0", "const1", "parity", "notparity"):
+        raise ProfileError(f"{name} takes no parameter, got {spec!r}")
     if name == "const0":
         s = (0,) * (n + 1)
     elif name == "const1":

@@ -85,6 +85,23 @@ class TestAnalyze:
         assert out == ""
         assert err.count("\n") == 1 and str(MAX_ANALYZE_N) in err
 
+    def test_canonical_specs_unchanged(self, capsys):
+        # the spellings that parse_profile still takes give the bytes they
+        # gave when it also took loose ones (sha256 of stdout)
+        digests = {
+            "threshold:2":
+                "f2bb7025f458add56b671d9db4442093289181920da5263a4962e43d6159006b",
+            "parity":
+                "920f8873417c051dc5989226c303b7f0260e53ff8d0336cb299dc6b434b7d622",
+            "mod:3:0,2":
+                "4afef7144c18e00f9d999819ba0279b9bddd41b5f0bdc880066287740f02b80b",
+        }
+        for spec, digest in digests.items():
+            code, out, _ = run_cli(capsys, "analyze", "--n", "8", "--profile",
+                                   spec)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_profile_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--n", "8",
                                "--profile", "bogus:1")
@@ -340,6 +357,23 @@ class TestBadNumericInput:
             ("simulate", "--protocol", "ham", "--profile", "exact:1_0",
              "--n", "16", "--weight", "3"), "'exact:1_0'",
             id="argv39-exact:1_0"),
+        # each exited 0: the family name was stripped and lower-cased, and
+        # text after a parameterless family was ignored
+        pytest.param(
+            ("analyze", "--n", "8", "--profile", " THRESHOLD :2"),
+            "' THRESHOLD :2'", id="argv40- THRESHOLD :2"),
+        pytest.param(
+            ("analyze", "--n", "8", "--profile", "const0:junk"),
+            "'const0:junk'", id="argv41-const0:junk"),
+        pytest.param(
+            ("sweep", "--protocol", "parity", "--profile", "parity:",
+             "--n", "8"), "'parity:'", id="argv42-parity:"),
+        # trial 2^31 would take a trial's stream counters past 2^64; the
+        # refusal comes before the first block
+        pytest.param(
+            ("simulate", "--protocol", "xor2way", "--profile", "threshold:2",
+             "--n", "8", "--weight", "1", "--trials", str(2 ** 31 + 1)),
+            "trials must be 1 to 2^31", id="argv43-trials past 2^31"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -565,6 +599,9 @@ class TestGoldenOutput:
     # sha256 of stdout, recorded when each Hamming-test repetition still drew
     # its own bucket map and inputs were validated tuples.  Odd and even n,
     # bucket maps drawn (b < n) and identity (b >= n), and flipped tests.
+    # When every stream became counter-based, only the exact:0 sweep's
+    # bytes changed, and it was re-pinned: in the other runs every trial is
+    # correct and its bit count depends only on the region it takes.
     @pytest.mark.parametrize("argv, digest", [
         (("sweep", "--protocol", "ham", "--profile", "threshold:2",
           "--n", "33,64", "--trials", "5", "--reps", "3", "--seed", "21"),
@@ -584,7 +621,7 @@ class TestGoldenOutput:
          "3a795de9ea7670543df7683b94e437c80893338c6e5146b7a0086d8d5c488b8a"),
         (("sweep", "--protocol", "xor2way", "--profile", "exact:0",
           "--n", "64", "--trials", "5", "--seed", "7"),
-         "1df359502b5d718826063d7d534dc04867c76c0c1ad96a53b0e021580ee3b7f8"),
+         "8d07721044bf58fb0696169df58d8aa37eff0d80d963640303f268959a14f605"),
         (("sweep", "--protocol", "xor1way", "--profile", "threshold:3",
           "--n", "17,32,40", "--trials", "3", "--seed", "7"),
          "64258996236a64331d6bcda124978464a999a9b5a1eee5838f775c39040f01a1"),

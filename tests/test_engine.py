@@ -1,13 +1,17 @@
+import math
+import statistics
+import tracemalloc
+
 import numpy as np
 import pytest
+import stream_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
 from xorcomm import engine
 from xorcomm.engine import (Channel, Protocol, RandomTape, ScheduleViolation,
-                            _pcg64_states, _SeedChunk, make_report,
-                            mc_error_estimate, run_protocol, run_trials,
-                            sweep, weight_estimates, weighted_pair)
+                            make_report, mc_error_estimate, run_protocol,
+                            run_trials, sweep, weight_estimates)
 from xorcomm.protocols import (FullSendProtocol, ParityProtocol,
                                TwoWayXorProtocol, make_protocol)
 from xorcomm.symfun import InputPair, ProfileError, parse_profile
@@ -183,103 +187,232 @@ class TestTape:
         assert not np.array_equal(a.integers(1 << 30, size=16),
                                   b.integers(1 << 30, size=16))
 
+    def test_draw_block_equals_each_tape_alone(self):
+        # rows of three tapes in one call, one tape starting at an odd
+        # position, against each tape drawing its own rows
+        blocked = [RandomTape(4, t) for t in range(3)]
+        alone = [RandomTape(4, t) for t in range(3)]
+        for tape in (blocked[1], alone[1]):
+            tape.integers(7, size=3)
+        counts, width = [2, 1, 3], 5
+        got = RandomTape.rows(blocked, counts, width).integers(50, size=30)
+        want = np.concatenate([tape.integers(50, size=c * width)
+                               for tape, c in zip(alone, counts)])
+        assert np.array_equal(got, want)
+        assert [t.position for t in blocked] == [10, 8, 15]
+        assert [t.position for t in alone] == [10, 8, 15]
+        with pytest.raises(ValueError, match="rows of"):
+            RandomTape.rows(blocked, counts, width).integers(50, size=29)
 
-    def test_interleaved_tapes_match_independent_streams(self):
-        # two tapes take turns on one generator; after an odd number of
-        # values below 2^32 PCG64 holds half a 64-bit word, which must
-        # carry over to the tape's next draw
-        seeds = [(4, 0, 1), (4, 1, 1)]
-        chunk = _SeedChunk(seeds, np.random.default_rng(0))
-        shared = [RandomTape(seed, chunk, i) for i, seed in enumerate(seeds)]
-        alone = [np.random.default_rng(np.random.SeedSequence(seed))
-                 for seed in seeds]
-        for size in (1, 3, 5, 7):
-            for tape, rng in zip(shared, alone):
-                assert np.array_equal(tape.integers(1000, size=size),
-                                      rng.integers(0, 1000, size=size))
-                assert tape._state["has_uint32"] == tape.position % 2
-                assert tape._state == rng.bit_generator.state
-        for tape, rng in zip(shared, alone):
-            assert tape.integers(1 << 40) == rng.integers(0, 1 << 40)
-            assert tape.position == 17
+    def test_identity_sweep_computes_no_tape(self, monkeypatch):
+        # b >= n everywhere: no tape value is computed
+        sizes = []
+        integers = RandomTape.integers
 
-    def test_undrawn_tapes_derive_no_state(self, monkeypatch):
-        chunk = _SeedChunk([(5, t, 1) for t in range(3)],
-                           np.random.default_rng(0))
-        tapes = [RandomTape(seed, chunk, i)
-                 for i, seed in enumerate(chunk.seeds)]
-        assert chunk._states is None
-        tapes[1].integers(9, size=2)
-        assert chunk._states is not None  # the whole chunk, at once
-        assert tapes[0]._state is None and tapes[2]._state is None
-        # a sweep at b >= n draws nothing: only its inputs are derived
-        derived = []
+        def spy(tape, upper, size):
+            sizes.append(size)
+            return integers(tape, upper, size)
 
-        def spy(seeds):
-            derived.extend(seeds)
-            return _pcg64_states(seeds)
-
-        monkeypatch.setattr(engine, "_pcg64_states", spy)
+        monkeypatch.setattr(RandomTape, "integers", spy)
         rows = sweep(cells(TwoWayXorProtocol(), "threshold:8", 64),
                      "threshold:8", 3, 7)
-        assert len(rows) == 65
-        assert len(derived) == 65 * 3
-        assert all(seed[-1] == 0 for seed in derived)
+        assert len(rows) == 65 and sizes == []
+
+    def test_bound_and_stream_end_refused(self):
+        # A tape is 2^32 stream values, 2^33 tape values.  The refusal
+        # comes before anything is computed, so it allocates nothing.
+        tape = RandomTape(1)
+        for upper in (0, 2 ** 31 + 1):
+            with pytest.raises(ValueError, match="bound"):
+                tape.integers(upper, size=1)
+        tape.position = 2 ** 33 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="end"):
+                tape.integers(10, size=2)
+            with pytest.raises(ValueError, match="end"):
+                RandomTape.rows([RandomTape(2), tape], [1, 1], 2).integers(
+                    10, size=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
+        assert tape.position == 2 ** 33 - 1
+        assert tape.integers(10, size=1).shape == (1,)
+        assert tape.position == 2 ** 33
+        # trial 2^31 would take counters past 2^64: refused, a tape at once
+        # and a trial loop before its first block
+        with pytest.raises(ValueError, match="trial"):
+            RandomTape(0, 2 ** 31)
+        with pytest.raises(ValueError, match="trials"):
+            next(run_trials(ParityProtocol(), parse_profile("parity", 4), 1,
+                            2 ** 31 + 1, seed=0))
 
 
-# Seeds of every shape the engine derives: one word, several words, tuples
-# shorter and longer than SeedSequence's pool of 4, and the engine's own
-# (s, t, 0|1) and (s, n, m, t, 0|1), also at a multi-word s.
+# Seeds of every shape the engine takes: one word, several words, the empty
+# tuple, tuples of 1 to 9 words, the engine's own (s, n, m) cells, also at a
+# multi-word s, a list of numpy and bool items, and a nested tuple.
 SEEDS = [0, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 70, (),
          *(tuple(range(3, 3 + k)) for k in range(1, 10)),
-         (7, 12, 0), (7, 12, 1), (7, 64, 3, 12, 0), (7, 64, 3, 12, 1),
-         (2 ** 70, 12, 0), (2 ** 70, 64, 3, 12, 1), [np.int64(5), True],
-         ((1, 2), 2 ** 33)]
+         (7, 12), (7, 64, 3), (2 ** 70, 12), (2 ** 70, 64, 3),
+         [np.int64(5), True], ((1, 2), 2 ** 33)]
+
+
+def ref_seed(seed):
+    """seed as tests/stream_reference.py takes it: a list as a tuple."""
+    return tuple(seed) if isinstance(seed, list) else seed
+
+
+def chi2_critical(df, alpha):
+    """The upper-alpha point of chi-square with df degrees of freedom, by
+    Wilson and Hilferty's cube-root normal approximation (good to a few
+    per cent at df >= 6)."""
+    z = statistics.NormalDist().inv_cdf(1 - alpha)
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+class TestStreams:
+    """The counter-based streams: value i of stream s of trial t is
+    mix64(key + ((2t + s) 2^32 + i) GAMMA mod 2^64), checked against
+    tests/stream_reference.py, a one-value-at-a-time restatement on Python
+    ints.  About 0.2 s in all."""
+
+    def test_splitmix64_known_answers(self):
+        # SplitMix64 seeded 0 (Steele, Lea & Flood 2014) outputs
+        # mix64(i * GAMMA) for i = 1, 2, 3
+        got = engine._stream_words(np.zeros(1, dtype=np.uint64), 4)[0]
+        assert got.tolist() == [0, 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                0x06C45D188009454F]
+
+    def test_values_match_int_reference(self):
+        # every seed shape; the first, second and last trial; both streams
+        for seed in SEEDS:
+            key = engine._cell_key(seed)
+            assert key == ref.cell_key(ref_seed(seed))
+            for t in (0, 1, 2 ** 31 - 1):
+                for s in (0, 1):
+                    start = engine._stream_starts(
+                        np.array([key], dtype=np.uint64), np.array([t]), s)
+                    assert engine._stream_words(start, 5)[0].tolist() == [
+                        ref.value(ref_seed(seed), t, s, i) for i in range(5)]
+
+    def test_inputs_and_tapes_match_int_reference(self):
+        # odd and even draw sizes, so draws start at odd positions, and n
+        # below, at and above a multiple of 64
+        for seed in (0, 2 ** 70, (7, 64, 3), ((1, 2), 2 ** 33)):
+            key = engine._cell_key(seed)
+            for t in (0, 3):
+                tape, want = RandomTape(seed, t), ref.ReferenceTape(seed, t)
+                for upper, size in ((2, 1), (1000, 3), (2 ** 31, 5), (7, 64),
+                                    (50, 7)):
+                    assert np.array_equal(tape.integers(upper, size),
+                                          want.integers(upper, size))
+                for n, m in ((1, 0), (1, 1), (5, 2), (64, 10), (65, 65),
+                             (130, 7)):
+                    X, Y = engine._weighted_pairs(
+                        n, np.array([m]), engine._stream_starts(
+                            np.array([key], dtype=np.uint64), np.array([t]),
+                            0))
+                    x, y = ref.pair(n, m, seed, t)
+                    assert np.array_equal(X[0], x) and np.array_equal(Y[0], y)
+
+    def test_distinct_counters_distinct_values(self):
+        # mix64 is a bijection and GAMMA is odd: no two counters of a cell
+        # share a value, here the first 4 values of 500 trials' streams
+        key = np.array([engine._cell_key((5, 6))], dtype=np.uint64)
+        values = [engine._stream_words(
+            engine._stream_starts(np.repeat(key, 500), np.arange(500), s), 4)
+            for s in (0, 1)]
+        assert len(np.unique(np.concatenate(values, axis=None))) == 4000
+
+    def test_trial_identical_across_block_splits(self, monkeypatch):
+        # b = 18 < n = 40, so the tapes are drawn.  A trial's run does not
+        # depend on the block it runs in, and trial t run alone, on its
+        # reference input and RandomTape(seed, t), is the same.
+        profile, proto = parse_profile("threshold:3", 40), TwoWayXorProtocol()
+        runs = []
+        for block in (engine._DRAW_BLOCK, 40, 97, 3 * 40 + 1):
+            monkeypatch.setattr(engine, "_DRAW_BLOCK", block)
+            runs.append(list(run_trials(proto, profile, 5, 9, (3, 1))))
+        assert all(run == runs[0] for run in runs[1:])
+        for t, (out, truth, transcript) in enumerate(runs[0]):
+            x, y = ref.pair(40, 5, (3, 1), t)
+            alone, channel = engine._run_block(
+                proto, profile, x[None], y[None], [RandomTape((3, 1), t)])
+            assert (int(alone[0]), channel.transcript()) == (out, transcript)
+
+    def test_every_mask_has_weight_m(self):
+        # every weight at each n, all in one block per n
+        for n in (1, 2, 63, 64, 65, 130):
+            weights = np.tile(np.arange(n + 1), 8)
+            starts = engine._stream_starts(
+                np.full(len(weights), engine._cell_key(n), dtype=np.uint64),
+                np.arange(len(weights)), 0)
+            X, Y = engine._weighted_pairs(n, weights, starts)
+            assert X.dtype == Y.dtype == np.uint8
+            assert set(np.unique(np.concatenate([X, Y]))) <= {0, 1}
+            assert np.array_equal(np.count_nonzero(X != Y, axis=1), weights)
+
+    # Six chi-square gates, each at alpha = 1e-4, so a uniform generator
+    # fails one of them with probability at most 6e-4 (Bonferroni).
+    ALPHA = 1e-4
+
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_position_frequencies(self, m):
+        # 20,000 trials at n = 32.  Each trial flips a uniform m-subset, so
+        # each position's count has mean T p, p = m / n, and Pearson's X^2
+        # times (n - 1) / (n (1 - p)) is chi-square with n - 1 degrees of
+        # freedom.  x's bits: each position's count of ones is
+        # Binomial(T, 1/2), independently, so sum (c - T/2)^2 / (T/4) is
+        # chi-square with n.  Two gates; m = 5 checks the bits.
+        n, T = 32, 20000
+        starts = engine._stream_starts(
+            np.full(T, engine._cell_key((9, m)), dtype=np.uint64),
+            np.arange(T), 0)
+        X, Y = engine._weighted_pairs(n, np.full(T, m), starts)
+        p = m / n
+        counts = np.count_nonzero(X != Y, axis=0)
+        stat = ((counts - T * p) ** 2).sum() / (T * p)
+        assert stat * (n - 1) / (n * (1 - p)) < chi2_critical(n - 1,
+                                                               self.ALPHA)
+        if m == 5:
+            ones = X.sum(axis=0)
+            assert ((ones - T / 2) ** 2).sum() / (T / 4) < chi2_critical(
+                n, self.ALPHA)
+
+    @pytest.mark.parametrize("b", [7, 162])
+    def test_bucket_frequencies(self, b):
+        # 200,000 tape values off 40 tapes, drawn in rows of n = 257 (odd,
+        # so half the rows start mid-word) in one draw block; Pearson's
+        # X^2 with b - 1 degrees of freedom
+        tapes = [RandomTape((11, b), t) for t in range(40)]
+        rows = -(-200000 // (40 * 257))
+        values = RandomTape.rows(tapes, [rows] * 40, 257).integers(
+            b, size=40 * rows * 257)
+        expected = len(values) / b
+        stat = ((np.bincount(values, minlength=b) - expected) ** 2).sum()
+        assert stat / expected < chi2_critical(b - 1, self.ALPHA)
 
 
 class TestSeedDerivation:
-    def test_matches_numpy(self):
-        # every word count in one call
-        for seed, got in zip(SEEDS, _pcg64_states(SEEDS)):
-            want = np.random.PCG64(np.random.SeedSequence(seed)).state
-            assert got == (want["state"]["state"], want["state"]["inc"])
+    """A cell seed's key: its 32-bit words, coerced as numpy's SeedSequence
+    coerces them, folded by mix64."""
 
     @pytest.mark.parametrize("seed", [-1, (3, -1), (2 ** 40, -5, 1), 1.5,
                                       (2, 0.5), (np.float64(1.0),),
                                       (np.True_,), (None, 1)])
     def test_rejects_as_numpy_does(self, seed):
+        # the cell seeds numpy's SeedSequence refuses, with its exception
         with pytest.raises(Exception) as want:
             np.random.SeedSequence(seed)
         with pytest.raises(want.type):
-            _pcg64_states([seed])
+            engine._cell_key(seed)
 
-    def test_hash_constants_are_shared_and_read_only(self):
-        # one cached column serves every chunk of a seed length, so no
-        # derivation may write to it
-        first = _pcg64_states(SEEDS)
-        consts = engine._hash_consts(engine._INIT_A, engine._MULT_A, 16)
-        assert consts is engine._hash_consts(engine._INIT_A, engine._MULT_A, 16)
-        with pytest.raises(ValueError):
-            consts[0, 0] = 0
-        assert _pcg64_states(SEEDS) == first
-
-    def test_shared_generator_draws_as_fresh_one(self):
-        chunk = _SeedChunk(SEEDS, np.random.default_rng(0))
-        for i, seed in enumerate(SEEDS):
-            chunk.gen.bit_generator.state = chunk.state(i)
-            fresh = np.random.default_rng(np.random.SeedSequence(seed))
-            assert np.array_equal(
-                chunk.gen.integers(0, 2, size=33, dtype=np.int64),
-                fresh.integers(0, 2, size=33, dtype=np.int64))
-            assert np.array_equal(chunk.gen.permutation(33),
-                                  fresh.permutation(33))
-            assert chunk.gen.bit_generator.state == fresh.bit_generator.state
-            chunk.gen.bit_generator.state = chunk.state(i)
-            fresh = np.random.default_rng(np.random.SeedSequence(seed))
-            got, want = weighted_pair(40, 9, chunk.gen), weighted_pair(40, 9,
-                                                                       fresh)
-            assert np.array_equal(got.x, want.x)
-            assert np.array_equal(got.y, want.y)
+    @pytest.mark.parametrize("seed", ["5", ("5", 1), b"5"])
+    def test_rejects_strings(self, seed):
+        with pytest.raises(TypeError):
+            engine._cell_key(seed)
 
 
 class TestSweep:

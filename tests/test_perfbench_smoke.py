@@ -6,10 +6,12 @@ reports every per-layer metric that ``BENCHMARK.json`` declares.  The one
 exception is ``trace.overhead_frac``: ``perfbench/run.py`` computes it from
 traced and untraced passes together, so a single pass does not have it.
 Each seed-1 pass must also reproduce its output digest: a changed digest is
-a changed output or random stream.  The oracle-verify and mc-sweep digests
-have not changed since the benchmark was written; the exact-analyze one
-changed once, when `deterministic_bounds`'s upper bound of a nontrivial
-profile went from n + 1 total bits to n content bits.
+a changed output or random stream.  The oracle-verify digest has not
+changed since the benchmark was written.  The exact-analyze one changed
+once, when `deterministic_bounds`'s upper bound of a nontrivial profile went
+from n + 1 total bits to n content bits.  The mc-sweep one changed once,
+when every simulate and sweep stream became counter-based (SplitMix64 on a
+(cell, trial, stream, value) counter) in place of PCG64(SeedSequence).
 """
 
 import json
@@ -30,7 +32,7 @@ DIGESTS = {
     "oracle-verify":
         "19c8a4f032a90d95954f927548fccfc91ea7cdc012ade8e98d1d5d6463331ee0",
     "mc-sweep":
-        "0a246b0753964737b6c2003844cd390dc0c604cc956f122ad2bf03b5c73e317b",
+        "9c7c8a77fda90f1e456749a27162a069846769e0d5d6fd759c3fe81d1c2a38ba",
 }
 
 

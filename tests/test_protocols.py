@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import stream_reference as ref
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xorcomm import engine
+from xorcomm import engine, protocols
 from xorcomm.engine import (MCResult, RandomTape, Transcript,
                             mc_error_estimate, run_protocol, weighted_pair)
 from xorcomm.oracle import profile_of_index
@@ -137,19 +138,6 @@ class TestHam:
         assert rates[0] >= rates[1] >= rates[2]
 
 
-class _NumpyTape:
-    """The references' tape: a generator of numpy's own
-    SeedSequence(seed), apart from the engine's seed derivation."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.position = 0
-
-    def integers(self, upper, size=None):
-        self.position += size if size is not None else 1
-        return self._rng.integers(0, upper, size=size)
-
-
 class _ReferenceChannel:
     """The references' channel: one trial's bits each way and rounds, as
     plain ints, each message sent as its payload and counted by length."""
@@ -223,7 +211,8 @@ class TestAmplifiedHam:
             y = x ^ np.uint8(trial % 2)
             y[rng.permutation(n)[:trial]] ^= 1
             got_ch, want_ch = engine.Channel(), _ReferenceChannel(False)
-            got_tape, want_tape = RandomTape(trial), _NumpyTape(trial)
+            got_tape = RandomTape(trial)
+            want_tape = ref.ReferenceTape(trial)
             got = _phase_votes(x, y, tests, b, got_ch, got_tape)
             want = [_reference_amplified_ham(x, y, d, b, reps, want_ch,
                                              want_tape, flip=flip)
@@ -232,8 +221,8 @@ class TestAmplifiedHam:
             assert got_ch.transcript() == want_ch.transcript()
             assert got_tape.position == want_tape.position
             # the shared stream continues exactly where the loop left it
-            assert np.array_equal(got_tape.integers(1 << 40, size=3),
-                                  want_tape.integers(1 << 40, size=3))
+            assert np.array_equal(got_tape.integers(1 << 31, size=3),
+                                  want_tape.integers(1 << 31, size=3))
 
     # b < n draws the bucket maps off the tape (odd and even n); b >= n is
     # the identity map and draws nothing.
@@ -288,8 +277,9 @@ class TestAmplifiedHam:
             diffs = _bucket_parities(x[None], x[None], [], b, [tape])
             assert diffs.size == 0
             assert tape.position == 0
-            assert np.array_equal(tape.integers(1 << 40, size=3),
-                                  _NumpyTape(3).integers(1 << 40, size=3))
+            assert np.array_equal(tape.integers(1 << 31, size=3),
+                                  ref.ReferenceTape(3).integers(1 << 31,
+                                                                size=3))
 
     def test_identity_map_counts_exactly(self):
         # b >= n: the count is the distance, n minus it on a flipped row;
@@ -306,10 +296,13 @@ class TestAmplifiedHam:
 # --- The per-trial reference of the batched trial loop ----------------------
 # The loop as it was before protocols took a block of trials: one channel,
 # one tape and one protocol body per trial, every Hamming test drawing its
-# own bucket maps through _reference_amplified_ham.  Where a phase is the
-# tape's last use, Alice sends every row but only the rows Bob reads are
-# hashed: ham's repetitions after a first one that voted ">d", and xor1way's
-# enumeration tests in a middle trial, are sent by _reference_unread.
+# own bucket maps through _reference_amplified_ham, and each trial's input
+# and tape from tests/stream_reference.py.  Where a phase is the tape's
+# last use, Alice sends every row but only the rows Bob reads are hashed:
+# ham's repetitions after a first one that voted ">d", and xor1way's
+# enumeration tests in a middle trial and on the other side of a tail
+# trial, are sent by _reference_unread; an upper trial skips the rows on x
+# on its tape (when they would be drawn, b < n).
 
 
 def _reference_parity(x, y, channel):
@@ -368,11 +361,16 @@ def _reference_body(protocol, x, y, profile, channel, tape):
         if region == "middle":
             _reference_unread(channel, 2 * r * reps, b)
             return _reference_middle(profile, r, parity)
-        tests = [[test(d, reps, flip) for d in range(r)]
-                 for flip in (False, True)]
         flip = region == "upper"
+        if flip:
+            _reference_unread(channel, r * reps, b)
+            if b < n:
+                tape.position += r * reps * n
+        tests = [test(d, reps, flip) for d in range(r)]
+        if not flip:
+            _reference_unread(channel, r * reps, b)
         for v in range(r):
-            if (v == 0 or tests[flip][v - 1]) and not tests[flip][v]:
+            if (v == 0 or tests[v - 1]) and not tests[v]:
                 return s[n - v] if flip else s[v]
         return s[0]
     channel.b_to_a({"lower": (0, 0), "middle": (0, 1),
@@ -397,11 +395,10 @@ def _reference_body(protocol, x, y, profile, channel, tape):
 
 def _reference_trials(protocol, profile, m, trials, seed):
     """(output, truth, transcript, tape) of each trial, one at a time."""
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((*base, t, 0)))
-        pair = weighted_pair(profile.n, m, rng)
-        tape = _NumpyTape((*base, t, 1))
+        x, y = ref.pair(profile.n, m, seed, t)
+        pair = InputPair(tuple(x.tolist()), tuple(y.tolist()))
+        tape = ref.ReferenceTape(seed, t)
         channel = _ReferenceChannel(protocol.one_way)
         out = int(_reference_body(protocol, pair.x, pair.y, profile, channel,
                                   tape))
@@ -419,21 +416,27 @@ def _reference_mc(rows, trials):
 
 
 class _LoggedTape(RandomTape):
-    """A tape that keeps every instance, so a test can read the tapes the
-    trial loop made."""
+    """A tape that keeps every instance, those the trial loop makes and
+    run_protocol's, so a test can read them."""
 
     made = []
 
-    def __init__(self, seed, *chunk):
-        super().__init__(seed, *chunk)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.made.append(self)
+
+    @classmethod
+    def _at(cls, start):
+        tape = super()._at(start)
+        cls.made.append(tape)
+        return tape
 
 
 def _same_tape(got, want):
     assert got.position == want.position
     # the stream continues exactly where the reference left it
-    assert np.array_equal(got.integers(1 << 40, size=3),
-                          want.integers(1 << 40, size=3))
+    assert np.array_equal(got.integers(1 << 31, size=3),
+                          want.integers(1 << 31, size=3))
 
 
 def profile_spec(profile):
@@ -444,7 +447,7 @@ def check_loop(protocol, profile, weights, trials, seed, block):
     """Run sweep (every weight's trials in one loop), run_trials,
     mc_error_estimate and run_protocol with _DRAW_BLOCK set to `block`,
     against the per-trial reference, trial by trial.  Return the end
-    position of each of the sweep's tapes, by its seed."""
+    position of each of the sweep's tapes, by (m, t)."""
     n = profile.n
     want = {m: list(_reference_trials(protocol, profile, m, trials,
                                       (seed, n, m)))
@@ -455,8 +458,10 @@ def check_loop(protocol, profile, weights, trials, seed, block):
         _LoggedTape.made = []
         rows = engine.sweep({n: (profile, protocol)}, profile_spec(profile),
                             trials, seed, weights=weights)
-        tapes = {tape._seed: tape for tape in _LoggedTape.made}
+        tapes = {tape._start: tape for tape in _LoggedTape.made}
         assert len(tapes) == len(_LoggedTape.made) == len(weights) * trials
+        tapes = {(m, t): tapes[ref.tape_start((seed, n, m), t)]
+                 for m in weights for t in range(trials)}
         positions = {key: tape.position for key, tape in tapes.items()}
         for row, m in zip(rows, sorted(weights)):
             res = _reference_mc(want[m], trials)
@@ -465,7 +470,7 @@ def check_loop(protocol, profile, weights, trials, seed, block):
                 m, res.success_rate, res.mean_bits, res.max_bits,
                 res.rounds_mean)
             for t, (*_, tape) in enumerate(want[m]):
-                _same_tape(tapes[(seed, n, m, t, 1)], tape)
+                _same_tape(tapes[m, t], tape)
 
         m = weights[0]
         want = list(_reference_trials(protocol, profile, m, trials, seed))
@@ -473,14 +478,14 @@ def check_loop(protocol, profile, weights, trials, seed, block):
         got = list(engine.run_trials(protocol, profile, m, trials, seed))
         assert got == [(out, truth, transcript)
                        for out, truth, transcript, _ in want]
-        for tape, (*_, ref) in zip(_LoggedTape.made, want):
-            _same_tape(tape, ref)
+        for tape, (*_, want_tape) in zip(_LoggedTape.made, want):
+            _same_tape(tape, want_tape)
         assert engine.mc_error_estimate(protocol, profile, m, trials,
                                         seed) == _reference_mc(want, trials)
 
         rng = np.random.default_rng(seed)
         pair = weighted_pair(n, m, rng)
-        ref_tape = _NumpyTape((seed, 1))
+        ref_tape = ref.ReferenceTape((seed, 1))
         ref_channel = _ReferenceChannel(protocol.one_way)
         out = int(_reference_body(protocol, pair.x, pair.y, profile,
                                   ref_channel, ref_tape))
@@ -544,8 +549,11 @@ class TestBatchedLoop:
         # one trial's phase spans two whole draw blocks and part of a third,
         # at the real _DRAW_BLOCK, and 3 trials split the blocks unevenly.
         # A trial at weight 3 <= d draws every repetition (its first one
-        # never votes ">d"); at this seed every other trial's first one
-        # votes ">d", so it draws no more.
+        # never votes ">d"); a trial at weight 5 or 9 draws no more after a
+        # first one that votes ">d", and every repetition after one that
+        # misses (about 0.23 a trial at weight 5 with 40 buckets).  Both
+        # happen at this seed; check_loop has matched every position with
+        # the reference's.
         n, d = 601, 4
         reps = 2 * (engine._DRAW_BLOCK // n) + 7
         assert reps * n > 2 * engine._DRAW_BLOCK
@@ -553,15 +561,15 @@ class TestBatchedLoop:
                                parse_profile(f"threshold:{d}", n), [3, 5, 9],
                                3, 2, engine._DRAW_BLOCK)
         assert len(positions) == 9
-        for (*_, m, _, _), position in positions.items():
-            assert position == (reps * n if m == 3 else n)
+        for (m, _), position in positions.items():
+            assert position in ((reps * n,) if m == 3 else (n, reps * n))
+        assert n in positions.values()
 
     @pytest.mark.parametrize("protocol", [
         TwoWayXorProtocol(), HamProtocol(d=3, buckets=10, repetitions=3)])
     def test_multi_word_seed(self, protocol):
-        # 2^70 is three words, so a trial's seeds, (2^70, t, 0|1) and
-        # (2^70, n, m, t, 0|1), are five and seven: longer than
-        # SeedSequence's pool of 4
+        # 2^70 is three words, so the cell seeds (2^70, m) and
+        # (2^70, n, m) are four and five words
         n = 40
         check_loop(protocol, parse_profile("threshold:3", n),
                    [0, 2, 3, 20, n], 4, 2 ** 70, engine._DRAW_BLOCK)
@@ -615,17 +623,90 @@ class TestUnreadRows:
         p = parse_profile("threshold:4", n)
         r = gap_params(p).r
         region_rows = 2 * proto.region_reps
-        rows = region_rows + 2 * r * _enum_reps(r, proto.search_rep_factor)
+        side_rows = r * _enum_reps(r, proto.search_rep_factor)
         bits = proto.expected_content_bits(p)
         for seed in range(10):
             _, position, content = self.run_one(proto, p, n // 2, seed)
             assert regions[-1].tolist() == [MIDDLE]
             assert (position, content) == (region_rows * n, bits)
             # weight 0 is never placed in the middle (the lower test cannot
-            # vote ">r-1"), so the trial reads every enumeration row
+            # vote ">r-1"), and here it is lower: the trial reads the rows
+            # on x, the first half of the enumeration
             _, position, content = self.run_one(proto, p, 0, seed)
-            assert regions[-1].tolist() != [MIDDLE]
-            assert (position, content) == (rows * n, bits)
+            assert regions[-1].tolist() == [LOWER]
+            assert (position, content) == ((region_rows + side_rows) * n,
+                                           bits)
+            # weight n is upper: it skips the rows on x and reads those on
+            # the complement, so its tape ends where a run of every row
+            # would
+            _, position, content = self.run_one(proto, p, n, seed)
+            assert regions[-1].tolist() == [UPPER]
+            assert (position, content) == (
+                (region_rows + 2 * side_rows) * n, bits)
+
+
+class _BothSides(OneWayXorProtocol):
+    """xor1way as it ran when each tail trial computed the enumeration
+    rows of both sides and read its own."""
+
+    def run(self, X, Y, profile, channel, tapes):
+        gp = gap_params(profile)
+        n, r = profile.n, gp.r
+        s = np.array(profile.s)
+        b = 2 * r * r
+        parity = protocols._distance_parity(X, Y, channel)
+        region_flips = protocols._region_flips(self.region_reps)
+        reps = _enum_reps(r, self.search_rep_factor)
+        enum_flips = [False] * (r * reps) + [True] * (r * reps)
+        channel.a_to_b(bits=(len(region_flips) + len(enum_flips)) * b)
+        region = protocols._region(
+            _bucket_parities(X, Y, region_flips, b, tapes), r)
+        out = _middle_representative(profile, r, parity)
+        tail = np.flatnonzero(region != MIDDLE)
+        k = len(tail)
+        diffs = _bucket_parities(X, Y, enum_flips, b, tapes, tail)
+        flip = region[tail] == UPPER
+        tests = (diffs.reshape(k, 2, r, reps)
+                 > np.arange(r)[:, None]).any(axis=3)[np.arange(k), flip * 1]
+        above_prev = np.ones_like(tests)
+        above_prev[:, 1:] = tests[:, :-1]
+        consistent = above_prev & ~tests
+        v = consistent.argmax(axis=1)
+        out[tail] = np.where(consistent.any(axis=1),
+                             np.where(flip, s[n - v], s[v]), s[0])
+        return out
+
+
+@pytest.mark.parametrize("spec, n", [("threshold:4", 64), ("exact:1", 40),
+                                     ("threshold:2", 33)])
+def test_xor1way_tail_trial_reads_only_its_side(regions, spec, n):
+    # A block of 3 trials at every weight, b = 2r^2 < n, so every row is
+    # drawn.  Reading only its side's rows, each at the tape index it
+    # holds when both sides are drawn, changes no output or transcript;
+    # lower trials' tapes end r * reps rows sooner.  0.01-0.02 s a case.
+    p = parse_profile(spec, n)
+    r = gap_params(p).r
+    assert 2 * r * r < n
+    weights = np.repeat(np.arange(n + 1), 3)
+    X, Y = engine._weighted_pairs(n, weights, engine._stream_starts(
+        np.full(len(weights), engine._cell_key(7), dtype=np.uint64),
+        np.arange(len(weights)), 0))
+    runs = []
+    for proto in (OneWayXorProtocol(), _BothSides()):
+        tapes = [RandomTape(7, t) for t in range(len(weights))]
+        out, channel = engine._run_block(proto, p, X, Y, tapes)
+        runs.append((out, channel, [tape.position for tape in tapes]))
+    (out, channel, ends), (both_out, both_channel, both_ends) = runs
+    assert np.array_equal(out, both_out)
+    for field in ("bits_a_to_b", "bits_b_to_a", "rounds"):
+        assert np.array_equal(getattr(channel, field),
+                              getattr(both_channel, field))
+    region = regions[0]
+    assert np.array_equal(region, regions[1])
+    assert {LOWER, MIDDLE, UPPER} <= set(region.tolist())
+    side = r * _enum_reps(r, OneWayXorProtocol().search_rep_factor) * n
+    assert np.array_equal(np.array(both_ends) - ends,
+                          np.where(region == LOWER, side, 0))
 
 
 class TestXorPhases:

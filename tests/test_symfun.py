@@ -307,6 +307,22 @@ class TestParse:
         with pytest.raises(ProfileError, match="bad integer"):
             parse_profile(bad, 16)
 
+    # each of these was accepted as the family it names: the name was
+    # stripped and lower-cased, and text after a parameterless family was
+    # ignored
+    @pytest.mark.parametrize("bad", [
+        " THRESHOLD :2", "Threshold:2", "threshold :2", " parity", "PARITY",
+        "Const0", "mod :3:1", "BITS:010"])
+    def test_rejects_loose_family_names(self, bad):
+        with pytest.raises(ProfileError, match="unknown profile spec"):
+            parse_profile(bad, 2)
+
+    @pytest.mark.parametrize("bad", [
+        "const0:junk", "const1:", "parity:", "notparity:1", "parity::"])
+    def test_rejects_parameter_of_parameterless_family(self, bad):
+        with pytest.raises(ProfileError, match="takes no parameter"):
+            parse_profile(bad, 4)
+
     def test_integers_are_ascii_digits_with_optional_minus(self):
         assert parse_profile("mod:3:-1,0", 6) == parse_profile("mod:3:2,0", 6)
         assert parse_profile("exact:007", 8) == parse_profile("exact:7", 8)

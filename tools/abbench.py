@@ -15,7 +15,9 @@ of either checkout rides along.  Then, one command at a time:
   digests and the per-layer counts;
 - each n of ANALYZE_NS runs `python -m xorcomm analyze` in fresh processes
   on `threshold:<n/4>` and `mod:3:1`, ANALYZE_REPEATS alternating pairs,
-  for the wall time, the peak RSS (VmHWM) and the output's sha256;
+  for the wall time, the peak RSS (VmHWM) and the output's sha256; each
+  argv of SIMULATE_ARGVS, a one-trial `simulate` whose time is mostly the
+  fixed cost of a trial loop, runs the same way;
 - Tier-1 runs in both copies, parent/change/change/parent, with
   perfbench's reference_work timed before and after each run.
 
@@ -27,7 +29,8 @@ q1/median/q3 (speed-adjusted and raw), the pairs the change won, the change
 in %, the median gap over the parent's interquartile range (positive: the
 change is better), the failed operations, and whether the two sides'
 digests agree on every seed; the same comparison of each fresh `analyze`
-cell's wall time and peak RSS; then every run's result line.
+and `simulate` cell's wall time and peak RSS; then every run's result
+line.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ SIDES = ("parent", "change")
 ANALYZE_PROFILES = ("threshold:{quarter}", "mod:3:1")
 ANALYZE_NS = (64, 512, 4096)
 ANALYZE_REPEATS = 10  # fresh analyze pairs per n and profile
+SIMULATE_ARGVS = (  # ham draws a tape, xor2way at b >= n does not
+    ("simulate", "--protocol", "ham", "--profile", "threshold:8", "--n", "256",
+     "--weight", "9", "--trials", "1", "--reps", "4"),
+    ("simulate", "--protocol", "xor2way", "--profile", "threshold:8", "--n",
+     "64", "--weight", "3", "--trials", "1"),
+)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=5"]
 REFERENCE = ("import sys, time\n"
@@ -150,9 +159,10 @@ def summarize(runs, metrics: dict[str, str]) -> dict:
 
 
 def analyze_cell(samples: dict) -> dict:
-    """One n and profile's fresh `analyze` runs, {side: [sample, ...]} with
-    sample i of each side forming pair i: wall time and peak RSS compared
-    as end-to-end metrics are, and whether every output was the same."""
+    """One command's fresh runs (an `analyze` n and profile, or a
+    `simulate`), {side: [sample, ...]} with sample i of each side forming
+    pair i: wall time and peak RSS compared as end-to-end metrics are, and
+    whether every output was the same."""
     cell = {key: compare(*({i: s[key] for i, s in enumerate(samples[side])}
                            for side in SIDES), "lower")
             for key in ("wall_s", "peak_rss_mb")}
@@ -250,24 +260,33 @@ HWM_MAIN = ("import atexit, runpy, sys\n"
             "runpy.run_module('xorcomm', run_name='__main__', alter_sys=True)\n")
 
 
-def fresh_analyze(copy: str, n: int, profile: str) -> dict:
-    """One `python -m xorcomm analyze` in a fresh process: wall seconds,
-    peak RSS and the sha256 of its stdout."""
+def fresh_cli(copy: str, argv) -> dict:
+    """One `python -m xorcomm *argv` in a fresh process: wall seconds, peak
+    RSS and the sha256 of its stdout."""
     with tempfile.TemporaryFile() as out:
         env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-c", HWM_MAIN, "analyze", "--n", str(n),
-             "--profile", profile], cwd=copy, env=env, stdout=out,
-            stderr=subprocess.PIPE, text=True)
+            [sys.executable, "-c", HWM_MAIN, *argv], cwd=copy, env=env,
+            stdout=out, stderr=subprocess.PIPE, text=True)
         wall = time.perf_counter() - start
         if proc.returncode != 0:
-            raise SystemExit(f"analyze --n {n} --profile {profile} exited "
-                             f"{proc.returncode} in {copy}:\n{proc.stderr}")
+            raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} in "
+                             f"{copy}:\n{proc.stderr}")
         out.seek(0)
         digest = hashlib.sha256(out.read()).hexdigest()
     return {"wall_s": wall, "peak_rss_mb": float(proc.stderr.split()[-1]),
             "digest": digest}
+
+
+def fresh_cell(dirs, argv) -> dict:
+    """ANALYZE_REPEATS alternating pairs of fresh runs of argv."""
+    log(" ".join(argv))
+    samples = {side: [] for side in SIDES}
+    for i in range(ANALYZE_REPEATS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            samples[side].append(fresh_cli(dirs[side], argv))
+    return analyze_cell(samples)
 
 
 def analyze_cells(dirs) -> dict:
@@ -275,12 +294,8 @@ def analyze_cells(dirs) -> dict:
     for n in ANALYZE_NS:
         for template in ANALYZE_PROFILES:
             profile = template.format(quarter=n // 4)
-            log(f"analyze --n {n} --profile {profile}")
-            samples = {side: [] for side in SIDES}
-            for i in range(ANALYZE_REPEATS):
-                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    samples[side].append(fresh_analyze(dirs[side], n, profile))
-            cells[f"n={n} {profile}"] = analyze_cell(samples)
+            cells[f"n={n} {profile}"] = fresh_cell(
+                dirs, ("analyze", "--n", str(n), "--profile", profile))
     return cells
 
 
@@ -346,6 +361,8 @@ def main(argv=None) -> int:
                 {side: run_bench(dirs[side], workload, 1, 1, 1)
                  for side in SIDES})
         analyze = analyze_cells(dirs)
+        simulate = {" ".join(argv[1:]): fresh_cell(dirs, argv)
+                    for argv in SIMULATE_ARGVS}
         tier1 = tier1_runs(dirs)
     numpy_version = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -363,6 +380,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, metrics),
         "traced_seed_1": traced,
         "analyze_fresh_process": analyze,
+        "simulate_fresh_process": simulate,
         "tier1": tier1,
         "runs": runs,
     }
