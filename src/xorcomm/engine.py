@@ -169,10 +169,12 @@ class RandomTape:
     Tape value p is the 32-bit half p mod 2 (low first) of stream value
     p // 2, scaled to (half * upper) >> 32, so each of the `upper` values
     has a probability within 2^-32 of 1/upper.  `position` is where the
-    stream stands: the values drawn, and any a protocol skipped.  A run
-    that never draws computes nothing for its tape.  integers is the one
-    way values leave a tape; a draw block of whole rows of several tapes is
-    one tape too (RandomTape.rows), drawn by one integers call.
+    stream stands: past the values drawn, and past any a protocol skipped.
+    A run that never draws computes nothing for its tape.  integers is the
+    one way values leave a tape; a draw block of rows of several tapes,
+    each at its own tape index, is one tape too (RandomTape.rows), drawn by
+    one integers call, and it moves none of them: the protocol that draws
+    it sets where each tape ends.
     """
 
     def __init__(self, seed, trial: int = 0):
@@ -192,37 +194,31 @@ class RandomTape:
         return tape
 
     @classmethod
-    def rows(cls, tapes: Sequence[RandomTape], counts: Sequence[int],
+    def rows(cls, tapes: Sequence[RandomTape], firsts: Sequence[int],
              width: int) -> RandomTape:
-        """The draw block of counts[i] rows of `width` values off tapes[i],
-        each tape's rows in order from its position."""
+        """The draw block of one row of `width` values off each of tapes,
+        row j from tape index firsts[j] of tapes[j] (a tape may give
+        several rows).  Drawing it moves no tape."""
         block = cls._at(0)
-        block._rows = (tapes, counts, width)
+        block._rows = (tapes, firsts, width)
         return block
 
     def integers(self, upper: int, size: int) -> np.ndarray:
-        """The next `size` values below upper (<= 2^31) as int64 (a draw
-        block's rows, row by row), moving each tape past them; a draw past
-        a stream's end is refused before anything is computed."""
+        """`size` values below upper (<= 2^31) as int64: the tape's next
+        ones, moving it past them, or a draw block's rows, row by row; a
+        draw past a stream's end is refused before anything is computed."""
         if not 1 <= upper <= _MAX_UPPER:
             raise ValueError(f"tape bound {upper} out of range")
-        tapes, counts, width = self._rows or ((self,), (1,), size)
-        counts = np.asarray(counts, dtype=np.int64)
-        k = int(counts.sum())
-        if k * width != size:
-            raise ValueError(f"size {size} is not {k} rows of {width}")
-        positions = np.array([tape.position for tape in tapes], dtype=np.int64)
-        ends = positions + counts * width
-        if len(ends) and ends.max() > 2 * _STREAM_VALUES:
+        tapes, firsts, width = self._rows or ((self,), (self.position,), size)
+        firsts = np.asarray(firsts, dtype=np.int64)
+        if len(firsts) * width != size:
+            raise ValueError(f"size {size} is not {len(firsts)} rows of "
+                             f"{width}")
+        if len(firsts) and int(firsts.max()) + width > 2 * _STREAM_VALUES:
             raise ValueError("draw past the end of a tape's stream")
-        for tape, end in zip(tapes, ends.tolist()):
-            tape.position = end
-        # row j of tape i starts at positions[i] + width * (its index
-        # among tape i's rows)
-        firsts = np.repeat(positions - width * (np.cumsum(counts) - counts),
-                           counts) + width * np.arange(k)
-        starts = np.repeat(np.array([tape._start for tape in tapes],
-                                    dtype=np.uint64), counts)
+        if self._rows is None:
+            self.position += size
+        starts = np.array([tape._start for tape in tapes], dtype=np.uint64)
         starts += (firsts >> 1).astype(np.uint64) * _GAMMA
         odd = (firsts & 1).astype(bool)
         halves = _stream_words(starts, (width + 1 + odd.any()) // 2).astype(

@@ -217,7 +217,11 @@ def _rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 T += product
                 _reduce(T, p, product)
         rows += S
-    return AT[:, rows].T.astype(np.int64), pivots
+    # the pivot rows, copied once, as int64: a panel of columns at a time
+    R = np.empty((ncols, len(rows)), dtype=np.int64)
+    for c in range(0, ncols, _PANEL):
+        R[c:c + _PANEL] = AT[c:c + _PANEL, rows]
+    return R.T, pivots
 
 
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
@@ -291,7 +295,9 @@ def _kernel_certificate(M: np.ndarray, p: int) -> int | None:
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    lifted = _rational_lift((-R[:, free]) % p, p)
+    U = (-R[:, free]) % p
+    del R  # the lift reads only the free columns
+    lifted = _rational_lift(U, p)
     if lifted is None:
         return None
     a, b = lifted

@@ -23,24 +23,29 @@ its trials with one channel.a_to_b, and the sketch needs, per bucket, only
 how many positions have Alice's bit and Bob's differ.  The rows that Bob
 reads, in every trial of the block, are counted by one kernel,
 _bucket_parities: the (trial, row) pairs are one axis, split into whole-row
-draw blocks of at most _DRAW_BLOCK tape values, each trial's rows drawn
-from its own tape in order, and each draw block drawn by one
+draw blocks of at most _DRAW_BLOCK tape values, each row drawn from its
+trial's tape at its own tape index, and each draw block drawn by one
 RandomTape.integers call and counted by one bincount.
 The sends and votes still follow the protocol's order; xor2way's probes
 are each sent, and voted on by Bob, one at a time.
 
-Where a phase is the last use of the tape, a trial draws only the rows
-whose counts can change Bob's output, though Alice still sends, and the
-channel still charges, every row.  Each row a trial draws keeps its tape
-index, so it holds the values it would hold were every row drawn, and the
-outputs and transcripts are those of a run that counts every row; only the
-tape's end position differs.  ham draws the other R - 1 repetitions only in
-the trials whose first one voted "<= d" (its output is an ANY-vote).
-xor1way draws its enumeration rows only in the tail trials (a middle
-trial's output reads none of them), and only its side's: a lower trial
-draws the rows on x, the first half, and an upper trial skips those to
-draw the rows on the complement.  xor2way's region phase is not its tape's
-last use in a tail trial, which draws search probes after it.
+A trial draws only the rows whose counts can change Bob's output, though
+Alice still sends, and the channel still charges, every row.  Each row a
+trial draws keeps its tape index, so it holds the values it would hold
+were every row drawn, and the outputs and transcripts are those of a run
+that counts every row.  Every amplified test is an ANY-vote, and a count
+never exceeds the distance, so a test's repetitions after one that voted
+">threshold" cannot change its vote.  _any_votes runs a phase of such tests
+(xor2way's region tests and each of its probes, xor1way's region tests and
+its enumeration tests): it draws repetition 0 of every (trial, test) pair,
+and the others only where it voted "<= threshold"; each tape still ends
+past the whole phase, as it would had every row been drawn.  xor1way draws
+its enumeration rows only in the tail trials (a middle trial's output
+reads none of them), and only its side's: a lower trial the rows on x,
+the first half, and an upper trial, skipping those, the rows on the
+complement.  ham's phase is its tape's last use, so it stops there: it
+draws the other R - 1 repetitions only in the trials whose first one voted
+"<= d", and its tape ends past the rows it drew.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -70,11 +75,12 @@ def _flag(default, flag: str):
 
 
 def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
-                     tapes: list[RandomTape], trials=None) -> np.ndarray:
-    """Count Alice's bucket-parity rows of one phase, in each trial that
-    `trials` selects (an index array; None: every trial): return each row's
-    count of differing buckets, shape (k, R) for k trials.  It charges
-    nothing; the caller charges the phase's send.
+                     tapes: list[RandomTape], trials=None,
+                     at=None) -> np.ndarray:
+    """Count Alice's bucket-parity rows in each trial that `trials` lists
+    (an index array; None: every trial): return each row's count of
+    differing buckets, shape (k, R) for k trials.  It charges nothing; the
+    caller charges the phase's send.
 
     Each of a trial's R rows hashes the n positions into b buckets and
     compares Alice's bucket parities with Bob's, who uses y.  Alice uses x,
@@ -82,39 +88,48 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     |x xor y| into one on n - |x xor y|; flips has shape (R,), shared by the
     trials, or (k, R).  A repetition votes ">d" iff its count exceeds d.
 
+    `at` holds each row's tape index, shape (k, R): row (i, j) is the n
+    values of trial trials[i]'s tape from at[i, j], and no tape moves, so
+    a trial may be listed more than once.  None: a trial's rows are the
+    next R rows of its tape, which moves past them.
+
     When b >= n the bucket map is the identity: nothing is drawn and the
     count is the distance itself.  Otherwise the (trial, row) pairs form
     one axis, trial-major, split into draw blocks of whole rows, each drawn
-    by one RandomTape.integers call: a trial's rows come off its own tape,
-    in order, n values a row, whatever block they fall in.
+    by one RandomTape.integers call.
     """
     if trials is None:
         trials = np.arange(len(X))
-    Xs, Ys = X[trials], Y[trials]
-    k, n = Xs.shape
+    k, n = len(trials), X.shape[1]
     flips = np.asarray(flips, dtype=bool)
     R = flips.shape[-1]
     flips = np.broadcast_to(flips, (k, R))
     if b >= n:
-        distance = np.count_nonzero(Xs != Ys, axis=1)[:, None]
+        distance = np.count_nonzero(X[trials] != Y[trials], axis=1)[:, None]
         return np.where(flips, n - distance, distance)
-    diffs = np.empty(k * R, dtype=np.int64)
+    if at is None:
+        at = np.array([tapes[t].position for t in trials.tolist()],
+                      dtype=np.int64)[:, None] + n * np.arange(R)
+        for t in trials.tolist():
+            tapes[t].position += R * n
     # Position j's code on a row of trial t is Alice's bit xor Bob's: x xor
     # y, or its complement on a flipped row, where Alice uses 1 - x.  Row i
-    # of the phase is a row of trial trial_of[i], flipped iff flip_of[i].
-    differ = Xs ^ Ys
-    trial_of = np.repeat(np.arange(k), R)
+    # of the phase is a row of trial own[trial_of[i]], flipped iff
+    # flip_of[i], at tape index at_of[i].
+    own, trial_of = np.unique(trials, return_inverse=True)
+    differ = X[own] ^ Y[own]
+    own_tapes = [tapes[t] for t in own.tolist()]
+    trial_of = np.repeat(trial_of, R)
     flip_of = flips.reshape(-1, 1)
+    at_of = np.asarray(at, dtype=np.int64).reshape(-1)
+    diffs = np.empty(k * R, dtype=np.int64)
     step = max(1, min(engine._DRAW_BLOCK // n, k * R))
     offsets = b * np.arange(step)[:, None]
-    own = [tapes[t] for t in trials.tolist()]
     for lo in range(0, k * R, step):
         hi = min(lo + step, k * R)
-        first, last = lo // R, (hi - 1) // R + 1
-        counts = [min(hi, (i + 1) * R) - max(lo, i * R)
-                  for i in range(first, last)]
-        slot = RandomTape.rows(own[first:last], counts, n).integers(
-            b, size=(hi - lo) * n).reshape(hi - lo, n)
+        slot = RandomTape.rows(
+            [own_tapes[i] for i in trial_of[lo:hi].tolist()], at_of[lo:hi],
+            n).integers(b, size=(hi - lo) * n).reshape(hi - lo, n)
         # Position j of block row i counts into cell ((i*b + slot) << 1) +
         # code: one bincount gives, per row and bucket, how many positions
         # have Alice's bit equal to Bob's and how many differ.  The
@@ -126,6 +141,56 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
                           minlength=2 * (hi - lo) * b).reshape(hi - lo, b, 2)
         diffs[lo:hi] = (cnt[..., 1] & 1).sum(axis=1)
     return diffs.reshape(k, R)
+
+
+def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
+               b: int, tapes: list[RandomTape], trials=None,
+               skip=0) -> np.ndarray:
+    """Run one phase of m amplified tests, each an ANY-vote of `reps`
+    repetitions, in each trial that `trials` lists (an index array; None:
+    every trial): return the votes, shape (k, m), true where a repetition's
+    count exceeds the test's threshold.  It charges nothing; the caller
+    charges the phase's send.
+
+    Test i flips Alice's input where flips does and has threshold
+    thresholds[i]; flips and thresholds broadcast to (k, m), so either may
+    differ per trial.  The phase holds, after the `skip` rows a trial
+    passes over (a scalar or one per trial), test i's repetitions as its
+    rows i * reps ... (i + 1) * reps - 1, and each row is read at its fixed
+    tape index, the tape's position plus n times the row.
+
+    A count never exceeds the distance it tests, so once repetition 0 of a
+    test votes ">threshold" the others cannot change its vote: repetition 0 of
+    every (trial, test) pair is drawn, and the others only where it voted
+    "<= threshold".  Every count is the one a draw of every row gives, and
+    each tape ends past the phase's rows, as it would had every row been
+    drawn (when b >= n nothing is drawn and no tape moves).
+    """
+    if trials is None:
+        trials = np.arange(len(X))
+    k, n = len(trials), X.shape[1]
+    flips, thresholds = np.broadcast_arrays(np.asarray(flips, dtype=bool),
+                                            thresholds)
+    m = flips.shape[-1]
+    flips = np.broadcast_to(flips, (k, m))
+    thresholds = np.broadcast_to(thresholds, (k, m))
+    if b >= n:  # exact counts, the same in every repetition; none drawn
+        return _bucket_parities(X, Y, flips, b, tapes, trials) > thresholds
+    start = np.array([tapes[t].position for t in trials.tolist()],
+                     dtype=np.int64) + n * np.broadcast_to(skip, (k,))
+    first = start[:, None] + reps * n * np.arange(m)
+    votes = _bucket_parities(X, Y, flips, b, tapes, trials, first) > thresholds
+    for t, end in zip(trials.tolist(), (start + m * reps * n).tolist()):
+        tapes[t].position = end
+    pair, test = np.nonzero(~votes)
+    if reps > 1 and len(pair):
+        at = first[pair, test][:, None] + n * np.arange(1, reps)
+        counts = _bucket_parities(
+            X, Y, np.broadcast_to(flips[pair, test][:, None], at.shape), b,
+            tapes, trials[pair], at)
+        votes[pair, test] = (counts > thresholds[pair, test][:, None]).any(
+            axis=1)
+    return votes
 
 
 def _distance_parity(X, Y, channel: Channel, trials=None) -> np.ndarray:
@@ -245,17 +310,15 @@ def _run_trivial(profile: SymmetricProfile, gp: GapParams, X, Y,
 LOWER, MIDDLE, UPPER = range(3)
 
 
-def _region_flips(reps: int) -> list[bool]:
-    """The rows of the two region tests: the upper one first, on Alice's
-    flipped input (|~x xor y| = n - |x xor y|), then the lower one."""
-    return [True] * reps + [False] * reps
+# The flips of the two region tests: the upper one first, on Alice's
+# flipped input (|~x xor y| = n - |x xor y|), then the lower one.
+_REGION_FLIPS = (True, False)
 
 
-def _region(diffs: np.ndarray, r: int) -> np.ndarray:
+def _region(votes: np.ndarray) -> np.ndarray:
     """Place each trial's |x xor y| in [0, r), [r, n-r] or (n-r, n]: LOWER,
-    MIDDLE or UPPER, from the counts of the rows of _region_flips (one
-    trial per row of diffs), each test an amplified one at threshold r-1."""
-    votes = (diffs > r - 1).reshape(len(diffs), 2, -1).any(axis=2)
+    MIDDLE or UPPER, from the votes of the _REGION_FLIPS tests at threshold
+    r-1 (one trial per row of votes)."""
     up, low = votes[:, 0], votes[:, 1]
     return np.where(~up, UPPER, np.where(low, MIDDLE, LOWER))
 
@@ -297,9 +360,9 @@ class TwoWayXorProtocol(_XorProtocol):
         n, r = profile.n, gp.r
         s = np.array(profile.s)
         b = 2 * r * r
-        flips = _region_flips(self.region_reps)
-        channel.a_to_b(bits=len(flips) * b)
-        region = _region(_bucket_parities(X, Y, flips, b, tapes), r)
+        channel.a_to_b(bits=2 * self.region_reps * b)
+        region = _region(_any_votes(X, Y, _REGION_FLIPS, r - 1,
+                                    self.region_reps, b, tapes))
         channel.b_to_a(bits=2)  # Bob's report of the region
         out = np.empty(len(X), dtype=np.int64)
 
@@ -315,9 +378,8 @@ class TwoWayXorProtocol(_XorProtocol):
         for _ in range(_probe_count(r)):
             mid = (lo + hi) // 2
             channel.a_to_b(bits=reps * b, trials=tail)
-            diffs = _bucket_parities(
-                X, Y, np.repeat(flip[:, None], reps, axis=1), b, tapes, tail)
-            vote = (diffs > mid[:, None]).any(axis=1)
+            vote = _any_votes(X, Y, flip[:, None], mid[:, None], reps, b,
+                              tapes, tail)[:, 0]
             channel.b_to_a(bits=1, trials=tail)
             searching = lo < hi
             lo, hi = (np.where(searching & vote, mid + 1, lo),
@@ -361,23 +423,19 @@ class OneWayXorProtocol(_XorProtocol):
         s = np.array(profile.s)
         b = 2 * r * r
         parity = _distance_parity(X, Y, channel)
-        region_flips = _region_flips(self.region_reps)
         reps = _enum_reps(r, self.search_rep_factor)
         # one phase: the region rows, then the tests at d = 0..r-1 on x and
         # then on its complement, of which a tail trial reads its side's
-        channel.a_to_b(bits=(len(region_flips) + 2 * r * reps) * b)
-        region = _region(_bucket_parities(X, Y, region_flips, b, tapes), r)
+        channel.a_to_b(bits=(2 * self.region_reps + 2 * r * reps) * b)
+        region = _region(_any_votes(X, Y, _REGION_FLIPS, r - 1,
+                                    self.region_reps, b, tapes))
         out = _middle_representative(profile, r, parity)
         tail = np.flatnonzero(region != MIDDLE)
         flip = region[tail] == UPPER
-        if b < n:  # an identity map draws nothing, so skips nothing
-            for t in tail[flip].tolist():
-                tapes[t].position += r * reps * n
-        diffs = _bucket_parities(X, Y, np.repeat(flip[:, None], r * reps,
-                                                 axis=1), b, tapes, tail)
-        # tests[t, v]: tail trial t's amplified vote ">v", on its side
-        tests = (diffs.reshape(len(tail), r, reps)
-                 > np.arange(r)[:, None]).any(axis=2)
+        # tests[t, v]: tail trial t's amplified vote ">v", on its side; an
+        # upper trial skips the rows on x
+        tests = _any_votes(X, Y, flip[:, None], np.arange(r), reps, b, tapes,
+                           tail, skip=flip * r * reps)
         # candidate v is consistent iff the test at v-1 (none at v = 0)
         # says above and the one at v says at most v
         above_prev = np.ones_like(tests)

@@ -55,9 +55,26 @@ def regions(monkeypatch):
     taken = []
     region = xorcomm.protocols._region
 
-    def spy(diffs, r):
-        taken.append(region(diffs, r))
+    def spy(votes):
+        taken.append(region(votes))
         return taken[-1]
 
     monkeypatch.setattr(xorcomm.protocols, "_region", spy)
     return taken
+
+
+@pytest.fixture
+def tape_draws(monkeypatch):
+    """The list of the numbers of values that each `RandomTape.integers`
+    call returns, in call order (a draw block's call counts all its rows);
+    clear it to count a part of a test."""
+    drawn = []
+    integers = xorcomm.engine.RandomTape.integers
+
+    def counted(tape, upper, size):
+        values = integers(tape, upper, size)
+        drawn.append(values.size)
+        return values
+
+    monkeypatch.setattr(xorcomm.engine.RandomTape, "integers", counted)
+    return drawn

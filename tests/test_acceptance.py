@@ -13,8 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from xorcomm.engine import (RandomTape, mc_error_estimate, run_protocol,
-                            sweep, weighted_pair)
+from xorcomm.engine import (mc_error_estimate, run_protocol, sweep,
+                            weighted_pair)
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, paired_brute_ranks,
@@ -24,7 +24,7 @@ from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
                                TwoWayXorProtocol, default_buckets)
 from xorcomm.spectral import (deterministic_bounds, krawtchouk_matrix,
                               parseval_check, weight_spectrum)
-from xorcomm.symfun import SymmetricProfile, parse_profile
+from xorcomm.symfun import SymmetricProfile, gap_params, parse_profile
 
 
 def _ok(line):
@@ -86,7 +86,7 @@ def test_04_parseval():
     _ok("4 parseval identity (all profiles, n<=12, exact)")
 
 
-def test_05_ham_one_sidedness(monkeypatch):
+def test_05_ham_one_sidedness(tape_draws):
     n = 12
     for d in range(n + 1):
         proto = HamProtocol(d=d)
@@ -105,24 +105,16 @@ def test_05_ham_one_sidedness(monkeypatch):
     # d = 16 has b = 578 >= n, the identity map, so the sketch runs only at
     # d = 4 above.  d = 8 has b = 162 < n; at 3 repetitions, every trial's
     # first one votes "<= d", so it also draws the other two.  About 0.7 s.
-    drawn = []
-    integers = RandomTape.integers
-
-    def counted(tape, upper, size=None):
-        drawn.append(size)
-        return integers(tape, upper, size)
-
-    monkeypatch.setattr(RandomTape, "integers", counted)
     d, reps = 8, 3
     proto = HamProtocol(d=d, repetitions=reps)
     profile = parse_profile(f"threshold:{d}", n)
     assert default_buckets(d, n) == 162
     per_m = -(-10000 // (d + 1))
     for m in range(d + 1):
-        drawn.clear()
+        tape_draws.clear()
         res = mc_error_estimate(proto, profile, m, per_m, seed=(52, d, m))
         assert res.successes == res.trials, f"n=256 d={d} m={m} reps={reps}"
-        assert sum(drawn) == per_m * reps * n
+        assert sum(tape_draws) == per_m * reps * n
     _ok("5 ham one-sidedness (exhaustive n=12 + sampled n=256, zero tolerance)")
 
 
@@ -141,18 +133,24 @@ def test_06_ham_power():
 
 
 @pytest.mark.parametrize("protocol_name,n", [("xor2way", 64), ("xor1way", 32)])
-def test_07_end_to_end_success(protocol_name, n):
+def test_07_end_to_end_success(protocol_name, n, tape_draws):
     proto = (TwoWayXorProtocol() if protocol_name == "xor2way"
              else OneWayXorProtocol())
     failures = []
     pi = 0 if protocol_name == "xor2way" else 1
     for si, spec in enumerate(("exact:0", "threshold:8", "mod:4:0", "parity")):
         profile = parse_profile(spec, n)
+        tape_draws.clear()
         for m in range(n + 1):
             res = mc_error_estimate(proto, profile, m, 200,
                                     seed=(70, pi, si, m))
             if res.success_rate < 0.9:
                 failures.append((spec, m, res.success_rate))
+        # only exact:0 (r = 1, b = 2 < n) runs the sketch: the others have
+        # b = 2r^2 >= n, the identity map, or r = 0
+        r = gap_params(profile).r
+        assert (sum(tape_draws) > 0) == (spec == "exact:0") == (
+            0 < 2 * r * r < n), spec
     assert not failures, f"{protocol_name} below 0.9: {failures}"
     _ok(f"7 end-to-end {protocol_name} >= 0.9 on full weight grid at n={n}")
 
@@ -191,7 +189,7 @@ def test_08_bit_accounting(regions):
     _ok("8 bit accounting (parity/fullsend/ham/xor2way closed forms, exact)")
 
 
-def test_09_scaling_report():
+def test_09_scaling_report(tape_draws):
     # Substitute check for the r log^2 r loglog r claim: this build's
     # bucket-parity subprotocol costs O(d^2) bits where the cited protocol
     # costs O(d log d), so the simulated two-way total is
@@ -200,10 +198,13 @@ def test_09_scaling_report():
     means = {}
     for d in (7, 15, 31, 63):
         family = f"threshold:{d}"
+        tape_draws.clear()
         rows = sweep({n: (parse_profile(family, n), TwoWayXorProtocol())},
                      family, trials, seed)
         r = rows[0]["r"]
         means[r] = sum(row["mean_bits"] for row in rows) / len(rows)
+        # only r = 8 (b = 128 < n) runs the sketch; b = 2r^2 >= n above it
+        assert (sum(tape_draws) > 0) == (r == 8), r
     assert set(means) == {8, 16, 32, 64}
 
     def model(r):

@@ -188,21 +188,24 @@ class TestTape:
                                   b.integers(1 << 30, size=16))
 
     def test_draw_block_equals_each_tape_alone(self):
-        # rows of three tapes in one call, one tape starting at an odd
-        # position, against each tape drawing its own rows
+        # rows of three tapes in one call, each at its own tape index (odd
+        # ones too, and one tape's rows apart and out of order), against
+        # each tape drawing its own values from that index
         blocked = [RandomTape(4, t) for t in range(3)]
-        alone = [RandomTape(4, t) for t in range(3)]
-        for tape in (blocked[1], alone[1]):
-            tape.integers(7, size=3)
-        counts, width = [2, 1, 3], 5
-        got = RandomTape.rows(blocked, counts, width).integers(50, size=30)
-        want = np.concatenate([tape.integers(50, size=c * width)
-                               for tape, c in zip(alone, counts)])
-        assert np.array_equal(got, want)
-        assert [t.position for t in blocked] == [10, 8, 15]
-        assert [t.position for t in alone] == [10, 8, 15]
+        rows, width = [(0, 0), (0, 5), (1, 3), (2, 0), (2, 17), (2, 6)], 5
+        block = RandomTape.rows([blocked[t] for t, _ in rows],
+                                [at for _, at in rows], width)
+        got = block.integers(50, size=30)
+        want = []
+        for t, at in rows:
+            alone = RandomTape(4, t)
+            alone.position = at
+            want.append(alone.integers(50, size=width))
+        assert np.array_equal(got, np.concatenate(want))
+        # a draw block moves no tape
+        assert [t.position for t in blocked] == [0, 0, 0]
         with pytest.raises(ValueError, match="rows of"):
-            RandomTape.rows(blocked, counts, width).integers(50, size=29)
+            block.integers(50, size=29)
 
     def test_identity_sweep_computes_no_tape(self, monkeypatch):
         # b >= n everywhere: no tape value is computed
@@ -231,8 +234,8 @@ class TestTape:
             with pytest.raises(ValueError, match="end"):
                 tape.integers(10, size=2)
             with pytest.raises(ValueError, match="end"):
-                RandomTape.rows([RandomTape(2), tape], [1, 1], 2).integers(
-                    10, size=4)
+                RandomTape.rows([RandomTape(2), tape], [0, tape.position],
+                                2).integers(10, size=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,8 +391,10 @@ class TestStreams:
         # X^2 with b - 1 degrees of freedom
         tapes = [RandomTape((11, b), t) for t in range(40)]
         rows = -(-200000 // (40 * 257))
-        values = RandomTape.rows(tapes, [rows] * 40, 257).integers(
-            b, size=40 * rows * 257)
+        values = RandomTape.rows(
+            [tape for tape in tapes for _ in range(rows)],
+            [257 * j for _ in tapes for j in range(rows)], 257).integers(
+                b, size=40 * rows * 257)
         expected = len(values) / b
         stat = ((np.bincount(values, minlength=b) - expected) ** 2).sum()
         assert stat / expected < chi2_critical(b - 1, self.ALPHA)

@@ -644,6 +644,48 @@ class TestUnreadRows:
             assert (position, content) == (
                 (region_rows + 2 * side_rows) * n, bits)
 
+    @staticmethod
+    def region_draws(monkeypatch, tape_draws):
+        """The list of the tape values drawn before each region is decided:
+        the region phase's draws, in a run that draws nothing before it."""
+        drawn, region = [], protocols._region
+
+        def spy(votes):
+            drawn.append(sum(tape_draws))
+            return region(votes)
+
+        monkeypatch.setattr(protocols, "_region", spy)
+        return drawn
+
+    @pytest.mark.parametrize("proto", [TwoWayXorProtocol(),
+                                       OneWayXorProtocol()],
+                             ids=["xor2way", "xor1way"])
+    def test_region_phase_stops_after_far_first_repetitions(
+            self, proto, monkeypatch, tape_draws):
+        # threshold:4 at n = 64: r = 5, so b = 50 < n and the region tests
+        # run the sketch at threshold r - 1 = 4
+        n = 64
+        p = parse_profile("threshold:4", n)
+        r, R = gap_params(p).r, proto.region_reps
+        assert (r, 2 * r * r) == (5, 50)
+        drawn = self.region_draws(monkeypatch, tape_draws)
+        bits = (proto.expected_content_bits(p, "middle")
+                if proto.name == "xor2way" else proto.expected_content_bits(p))
+        for seed in range(10):
+            # weight n/2 is in the middle: each test's first repetition
+            # votes ">4" and decides it, so the phase draws one row a test,
+            # and the tape still ends past all 2R rows
+            tape_draws.clear()
+            out, position, content = self.run_one(proto, p, n // 2, seed)
+            assert drawn[-1] == sum(tape_draws) == 2 * n
+            assert (position, content) == (2 * R * n, bits)
+            # weight 0: the upper test's count (n - 0 > 4) decides at its
+            # first repetition; the lower test's count is always 0, so it
+            # draws all R
+            tape_draws.clear()
+            self.run_one(proto, p, 0, seed)
+            assert drawn[-1] == (R + 1) * n
+
 
 class _BothSides(OneWayXorProtocol):
     """xor1way as it ran when each tail trial computed the enumeration
@@ -655,12 +697,13 @@ class _BothSides(OneWayXorProtocol):
         s = np.array(profile.s)
         b = 2 * r * r
         parity = protocols._distance_parity(X, Y, channel)
-        region_flips = protocols._region_flips(self.region_reps)
+        region_flips = [True] * self.region_reps + [False] * self.region_reps
         reps = _enum_reps(r, self.search_rep_factor)
         enum_flips = [False] * (r * reps) + [True] * (r * reps)
         channel.a_to_b(bits=(len(region_flips) + len(enum_flips)) * b)
+        region_diffs = _bucket_parities(X, Y, region_flips, b, tapes)
         region = protocols._region(
-            _bucket_parities(X, Y, region_flips, b, tapes), r)
+            (region_diffs > r - 1).reshape(len(X), 2, -1).any(axis=2))
         out = _middle_representative(profile, r, parity)
         tail = np.flatnonzero(region != MIDDLE)
         k = len(tail)
