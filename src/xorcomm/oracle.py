@@ -23,10 +23,11 @@ from .symfun import SymmetricProfile, TrivialClass, classify, flip_reduction
 
 MAX_TABLE_N = 16
 # verify --suite rank checks all 2^(n+1) profiles at each n, with one rank
-# per reversal pair (paired_brute_ranks).  At n = 9 the 528 ranks took 22 s
-# of wall time and 44 s of CPU time in one run on a 2-core host: a
-# full-rank matrix is certified in about 0.04 s, a deficient one still
-# takes an elimination of 0.05-0.12 s.
+# per reversal pair (paired_brute_ranks).  At n = 9 the 528 ranks took
+# 4.9 s of wall time and 9.7 s of CPU time in one run on a 2-core host,
+# about 9 ms a rank: one 512 x 512 product M H and its check, with H H
+# checked once for the n.  Each n doubles the profiles and multiplies a
+# product's work by 8.
 MAX_RANK_N = 8
 # exhaustive_lemma_scan enumerates 2^q assignments, q about n/4: at n = 39,
 # q = 10, and a fresh process took 0.14-0.15 s and 30 MB of peak RSS on a
@@ -249,69 +250,6 @@ def _exact_product(M: np.ndarray, V: np.ndarray) -> np.ndarray | None:
     return M @ V if bound < 1 << 53 else None
 
 
-def _rational_lift(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rational reconstruction of every residue in U (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 5.10): arrays (a, b) with
-    a = U*b mod p, |a|, b <= isqrt(p/2) and gcd(a, b) = 1, or None if some
-    entry has no such fraction.  2*isqrt(p/2)^2 < p makes each one unique.
-
-    Runs the half-extended Euclidean algorithm on (p, u) for all entries at
-    once and stops each at the first remainder <= the bound.
-    """
-    bound = math.isqrt(p // 2)
-    r0 = np.full(U.size, p, dtype=np.int64)
-    r1 = U.ravel().astype(np.int64)
-    t0 = np.zeros(U.size, dtype=np.int64)
-    t1 = np.ones(U.size, dtype=np.int64)
-    idx = np.flatnonzero(r1 > bound)
-    while idx.size:
-        q = r0[idx] // r1[idx]
-        r0[idx], r1[idx] = r1[idx], r0[idx] - q * r1[idx]
-        t0[idx], t1[idx] = t1[idx], t0[idx] - q * t1[idx]
-        idx = idx[r1[idx] > bound]
-    sign = np.where(t1 < 0, -1, 1)
-    a, b = (sign * r1).reshape(U.shape), (sign * t1).reshape(U.shape)
-    if np.any(b > bound) or np.any(np.gcd(a, b) != 1):
-        return None
-    return a, b
-
-
-def _kernel_certificate(M: np.ndarray, p: int) -> int | None:
-    """The rank of the integer matrix M over the rationals, proved from one
-    elimination mod p, or None if p does not prove it.
-
-    The rank mod p, r_p, is at most the rational rank.  Below full column
-    rank, the reduced echelon form R mod p gives ncols - r_p kernel vectors
-    (1 at a free column, -R[i, j] at the pivots).  Their entries are lifted
-    to fractions, each vector is scaled by the lcm of its denominators, and
-    M V = 0 is checked exactly.  The free-column block of V is diagonal and
-    nonzero, so V has full column rank, and a passing check proves the
-    rational rank is at most r_p.
-    """
-    R, pivots = _rref_mod_p(M, p)
-    rank, ncols = len(pivots), M.shape[1]
-    if rank == ncols:
-        return rank
-    is_free = np.ones(ncols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    U = (-R[:, free]) % p
-    del R  # the lift reads only the free columns
-    lifted = _rational_lift(U, p)
-    if lifted is None:
-        return None
-    a, b = lifted
-    lcms = [math.lcm(*col.tolist()) for col in b.T]
-    if max(lcms) >= 1 << 31:  # else |a| * lcm / b < 2^43, as p < 2^24
-        return None
-    L = np.array(lcms, dtype=np.int64)
-    V = np.zeros((ncols, free.size))
-    V[free, np.arange(free.size)] = L
-    V[pivots] = a * (L // b)
-    residual = _exact_product(M, V)
-    return rank if residual is not None and not residual.any() else None
-
-
 def _fallback_primes(m: int) -> tuple[int, ...]:
     """The fewest primes above _RANK_PRIMES whose product exceeds
     (m+1)^((m+1)/2) / 2^m, the largest |det| of an m x m 0/1 matrix (its
@@ -343,64 +281,73 @@ def _max_rank_mod_primes(M: np.ndarray) -> int:
     return best
 
 
-def _exact_rank(M: np.ndarray, p: int) -> int:
-    rank = _kernel_certificate(M, p)
-    return _max_rank_mod_primes(M) if rank is None else rank
-
-
-def _nonsingular(M: np.ndarray) -> bool:
-    """True only if the square integer matrix M is proved nonsingular.
-
-    A float64 inverse R is only a hint (Rump, "Verification methods", Acta
-    Numerica 2010): Z = rint(2^s R) is an integer matrix, and E = M Z - 2^s I
-    is computed exactly (_exact_product).  If max_i sum_j |E_ij| < 2^s, then
-    ||I - M Z / 2^s||_inf < 1, so M Z / 2^s is invertible, and so is M.
-    Every comparison is on integers, so a wrong hint can only make the
-    proof fail.
+def _hadamard(n: int) -> np.ndarray:
+    """The Sylvester matrix H[x, w] = (-1)^popcount(x & w) of order 2^n, as
+    float64, built in place by doubling: H_{k+1} = [[H_k, H_k], [H_k, -H_k]].
     """
-    m = M.shape[0]
-    try:
-        Z = np.linalg.inv(M)  # R, made into Z in place
-    except np.linalg.LinAlgError:
-        return False
-    # 2^s > 4 m^2, and rounding Z adds at most m^2 / 2 to a row sum of |E|
-    # when M is 0/1
-    s = 2 * m.bit_length() + 2
-    np.ldexp(Z, s, out=Z)
-    np.rint(Z, out=Z)
-    E = _exact_product(M, Z)
-    if E is None:
-        return False
-    E[np.diag_indices(m)] -= 1 << s
-    np.abs(E, out=E)
-    # a float64 row sum cannot overflow, is never below its largest
-    # entry, and, rounding monotonically, is below 2^s iff its true value is
-    return bool(E.sum(axis=1).max() < 1 << s)
+    H = np.ones((1 << n, 1 << n))
+    for k in range(n):
+        m = 1 << k
+        H[:m, m:2 * m] = H[:m, :m]
+        H[m:2 * m, :m] = H[:m, :m]
+        np.negative(H[:m, :m], out=H[m:2 * m, m:2 * m])
+    return H
+
+
+@functools.lru_cache(maxsize=1)
+def _sylvester(n: int) -> np.ndarray | None:
+    """_hadamard(n), read-only, if it is a +-1 matrix with H H = 2^n I,
+    checked exactly (_exact_product); else None.  Cached for one n."""
+    H = _hadamard(n)
+    if not np.all((H == 1) | (H == -1)):
+        return None
+    HH = _exact_product(H, H)
+    if HH is None:
+        return None
+    HH[np.diag_indices(1 << n)] -= 1 << n
+    if HH.any():
+        return None
+    H.flags.writeable = False
+    return H
+
+
+def _diagonal_rank(M: np.ndarray) -> int | None:
+    """The rank of the integer matrix M, square of order 2^n, if the
+    Sylvester matrix H diagonalises it, proved exactly; else None.
+
+    H is only a hint, as a float inverse is in Rump's verification methods
+    (Acta Numerica 2010).  _sylvester proves H H = 2^n I, so H is
+    invertible.  P = M H is computed exactly (_exact_product), d is read
+    from row 0 of P, and P = H diag(d) is checked entry by entry; H is
+    +-1, so each H[x, w] d[w] is exact.  Then M = H diag(d) H^-1, and the
+    rank of M is the number of nonzero d[w].  This holds for any such M,
+    and a hint that fails a check gives None, never a rank.
+    """
+    H = _sylvester(M.shape[0].bit_length() - 1)
+    if H is None:
+        return None
+    P = _exact_product(M, H)
+    if P is None:
+        return None
+    d = P[0]
+    return int(np.count_nonzero(d)) if np.array_equal(P, H * d) else None
 
 
 def brute_rank(table: TruthTable) -> int:
-    """Exact rank over the rationals of [f(x xor y)], proved from both sides.
-
-    Full rank first: a float inverse as a hint and one exact integer
-    product prove M nonsingular (_nonsingular), with no elimination.
-    Otherwise, lower bound: one elimination modulo the first prime p above
-    2^22; the rank mod p, r_p, never exceeds the rational rank, so
-    r_p = 2^n ends it.
-    Upper bound: below full rank, the 2^n - r_p kernel vectors of the
-    reduced echelon form mod p are lifted to integers by rational
-    reconstruction and M V = 0 is checked exactly, which proves the rank
-    is at most r_p.
-    Fallback: if the lift or the check fails (p divides a minor it should
-    not), the answer is the max of the ranks modulo enough primes that no
-    nonzero maximal minor is divisible by all of them.  No Fourier or
-    Krawtchouk formula is used.
+    """Exact rank over the rationals of [f(x xor y)], proved from both sides
+    by one exact product (_diagonal_rank): M H = H diag(d) with H H = 2^n I,
+    so the rank is the number of nonzero d[w].  H, the Sylvester matrix, is
+    a hint that is checked, never trusted, and nothing in this path reads
+    the spectral module: no weight class and no Krawtchouk coefficient, so
+    it holds for every TruthTable, symmetric or not.  If a check fails, the
+    rank is the max of the ranks modulo enough primes that no nonzero
+    maximal minor is divisible by all of them (_max_rank_mod_primes).
     """
     if table.n > MAX_RANK_N:
         raise ValueError(f"brute_rank limited to n <= {MAX_RANK_N}")
     M = xor_matrix(table)
-    if _nonsingular(M):
-        return M.shape[0]
-    return _exact_rank(M, _primes_above(_RANK_PRIMES, 1)[0])
+    rank = _diagonal_rank(M)
+    return _max_rank_mod_primes(M) if rank is None else rank
 
 
 def paired_brute_ranks(n: int) -> list[int]:
@@ -464,9 +411,10 @@ def _window_matches(n: int, target) -> list[int]:
     (sum_t s[t] C[k][t] for k in window_bounds(n)) equals target; ascending.
 
     The window vector is linear in s, so the matches are the 0/1 solutions
-    of [window rows | target].  One elimination of it mod the rank oracle's
-    prime p leaves q free columns; as C C = 2^n I, the window rows stay
-    independent mod every odd p, so q = n + 1 - (hi - lo + 1), about n/4.
+    of [window rows | target].  One elimination of it mod p, the first
+    prime above _RANK_PRIMES, leaves q free columns; as C C = 2^n I, the
+    window rows stay independent mod every odd p, so
+    q = n + 1 - (hi - lo + 1), about n/4.
     Each pivot bit is b - sum_f a_f s_f mod p, one subset sum per pivot row
     over the 2^q assignments of the free bits, and an assignment is kept if
     every pivot bit is 0 or 1.  A true match solves the system mod every p,

@@ -184,15 +184,45 @@ class TestReversalPairs:
                                        TruthTable.from_profile(rev).values)
 
 
+def sylvester(n):
+    """H[x, w] = (-1)^popcount(x & w) by direct enumeration (reference)."""
+    return np.array([[-1 if (x & w).bit_count() & 1 else 1
+                      for w in range(1 << n)] for x in range(1 << n)])
+
+
+@pytest.fixture
+def fresh_sylvester():
+    # _sylvester caches one n: clear it around a test that swaps its hint
+    oracle._sylvester.cache_clear()
+    yield
+    oracle._sylvester.cache_clear()
+
+
+def subspace_table(rng, n, k):
+    """The indicator of a seeded k-dimensional subspace V of {0,1}^n.  Its
+    Fourier transform is |V| times the indicator of V's dual, of size
+    2^(n-k), so its XOR matrix has rank 2^(n-k)."""
+    span = [0]
+    while len(span) < 1 << k:
+        v = int(rng.integers(1, 1 << n))
+        if v not in span:
+            span += [s ^ v for s in span]
+    return TruthTable(n, tuple(int(x in span) for x in range(1 << n)))
+
+
 class TestRankCertificate:
-    # det = -3: p = 3 divides it, p = 5 does not
-    M = np.array([[1, 1], [1, -2]], dtype=np.int64)
-
     def test_prime_dividing_determinant(self):
-        assert oracle._kernel_certificate(self.M, 3) is None
-        assert oracle._kernel_certificate(self.M, 5) == 2
+        # f = 1 on {00, 01, 10}: d = (3, 1, 1, -1), so det M = -3, and the
+        # rank mod 3 is 3; the certificate reads no prime
+        t = TruthTable(2, (1, 1, 1, 0))
+        M = xor_matrix(t)
+        assert oracle._rank_mod_p(M, 3) == 3
+        assert oracle._rank_mod_p(M, 5) == 4
+        assert oracle._diagonal_rank(M) == 4
+        assert brute_rank(t) == 4
 
-    def test_unlucky_prime_reaches_fallback(self, monkeypatch):
+    def test_failed_certificate_reaches_fallback(self, monkeypatch,
+                                                 fresh_sylvester):
         calls = []
         fallback = oracle._max_rank_mod_primes
 
@@ -200,30 +230,29 @@ class TestRankCertificate:
             calls.append(M.shape)
             return fallback(M)
         monkeypatch.setattr(oracle, "_max_rank_mod_primes", spy)
-        assert oracle._exact_rank(self.M, 3) == 2
-        assert calls == [(2, 2)]
-        calls.clear()
-        assert oracle._exact_rank(self.M, 5) == 2
+        t = profile_matrix("threshold:3", 5)[0]
+        assert brute_rank(t) == 22
         assert calls == []
+        monkeypatch.setattr(oracle, "_hadamard",
+                            lambda n: wrong_hint("swapped", n))
+        oracle._sylvester.cache_clear()
+        assert oracle._sylvester(5) is None
+        assert brute_rank(t) == 22
+        assert calls == [(32, 32)]
 
-    def test_inexact_check_reaches_fallback(self):
-        # ncols * max|M| * max|V| reaches 2^53, so the M V check is refused
-        # and the fallback primes give the rank
+    def test_inexact_check_reaches_fallback(self, monkeypatch):
+        # ncols * max|M| * max|H| reaches 2^53, so M H is refused
         big = 1 << 61
-        p = oracle._primes_above(oracle._RANK_PRIMES, 1)[0]
-        M = np.full((2, 2), big)
-        assert oracle._kernel_certificate(M, p) is None
-        assert oracle._exact_rank(M, p) == 1
-        # mod p both columns agree, over Q the kernel is not (-1, 1)
-        M = np.array([[big, big + p]], dtype=np.int64)
-        assert oracle._kernel_certificate(M, p) is None
-        assert oracle._exact_rank(M, p) == 1
-        # kernel vector (-1/q1, -1/q2, -1/q3, 1): each q is below the lift
-        # bound isqrt(p/2) = 1448, and the lcm q1*q2*q3 >= 2^31 is refused
-        q1, q2, q3 = 1291, 1297, 1301
-        M = np.array([[q1, 0, 0, 1], [0, q2, 0, 1], [0, 0, q3, 1]])
-        assert oracle._kernel_certificate(M, p) is None
-        assert oracle._exact_rank(M, p) == 3
+        assert oracle._diagonal_rank(np.full((2, 2), big)) is None
+        assert oracle._diagonal_rank(np.full((4, 4), 1 << 51)) is None
+        assert oracle._diagonal_rank(np.full((4, 4), (1 << 51) - 1)) == 1
+        # with M H refused (H H is not), brute_rank takes the fallback
+        t, M = profile_matrix("threshold:3", 5)
+        exact_product = oracle._exact_product
+        monkeypatch.setattr(oracle, "_exact_product", lambda A, B: (
+            exact_product(A, B) if A is B else None))
+        assert oracle._diagonal_rank(M) is None
+        assert brute_rank(t) == oracle._max_rank_mod_primes(M) == 22
 
     def test_exact_product_guard_boundary(self):
         # ncols * max|M| * max|V| exactly 2^53 is refused, one below it is
@@ -241,32 +270,6 @@ class TestRankCertificate:
             assert oracle._exact_product(np.array([[1.0, bad]]), V) is None
             assert oracle._exact_product(np.ones((1, 2)),
                                          np.array([[1.0], [bad]])) is None
-
-    def test_lift_failure_reaches_fallback(self, monkeypatch):
-        # the reduced echelon form holds +-1/2, above the lift bound
-        # isqrt(7 / 2) = 1, so the kernel is not lifted and the fallback
-        # primes give the rank
-        M = np.array([[1, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0]])
-        lifts = []
-        rational_lift = oracle._rational_lift
-
-        def spy(U, p):
-            lifts.append(rational_lift(U, p))
-            return lifts[-1]
-        monkeypatch.setattr(oracle, "_rational_lift", spy)
-        assert oracle._kernel_certificate(M, 7) is None
-        assert lifts == [None]
-        assert oracle._exact_rank(M, 7) == 3
-
-    def test_rational_lift(self):
-        p = 101  # bound isqrt(50) = 7
-        U = np.array([[0, 1, p - 1], [3 * pow(4, -1, p) % p, 50, 7]])
-        a, b = oracle._rational_lift(U, p)
-        assert a.tolist() == [[0, 1, -1], [3, -1, 7]]  # 50 = -1/2 mod 101
-        assert b.tolist() == [[1, 1, 1], [4, 2, 1]]
-        # 10 = a/b would need |a| or b above 7
-        assert oracle._rational_lift(np.array([[10 * pow(9, -1, p) % p]]),
-                                     p) is None
 
     def test_primes_found_once(self):
         primes = oracle._primes_above(1 << 22, 3)
@@ -288,6 +291,24 @@ class TestRankCertificate:
             t = TruthTable(5, tuple(int(b) for b in rng.integers(0, 2, 32)))
             assert brute_rank(t) == oracle._max_rank_mod_primes(xor_matrix(t))
 
+    def test_matches_fallback_random_n7_n8(self):
+        # random tables are rank-deficient at n = 7 and 8 (ranks 108-233
+        # with seed 34), so each fallback reference runs every one of its
+        # 15 or 36 primes: about 0.07 s at n = 7 and 0.45 s at n = 8
+        rng = np.random.default_rng(34)
+        for n in (7, 8):
+            for _ in range(2):
+                t = TruthTable(n, tuple(rng.integers(0, 2, 1 << n).tolist()))
+                assert brute_rank(t) == oracle._max_rank_mod_primes(
+                    xor_matrix(t))
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (8, 2)])
+    def test_planted_subspace(self, n, k):
+        t = subspace_table(np.random.default_rng(n), n, k)
+        want = 1 << (n - k)
+        assert brute_rank(t) == want
+        assert oracle._max_rank_mod_primes(xor_matrix(t)) == want
+
     def test_independent_of_spectral(self, monkeypatch):
         profiles = [*symmetric_profiles(4), *symmetric_profiles(6)]
         want = [weight_spectrum(p).rank for p in profiles]
@@ -303,9 +324,8 @@ class TestRankCertificate:
         assert [brute_rank(t) for t in tables] == want
 
 
-# full rank: threshold:2 at 4, mod:3:0 at 5; singular, with LAPACK raising
-# LinAlgError (const0, const1, parity, mod:3:1) or returning a float
-# "inverse" (threshold:1 and threshold:3 at 5, ranks 22)
+# full rank: threshold:2 at 4, mod:3:0 at 5; singular: const0, const1,
+# parity, mod:3:1, and threshold:1 and threshold:3 at 5 (ranks 22)
 NONSINGULAR = [("threshold:2", 4), ("mod:3:0", 5)]
 SINGULAR = [("const0", 4), ("const1", 4), ("parity", 4), ("const0", 5),
             ("const1", 5), ("parity", 5), ("mod:3:1", 5), ("threshold:1", 5),
@@ -317,106 +337,133 @@ def profile_matrix(name, n):
     return t, xor_matrix(t)
 
 
+def wrong_hint(hint, n):
+    """A wrong stand-in for the Sylvester matrix of order 2^n.  "scaled",
+    D H D^-1 with D = diag(2, 1, ..., 1), has H H = 2^n I, but entries 2 and
+    1/2, and only +-1 entries are taken.  Only "nearby", D H D for a random
+    +-1 diagonal D, passes both; the check M H = H diag(d) is left to turn
+    it down."""
+    H = sylvester(n).astype(np.float64)
+    m = 1 << n
+    rng = np.random.default_rng(3)
+    if hint == "identity":
+        return np.eye(m)
+    if hint == "zeros":
+        return np.zeros((m, m))
+    if hint == "perturbed":
+        return H + 1
+    if hint == "random":
+        return rng.choice([-1.0, 1.0], size=(m, m))
+    if hint == "negated":
+        H[m - 1, m - 1] *= -1
+        return H
+    if hint == "swapped":
+        return H[[1, 0, *range(2, m)]]
+    if hint == "scaled":
+        H[0] *= 2
+        H[:, 0] /= 2
+        return H
+    D = rng.choice([-1.0, 1.0], size=m)
+    return D[:, None] * H * D
+
+
+HINTS = ("perturbed", "identity", "zeros", "random", "negated", "swapped",
+         "scaled", "nearby")
+
+
 class TestNonsingular:
+    # the certificate M H = H diag(d) proves M nonsingular exactly when
+    # every d[w] is nonzero, and otherwise gives its rank
     def test_full_rank_iff_certified(self):
         # every profile at n <= 6: 252 matrices, 154 of them full rank
         for n in range(1, 7):
             for p in symmetric_profiles(n):
                 M = xor_matrix(TruthTable.from_profile(p))
-                assert oracle._nonsingular(M) == (
-                    oracle._max_rank_mod_primes(M) == 1 << n), p
+                rank = oracle._diagonal_rank(M)
+                assert rank is not None, p
+                assert rank == oracle._max_rank_mod_primes(M), p
 
     @pytest.mark.parametrize("name, n", SINGULAR)
     def test_singular_refused(self, name, n):
         _, M = profile_matrix(name, n)
-        assert oracle._nonsingular(M) is False
+        rank = oracle._diagonal_rank(M)
+        assert rank == oracle._max_rank_mod_primes(M) < 1 << n
 
-    # "nearby", the inverse of M + 2^-10 I, is a valid hint for a
-    # nonsingular M, so it is tried on the singular ones only
     @pytest.mark.parametrize("hint, name, n", [
-        (hint, name, n)
-        for hint in ("perturbed", "identity", "zeros", "random")
-        for name, n in NONSINGULAR + SINGULAR] + [
-        ("nearby", name, n) for name, n in SINGULAR])
-    def test_wrong_hint_never_certifies(self, monkeypatch, hint, name, n):
+        (hint, name, n) for hint in HINTS for name, n in NONSINGULAR + SINGULAR])
+    def test_wrong_hint_never_certifies(self, monkeypatch, fresh_sylvester,
+                                        hint, name, n):
         t, M = profile_matrix(name, n)
         want = oracle._max_rank_mod_primes(M)
-        rng = np.random.default_rng(3)
-        pinv = np.linalg.pinv
-
-        def inv(F):
-            if hint == "identity":
-                return np.eye(len(F))
-            if hint == "zeros":
-                return np.zeros_like(F)
-            if hint == "nearby":
-                return pinv(F + np.ldexp(np.eye(len(F)), -10))
-            if hint == "random":
-                return rng.normal(size=F.shape)
-            # M (R + J) = I + M J, and each row of M holds a 1
-            return pinv(F) + 1.0
-        monkeypatch.setattr(oracle.np.linalg, "inv", inv)
-        assert oracle._nonsingular(M) is False
+        monkeypatch.setattr(oracle, "_hadamard",
+                            lambda k: wrong_hint(hint, k))
+        assert (oracle._sylvester(n) is None) == (hint != "nearby")
+        assert oracle._diagonal_rank(M) in (None, want)
         assert brute_rank(t) == want
-
-    def test_linalg_error_refused(self, monkeypatch):
-        t, M = profile_matrix(*NONSINGULAR[0])
-
-        def inv(F):
-            raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(oracle.np.linalg, "inv", inv)
-        assert oracle._nonsingular(M) is False
-        assert brute_rank(t) == 16
-
-    def test_row_sum_bound_is_strict(self, monkeypatch):
-        # the singular all-ones M = J at m = 2 (s = 6) with the hint I / 2:
-        # E = 32 J - 64 I, each row sum exactly 2^s
-        M = np.ones((2, 2), dtype=np.int64)
-        monkeypatch.setattr(oracle.np.linalg, "inv", lambda F: np.eye(2) / 2)
-        assert oracle._nonsingular(M) is False
 
     def test_entries_near_2_61_refused(self):
         # det -1, but float64 rounds 2^61 + 1 to 2^61
         c = (1 << 61) + 1
-        assert oracle._nonsingular(
-            np.array([[c, 1], [1, 0]], dtype=np.int64)) is False
+        assert oracle._diagonal_rank(
+            np.array([[c, 1], [1, 0]], dtype=np.int64)) is None
         # singular, rows (2, 3) and q (2, 3); rounded to float64, they are
         # not parallel
         q = 23312007253771414
-        assert oracle._nonsingular(
-            np.array([[2, 3], [2 * q, 3 * q]], dtype=np.int64)) is False
+        assert oracle._diagonal_rank(
+            np.array([[2, 3], [2 * q, 3 * q]], dtype=np.int64)) is None
 
-    def test_guard_refuses_inexact_product(self, monkeypatch):
-        # M = diag(A, I) is singular: A's rows are (a, b) and 3 (a, b).  The
-        # hint Z = diag(ZA, 2^8 I) has A ZA = [[25, 74], [75, 222]] exactly,
-        # from terms near 2^60; summed in float64 they round to a product
-        # that passes the row-sum test.  Every entry is below 2^53, so
-        # only the guard m * max|M| * max|Z| < 2^53 refuses it.
-        a, b = 665921401, 678131111
-        ZA = [[1791764644, -12924564], [-1759504029, 12691858]]
-        A = [[a, b], [3 * a, 3 * b]]
-        exact = [[sum(A[i][k] * ZA[k][j] for k in range(2)) for j in range(2)]
-                 for i in range(2)]
-        assert exact == [[25, 74], [75, 222]]
-        rounded = [[float(A[i][0]) * ZA[0][j] + float(A[i][1]) * ZA[1][j]
-                    for j in range(2)] for i in range(2)]
-        shift = 1 << 8  # s = 2 * m.bit_length() + 2 at m = 4
-        assert max(abs(rounded[i][0] - shift * (i == 0))
-                   + abs(rounded[i][1] - shift * (i == 1))
-                   for i in range(2)) < shift
-        M = np.eye(4, dtype=np.int64)
-        M[:2, :2] = A
-        Z = np.eye(4) * shift
-        Z[:2, :2] = ZA
-        monkeypatch.setattr(oracle.np.linalg, "inv", lambda F: Z / shift)
-        assert oracle._nonsingular(M) is False
+    def test_guard_refuses_inexact_product(self):
+        # M is the XOR matrix of g, less 1 at [7, 1], so M H != H diag(d)
+        # for every d.  Each row of M H summed left to right in float64
+        # passes the check anyway, as the sums pass 2^53.  Every entry is
+        # below 2^53, so only the guard 8 * max|M| * max|H| < 2^53 refuses
+        # it.
+        g = [2403861164107072, 8690505974642024, 8751358727149336,
+             1792776798887208, 3921638162194936, 8820099336727280,
+             5143911099889480, 8392863098415344]
+        M = [[g[x ^ y] for y in range(8)] for x in range(8)]
+        M[7][1] -= 1
+        H = sylvester(3).tolist()
+        exact = [[sum(M[i][x] * H[x][w] for x in range(8)) for w in range(8)]
+                 for i in range(8)]
+        assert exact[7] != [h * d for h, d in zip(H[7], exact[0])]
+        rounded = []
+        for row in M:
+            sums = []
+            for w in range(8):
+                s = 0.0
+                for x in range(8):
+                    s += float(row[x]) * H[x][w]
+                sums.append(s)
+            rounded.append(sums)
+        assert all(rounded[i] == [h * d for h, d in zip(H[i], rounded[0])]
+                   for i in range(8))
+        assert oracle._diagonal_rank(np.array(M, dtype=np.int64)) is None
+
+    def test_sylvester_is_checked_and_read_only(self, fresh_sylvester):
+        for n in range(6):
+            H = oracle._sylvester(n)
+            assert np.array_equal(H, sylvester(n))
+            assert H is oracle._sylvester(n)
+            assert not H.flags.writeable
 
     def test_brute_rank_skips_elimination_at_full_rank(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a full-rank matrix was eliminated")
-        monkeypatch.setattr(oracle, "_exact_rank", forbidden)
+        monkeypatch.setattr(oracle, "_max_rank_mod_primes", forbidden)
+        monkeypatch.setattr(oracle, "_rref_mod_p", forbidden)
         for name, n in NONSINGULAR:
             assert brute_rank(profile_matrix(name, n)[0]) == 1 << n
+
+    def test_no_profile_reaches_elimination(self, monkeypatch):
+        # all 1,020 profiles at n <= 8, one brute_rank each
+        def forbidden(*args):
+            raise AssertionError("a profile's rank took an elimination")
+        monkeypatch.setattr(oracle, "_max_rank_mod_primes", forbidden)
+        monkeypatch.setattr(oracle, "_rref_mod_p", forbidden)
+        for n in range(1, oracle.MAX_RANK_N + 1):
+            for p in symmetric_profiles(n):
+                brute_rank(TruthTable.from_profile(p))
 
 
 RANK_P = oracle._primes_above(oracle._RANK_PRIMES, 1)[0]
