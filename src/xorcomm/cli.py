@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import os
 import sys
 
@@ -294,9 +295,9 @@ def cmd_sweep(args) -> int:
             f"sweep --out cannot write {args.out}: {exc}") from None
     try:
         rows = engine.sweep(cells, args.profile, args.trials, seed)
-        writer = csv.DictWriter(out, fieldnames=engine.SWEEP_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(out)
+        writer.writerow(engine.SWEEP_FIELDS)
+        writer.writerows(map(operator.itemgetter(*engine.SWEEP_FIELDS), rows))
     finally:
         if args.out:
             out.close()

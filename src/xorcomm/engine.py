@@ -7,8 +7,9 @@ trial's bits and rounds in arrays.  _run_block runs one block (run_protocol
 a block of one); _run_blocks, the one trial loop and the one place that
 lays out trial streams, runs every other trial: run_trials,
 mc_error_estimate, weight_estimates and sweep.  A block holds at most
-_DRAW_BLOCK // n trials, so peak memory does not grow with the number of
-trials.
+_TRIAL_BLOCK // n trials, so peak memory does not grow with the number of
+trials, and a block samples its inputs, and draws each phase's tape
+values, in draw blocks of at most _DRAW_BLOCK bits or values (or one row).
 
 Every random stream is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011): value i of stream s (0: input, 1:
@@ -17,8 +18,9 @@ tape) of trial t in a cell seeded `seed` is mix64(_cell_key(seed) +
 function, a bijection (Steele, Lea & Flood, OOPSLA 2014).  GAMMA is odd, so
 a cell's streams never overlap; a stream holds 2^32 values, and a draw past
 them is refused.  Trial t is a pure function of (seed, t), the same in any
-block, so it replays on its own.  A block's inputs are one array expression
-(_weighted_pairs), and so is each draw block of a phase (RandomTape).
+block, so it replays on its own.  Each draw block of a block's inputs is
+one array expression (_weighted_pairs), and so is each draw block of a
+phase (RandomTape).
 
 Bits are counted, not transmitted: a send is a bit count, which the
 channel charges to the trials it lists, keeping running totals per
@@ -35,12 +37,23 @@ from typing import ClassVar, Iterator, Sequence
 from ._np import np
 from .symfun import InputPair, ProfileError, SymmetricProfile, gap_params
 
-# Most input bits one block of trials holds (trials * n), and most tape
-# values one draw block of a protocol phase takes.  A larger phase is split
-# into blocks of whole rows (at least one), which bounds the memory of the
-# draw and of its bincount: the traced peak of a sweep cell stays under
-# 1.1 MB.  At 2^16 the blocks' arrays took about 4.5 MB more peak RSS; at
-# 2^13 the benchmark's sweep cells ran slower, paying more blocks' fixed
+# Most input bits one block of trials holds (trials * n).  Each phase of a
+# protocol block pays its fixed costs (kernel calls, broadcasts, channel
+# charges) once, so a larger block spreads them over more trials.  The
+# benchmark's sweep cells took, median of 19 fresh passes a size on a
+# 2-core x86-64 Xeon, 0.097 s at 2^14, 0.070 s at 2^16 and 2^17, 0.065 s
+# at 2^18 and 0.063 s at 2^20, whose passes took 0.7 MB more peak RSS.
+# 2^18 doubles a block's X and Y: 1,024 trials of ham at n = 4096 then
+# peak at 1.25 MB traced, against 0.85 MB at 2^17.
+_TRIAL_BLOCK = 1 << 17
+# Most tape values one draw block of a protocol phase takes, and most input
+# bits one _weighted_pairs call samples.  A larger phase is split into
+# blocks of whole rows (at least one), which bounds the memory of the draw
+# and of its bincount: the traced peak of each benchmark sweep cell stays
+# under 1.2 MB (under 0.65 MB when a trial block was a draw block).
+# Sampling a whole block's inputs at once would hold n/64 + n uint64 words
+# a trial and a sort copy of n: 17 MB at 2^20 bits and n = 512.  At 2^13
+# the benchmark's sweep cells ran slower, paying more draw blocks' fixed
 # costs.
 _DRAW_BLOCK = 1 << 14
 
@@ -115,6 +128,30 @@ def _cell_key(seed) -> int:
     return key
 
 
+def _mix64_array(words: np.ndarray) -> np.ndarray:
+    """_mix64 of each word of a uint64 array, in place, with one scratch
+    buffer; returns words."""
+    scratch = np.empty_like(words)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+        np.right_shift(words, shift, out=scratch)
+        words ^= scratch
+        if mult is not None:
+            words *= mult
+    return words
+
+
+def _cell_keys(seed, weights) -> np.ndarray:
+    """_cell_key((*seed, m)) for each m of weights, as uint64: seed's words
+    folded once, then one mix per weight.  A weight _cell_key refuses is
+    refused, as is one of 2^32 or more (two words)."""
+    words = _seed_words(tuple(weights))
+    if len(words) != len(weights):
+        raise ValueError(f"a weight of {weights} is 2^32 or more")
+    keys = np.array(words, dtype=np.uint64)
+    keys += np.uint64((_cell_key(seed) + _GAMMA) & _MASK64)
+    return _mix64_array(keys)
+
+
 def _stream_starts(keys: np.ndarray, trials: np.ndarray,
                    stream: int) -> np.ndarray:
     """The counter of value 0 of trial t's stream for each (key, t),
@@ -128,17 +165,10 @@ def _stream_starts(keys: np.ndarray, trials: np.ndarray,
 def _stream_words(starts: np.ndarray, width: int) -> np.ndarray:
     """The (k, width) uint64 array mix64(starts[r] + i * GAMMA), i < width:
     `width` values of each row's stream, starts[r] the counter of its first.
-    The mix runs in place, with one scratch buffer."""
+    The mix runs in place (_mix64_array)."""
     words = np.arange(width, dtype=np.uint64)
     words *= _GAMMA
-    words = starts[:, None] + words
-    scratch = np.empty_like(words)
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
-        np.right_shift(words, shift, out=scratch)
-        words ^= scratch
-        if mult is not None:
-            words *= mult
-    return words
+    return _mix64_array(starts[:, None] + words)
 
 
 def _weighted_pairs(n: int, weights: np.ndarray,
@@ -307,28 +337,36 @@ def _run_block(protocol: Protocol, profile: SymmetricProfile, X, Y,
     return out, channel
 
 
-def _run_blocks(protocol: Protocol, profile: SymmetricProfile, cells,
-                trials: int) -> Iterator[tuple]:
-    """The trial loop: run `trials` trials of each (m, seed) cell, cell by
-    cell, in blocks of at most _DRAW_BLOCK // n trials, and yield each
-    block's (outputs, truths, channel), row t of each being the block's
-    trial t.  A cell's trial t takes its input (_weighted_pairs at weight
-    m) from its stream 0 and its tape from its stream 1.  trials and every
-    cell's m and seed are checked before the first block runs."""
+def _run_blocks(protocol: Protocol, profile: SymmetricProfile, weights,
+                trials: int, seed, prefix: bool = False) -> Iterator[tuple]:
+    """The trial loop: run `trials` trials of a cell at each weight m of
+    weights, cell by cell, in blocks of at most _TRIAL_BLOCK // n trials,
+    and yield each block's (outputs, truths, channel), row t of each being
+    the block's trial t.  The cell at m has the cell seed (*seed, m) if
+    prefix, else seed.  Its trial t takes its input (_weighted_pairs at
+    weight m, a draw block of trials a call) from its stream 0 and its tape
+    from its stream 1.  trials, every m and the seed are checked before the
+    first block runs."""
     n = profile.n
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be 1 to 2^31, got {trials}")
-    for m, _ in cells:
+    for m in weights:
         if not 0 <= m <= n:
             raise ValueError(f"weight m={m} out of range for n={n}")
-    weights = np.array([m for m, _ in cells], dtype=np.int64)
-    keys = np.array([_cell_key(seed) for _, seed in cells], dtype=np.uint64)
+    keys = (_cell_keys(seed, weights) if prefix else
+            np.full(len(weights), _cell_key(seed), dtype=np.uint64))
+    weights = np.array(weights, dtype=np.int64)
     s = np.array(profile.s)
-    total, size = len(cells) * trials, max(1, _DRAW_BLOCK // n)
+    total, size = len(weights) * trials, max(1, _TRIAL_BLOCK // n)
+    draw = max(1, _DRAW_BLOCK // n)
     for lo in range(0, total, size):
         cell, t = np.divmod(np.arange(lo, min(lo + size, total)), trials)
-        X, Y = _weighted_pairs(n, weights[cell],
-                               _stream_starts(keys[cell], t, _INPUT))
+        starts = _stream_starts(keys[cell], t, _INPUT)
+        X = np.empty((len(t), n), dtype=np.uint8)
+        Y = np.empty_like(X)
+        for i in range(0, len(t), draw):
+            X[i:i + draw], Y[i:i + draw] = _weighted_pairs(
+                n, weights[cell[i:i + draw]], starts[i:i + draw])
         tapes = [RandomTape._at(start) for start in
                  _stream_starts(keys[cell], t, _TAPE).tolist()]
         out, channel = _run_block(protocol, profile, X, Y, tapes)
@@ -384,19 +422,21 @@ def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
 def run_trials(protocol: Protocol, profile: SymmetricProfile, m: int,
                trials: int, seed) -> Iterator[tuple[int, int, Transcript]]:
     """Yield (output, truth, transcript) for each trial at XOR-weight m."""
-    for out, truth, channel in _run_blocks(protocol, profile, [(m, seed)],
-                                           trials):
+    for out, truth, channel in _run_blocks(protocol, profile, [m], trials,
+                                           seed):
         for t in range(len(out)):
             yield int(out[t]), int(truth[t]), channel.transcript(t)
 
 
-def _estimates(protocol: Protocol, profile: SymmetricProfile, cells,
-               trials: int) -> list[MCResult]:
-    """The MCResult of each (m, seed) cell, all cells' trials in one loop."""
-    successes, bits_sum, bits_max, rounds_sum = np.zeros((4, len(cells)),
+def _estimates(protocol: Protocol, profile: SymmetricProfile, weights,
+               trials: int, seed, prefix: bool = False) -> list[MCResult]:
+    """The MCResult of each cell of _run_blocks, all cells' trials in one
+    loop."""
+    successes, bits_sum, bits_max, rounds_sum = np.zeros((4, len(weights)),
                                                          dtype=np.int64)
     done = 0
-    for out, truth, channel in _run_blocks(protocol, profile, cells, trials):
+    for out, truth, channel in _run_blocks(protocol, profile, weights, trials,
+                                           seed, prefix):
         cell = np.arange(done, done + len(out)) // trials
         done += len(out)
         bits = channel.bits_a_to_b + channel.bits_b_to_a
@@ -415,19 +455,19 @@ def _estimates(protocol: Protocol, profile: SymmetricProfile, cells,
 def mc_error_estimate(protocol, profile: SymmetricProfile, m: int,
                       trials: int, seed) -> MCResult:
     """Empirical success rate and bit cost at exact XOR-weight m."""
-    return _estimates(protocol, profile, [(m, seed)], trials)[0]
+    return _estimates(protocol, profile, [m], trials, seed)[0]
 
 
 def weight_estimates(protocol: Protocol, profile: SymmetricProfile, weights,
                      trials: int, seed) -> list[MCResult]:
     """The MCResult at each XOR-weight of `weights`, in order, every
     weight's trials in one loop.  Weight m runs with the cell seed
-    (*seed, m), seed being a sequence; a weight listed twice is refused."""
+    (*seed, m), seed being a sequence, whose keys are derived in one array
+    pass (_cell_keys); a weight listed twice is refused."""
     weights = list(weights)
     if len(set(weights)) < len(weights):
         raise ValueError(f"weights {weights} list a weight twice")
-    return _estimates(protocol, profile,
-                      [(m, (*seed, m)) for m in weights], trials)
+    return _estimates(protocol, profile, weights, trials, seed, prefix=True)
 
 
 # The columns of a sweep row, in the order the CSV writer prints them.

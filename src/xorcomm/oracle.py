@@ -318,10 +318,12 @@ def _diagonal_rank(M: np.ndarray) -> int | None:
     H is only a hint, as a float inverse is in Rump's verification methods
     (Acta Numerica 2010).  _sylvester proves H H = 2^n I, so H is
     invertible.  P = M H is computed exactly (_exact_product), d is read
-    from row 0 of P, and P = H diag(d) is checked entry by entry; H is
-    +-1, so each H[x, w] d[w] is exact.  Then M = H diag(d) H^-1, and the
-    rank of M is the number of nonzero d[w].  This holds for any such M,
-    and a hint that fails a check gives None, never a rank.
+    from row 0 of P, and P = H diag(d) is checked entry by entry as
+    P * H = d in every row, in place: H is +-1, so P[x, w] = H[x, w] d[w]
+    iff P[x, w] H[x, w] = d[w], and each product is exact.  Then
+    M = H diag(d) H^-1, and the rank of M is the number of nonzero d[w].
+    This holds for any such M, and a hint that fails a check gives None,
+    never a rank.
     """
     H = _sylvester(M.shape[0].bit_length() - 1)
     if H is None:
@@ -329,8 +331,9 @@ def _diagonal_rank(M: np.ndarray) -> int | None:
     P = _exact_product(M, H)
     if P is None:
         return None
-    d = P[0]
-    return int(np.count_nonzero(d)) if np.array_equal(P, H * d) else None
+    d = P[0].copy()
+    P *= H
+    return int(np.count_nonzero(d)) if (P == d).all() else None
 
 
 def brute_rank(table: TruthTable) -> int:

@@ -331,12 +331,21 @@ class TestStreams:
 
     def test_trial_identical_across_block_splits(self, monkeypatch):
         # b = 18 < n = 40, so the tapes are drawn.  A trial's run does not
-        # depend on the block it runs in, and trial t run alone, on its
-        # reference input and RandomTape(seed, t), is the same.
+        # depend on the trial block it runs in nor on the draw blocks that
+        # sample its input and draw its phases, and trial t run alone, on
+        # its reference input and RandomTape(seed, t), is the same.  Trial
+        # blocks of all 9 trials and of 1, 2, 3 and 7, against draw blocks
+        # of 1 to 3 rows and of the real 409: some larger than the trial
+        # block, some smaller and not dividing it.
         profile, proto = parse_profile("threshold:3", 40), TwoWayXorProtocol()
         runs = []
-        for block in (engine._DRAW_BLOCK, 40, 97, 3 * 40 + 1):
-            monkeypatch.setattr(engine, "_DRAW_BLOCK", block)
+        for trial_block, draw_block in (
+                (engine._TRIAL_BLOCK, engine._DRAW_BLOCK),
+                (engine._TRIAL_BLOCK, 97), (40, engine._DRAW_BLOCK),
+                (97, 3 * 40 + 1), (3 * 40 + 1, 97), (7 * 40, 3 * 40),
+                (7 * 40, 40)):
+            monkeypatch.setattr(engine, "_TRIAL_BLOCK", trial_block)
+            monkeypatch.setattr(engine, "_DRAW_BLOCK", draw_block)
             runs.append(list(run_trials(proto, profile, 5, 9, (3, 1))))
         assert all(run == runs[0] for run in runs[1:])
         for t, (out, truth, transcript) in enumerate(runs[0]):
@@ -419,6 +428,47 @@ class TestSeedDerivation:
         with pytest.raises(TypeError):
             engine._cell_key(seed)
 
+    @pytest.mark.parametrize("seed", [(0,), (7,), (2 ** 32 - 1, 5), (),
+                                      (2 ** 32,), (3, 2 ** 70),
+                                      ((1, 2), 2 ** 33), [4, 9],
+                                      np.array([6, 2 ** 40], dtype=np.uint64)])
+    def test_array_keys_equal_folded_keys(self, seed):
+        # one-word seeds, multi-word ones and ones with a word of 2^32 or
+        # more: the one-pass keys of the cell seeds (*seed, m) are the
+        # folded ones, at weights of one word, in any order
+        weights = [0, 1, 5, 513, 2 ** 31, 2 ** 32 - 1, 2]
+        assert engine._cell_keys(seed, weights).tolist() == [
+            engine._cell_key((*seed, m)) for m in weights]
+
+    @pytest.mark.parametrize("weight, error", [
+        (-1, ValueError), (1.5, TypeError), ("1", TypeError),
+        (2 ** 32, ValueError)])
+    def test_array_keys_refuse_bad_weights(self, weight, error):
+        with pytest.raises(error):
+            engine._cell_keys((3,), [0, weight])
+
+    @pytest.mark.parametrize("seed, error", [
+        ((3, -1), ValueError), (-1, ValueError), ((3, 1.5), TypeError),
+        (("3",), TypeError), (1.5, TypeError)])
+    def test_bad_seed_refused_before_any_block(self, monkeypatch, seed,
+                                               error):
+        # a negative or non-int seed item fails the key derivation of
+        # every trial loop before its first block runs
+        blocks = []
+        monkeypatch.setattr(engine, "_run_block",
+                            lambda *args: blocks.append(args))
+        profile, proto = parse_profile("parity", 8), ParityProtocol()
+        with pytest.raises(error):
+            sweep({8: (profile, proto)}, "parity", 3, seed)
+        if isinstance(seed, tuple):
+            with pytest.raises(error):
+                weight_estimates(proto, profile, [0, 1], 3, seed)
+        with pytest.raises(error):
+            mc_error_estimate(proto, profile, 1, 3, seed)
+        with pytest.raises(error):
+            next(run_trials(proto, profile, 1, 3, seed))
+        assert blocks == []
+
 
 class TestSweep:
     parity8 = cells(ParityProtocol(), "parity", 8)
@@ -435,8 +485,8 @@ class TestSweep:
         assert rows1[0]["success_rate"] == 1.0
 
     def test_bad_weight_fails_before_any_block(self, monkeypatch):
-        # three good cells of 3,000 trials take 5 blocks of at most 2,048
-        # at n = 8
+        # three good cells of 6,000 trials take 2 blocks, the first of
+        # _TRIAL_BLOCK // 8 = 16,384 trials, at n = 8
         blocks = []
         run_blocks = engine._run_blocks
 
@@ -447,11 +497,12 @@ class TestSweep:
 
         monkeypatch.setattr(engine, "_run_blocks", spy)
         with pytest.raises(ValueError, match="m=99 out of range"):
-            sweep(self.parity8, "parity", 3000, 0,
+            sweep(self.parity8, "parity", 6000, 0,
                   weights=[0, 1, 2, 99])
         assert blocks == []
-        sweep(self.parity8, "parity", 3000, 0, weights=[0, 1, 2])
-        assert len(blocks) == 5 and sum(blocks) == 9000
+        sweep(self.parity8, "parity", 6000, 0, weights=[0, 1, 2])
+        assert blocks == [engine._TRIAL_BLOCK // 8,
+                          18000 - engine._TRIAL_BLOCK // 8]
 
     def test_repeated_weight_refused(self):
         with pytest.raises(ValueError, match="list a weight twice"):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,22 @@ class TestNonsingular:
         assert all(rounded[i] == [h * d for h, d in zip(H[i], rounded[0])]
                    for i in range(8))
         assert oracle._diagonal_rank(np.array(M, dtype=np.int64)) is None
+
+    def test_check_takes_no_full_size_temporary(self, fresh_sylvester):
+        # at n = 9 a 2^n x 2^n float64 matrix is 2 MB: beyond M and H, the
+        # check holds P = M H and a bool matrix an eighth of its size, a
+        # traced peak of 1.16 times M's 2 MB; H * d took a second 2 MB, a
+        # peak of 2.13 times
+        _, M = profile_matrix("threshold:3", 9)
+        oracle._sylvester(9)
+        tracemalloc.start()
+        try:
+            rank = oracle._diagonal_rank(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == weight_spectrum(parse_profile("threshold:3", 9)).rank
+        assert peak < 1.5 * M.nbytes
 
     def test_sylvester_is_checked_and_read_only(self, fresh_sylvester):
         for n in range(6):

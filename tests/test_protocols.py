@@ -443,17 +443,20 @@ def profile_spec(profile):
     return "bits:" + "".join(map(str, profile.s))
 
 
-def check_loop(protocol, profile, weights, trials, seed, block):
+def check_loop(protocol, profile, weights, trials, seed, trial_block,
+               draw_block):
     """Run sweep (every weight's trials in one loop), run_trials,
-    mc_error_estimate and run_protocol with _DRAW_BLOCK set to `block`,
-    against the per-trial reference, trial by trial.  Return the end
-    position of each of the sweep's tapes, by (m, t)."""
+    mc_error_estimate and run_protocol with _TRIAL_BLOCK set to
+    `trial_block` and _DRAW_BLOCK to `draw_block`, against the per-trial
+    reference, trial by trial.  Return the end position of each of the
+    sweep's tapes, by (m, t)."""
     n = profile.n
     want = {m: list(_reference_trials(protocol, profile, m, trials,
                                       (seed, n, m)))
             for m in weights}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_DRAW_BLOCK", block)
+        mp.setattr(engine, "_TRIAL_BLOCK", trial_block)
+        mp.setattr(engine, "_DRAW_BLOCK", draw_block)
         mp.setattr(engine, "RandomTape", _LoggedTape)
         _LoggedTape.made = []
         rows = engine.sweep({n: (profile, protocol)}, profile_spec(profile),
@@ -529,21 +532,36 @@ class TestBatchedLoop:
             st.sampled_from((0, 1, n // 2, n - 1, n)) | st.integers(0, n),
             min_size=1, max_size=5, unique=True), label="weights")
         trials = data.draw(st.integers(1, 7), label="trials")
-        # a small block splits the trials (rarely into whole blocks) and
-        # each phase over several draw blocks
-        block = data.draw(st.sampled_from((engine._DRAW_BLOCK, 3 * n + 1,
-                                           n + 5, 7 * n)), label="block")
+        # a small trial block splits the trials (rarely into whole blocks),
+        # and a small draw block each block's inputs and each phase; the
+        # two are drawn apart, so a trial block may be smaller than the
+        # draw block or not a multiple of it
+        sizes = (3 * n + 1, n + 5, 7 * n, 2 * n)
+        trial_block = data.draw(st.sampled_from(
+            (engine._TRIAL_BLOCK, *sizes)), label="trial_block")
+        draw_block = data.draw(st.sampled_from(
+            (engine._DRAW_BLOCK, *sizes)), label="draw_block")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-        check_loop(protocol, profile, weights, trials, seed, block)
+        check_loop(protocol, profile, weights, trials, seed, trial_block,
+                   draw_block)
 
     @pytest.mark.parametrize("spec, n", [("threshold:3", 40),
                                          ("exact:1", 33), ("mod:3:0", 30)])
     def test_xor2way_block_mixes_all_regions(self, spec, n):
-        # lower, middle and upper trials in one block, some draw blocks
+        # lower, middle and upper trials in one block of 5, its inputs
+        # sampled 3 trials at a time and some draw blocks of its phases
         # holding rows of two trials
         weights = [0, 1, 2, 3, n // 2, n - 3, n - 1, n]
         check_loop(TwoWayXorProtocol(), parse_profile(spec, n), weights, 5,
-                   11, 5 * n + 3)
+                   11, 5 * n + 3, 3 * n + 1)
+
+    def test_trial_block_smaller_than_draw_block(self):
+        # blocks of 2 trials against draw blocks of 7 rows: a block's
+        # inputs take one _weighted_pairs call, and no draw block of a
+        # phase is full
+        n = 40
+        check_loop(TwoWayXorProtocol(), parse_profile("threshold:3", n),
+                   [0, 3, n // 2, n], 5, 11, 2 * n + 1, 7 * n)
 
     def test_phase_longer_than_draw_block(self):
         # one trial's phase spans two whole draw blocks and part of a third,
@@ -559,7 +577,7 @@ class TestBatchedLoop:
         assert reps * n > 2 * engine._DRAW_BLOCK
         positions = check_loop(HamProtocol(d=d, buckets=40, repetitions=reps),
                                parse_profile(f"threshold:{d}", n), [3, 5, 9],
-                               3, 2, engine._DRAW_BLOCK)
+                               3, 2, engine._TRIAL_BLOCK, engine._DRAW_BLOCK)
         assert len(positions) == 9
         for (m, _), position in positions.items():
             assert position in ((reps * n,) if m == 3 else (n, reps * n))
@@ -572,13 +590,14 @@ class TestBatchedLoop:
         # (2^70, n, m) are four and five words
         n = 40
         check_loop(protocol, parse_profile("threshold:3", n),
-                   [0, 2, 3, 20, n], 4, 2 ** 70, engine._DRAW_BLOCK)
+                   [0, 2, 3, 20, n], 4, 2 ** 70, engine._TRIAL_BLOCK,
+                   engine._DRAW_BLOCK)
 
     def test_peak_memory_flat_in_trials(self):
-        # A block holds at most _DRAW_BLOCK // n = 4 trials at n = 4096, so
-        # the traced peak (about 0.43 MB: one draw block's arrays) is the
-        # same at 64 and at 1,024 trials; X and Y of all 1,024 trials alone
-        # would take 8 MB.
+        # A block holds at most _TRIAL_BLOCK // n = 32 trials at n = 4096,
+        # so the traced peak (0.85 MB at both: one block's X and Y, 0.26
+        # MB, and one draw block's arrays) is the same at 64 and at 1,024
+        # trials; X and Y of all 1,024 trials alone would take 8 MB.
         p = parse_profile("threshold:8", 4096)
         proto = HamProtocol(d=8, repetitions=3)
         mc_error_estimate(proto, p, 9, 16, seed=3)  # first-call allocations
