@@ -2,7 +2,8 @@
 Monte-Carlo trial loop and sweeps.
 
 Protocols run a block of trials at once: X and Y hold one trial's input per
-row, tapes[t] is trial t's own shared tape and the channel counts each
+row, one RandomTape holds every trial's shared tape (tape t is trial t's,
+its counter start and its position two arrays) and the channel counts each
 trial's bits and rounds in arrays.  _run_block runs one block (run_protocol
 a block of one); _run_blocks, the one trial loop and the one place that
 lays out trial streams, runs every other trial: run_trials,
@@ -193,69 +194,69 @@ def _weighted_pairs(n: int, weights: np.ndarray,
 
 
 class RandomTape:
-    """One trial's shared public coin, consumed in lock-step by both
-    parties: the tape stream of trial `trial` in the cell seeded `seed`.
+    """A block of k trials' shared public coins, each consumed in lock-step
+    by both parties: RandomTape(seed, trial) holds the tape stream of each
+    trial of `trial` (an int, a block of one, or a 1-D integer array) in the
+    cell seeded `seed`.
 
     Tape value p is the 32-bit half p mod 2 (low first) of stream value
     p // 2, scaled to (half * upper) >> 32, so each of the `upper` values
-    has a probability within 2^-32 of 1/upper.  `position` is where the
-    stream stands: past the values drawn, and past any a protocol skipped.
-    A run that never draws computes nothing for its tape.  integers is the
-    one way values leave a tape; a draw block of rows of several tapes,
-    each at its own tape index, is one tape too (RandomTape.rows), drawn by
-    one integers call, and it moves none of them: the protocol that draws
-    it sets where each tape ends.
+    has a probability within 2^-32 of 1/upper.  A block is two arrays of
+    shape (k,): _starts, the counter of each stream's value 0, and
+    `position`, where each stream stands: past the values drawn, and past
+    any a protocol skipped.  A run that never draws computes nothing for
+    its tapes.  integers is the one way values leave a tape; rows(trials,
+    firsts) is a new block of some tapes at the tape indices firsts, so a
+    tape may give several rows, and drawing it moves none of this block's
+    tapes: the protocol that draws it sets where each tape ends.
     """
 
-    def __init__(self, seed, trial: int = 0):
-        if not 0 <= trial < _MAX_TRIALS:
-            raise ValueError(f"trial {trial} out of range")
-        self._start = int(_stream_starts(
-            np.array([_cell_key(seed)], dtype=np.uint64), np.array([trial]),
-            _TAPE)[0])
-        self._rows = None
-        self.position = 0
+    def __init__(self, seed, trial=0):
+        trials = np.asarray(trial)
+        if (trials.dtype.kind not in "iu" or trials.ndim > 1
+                or (trials.size and not 0 <= trials.min() <= trials.max()
+                    < _MAX_TRIALS)):
+            raise ValueError(f"trial {trial!r} is not an integer in [0, 2^31)")
+        self._starts = _stream_starts(np.array(_cell_key(seed), np.uint64),
+                                      trials.reshape(-1), _TAPE)
+        self.position = np.zeros(len(self._starts), dtype=np.int64)
 
     @classmethod
-    def _at(cls, start: int) -> RandomTape:
-        """The tape whose value 0 is at counter `start`."""
-        tape = cls.__new__(cls)
-        tape._start, tape._rows, tape.position = start, None, 0
-        return tape
+    def _of(cls, starts: np.ndarray, position=0) -> RandomTape:
+        """The block of the tapes whose value 0 is at the counters `starts`
+        (uint64), each at `position` (a scalar or one per tape)."""
+        tapes = cls.__new__(cls)
+        tapes._starts = starts
+        tapes.position = np.array(np.broadcast_to(position, starts.shape),
+                                  dtype=np.int64)
+        return tapes
 
-    @classmethod
-    def rows(cls, tapes: Sequence[RandomTape], firsts: Sequence[int],
-             width: int) -> RandomTape:
-        """The draw block of one row of `width` values off each of tapes,
-        row j from tape index firsts[j] of tapes[j] (a tape may give
-        several rows).  Drawing it moves no tape."""
-        block = cls._at(0)
-        block._rows = (tapes, firsts, width)
-        return block
+    def rows(self, trials, firsts) -> RandomTape:
+        """A new block whose tape j is this block's tape trials[j] at tape
+        index firsts[j]."""
+        return self._of(self._starts[trials], firsts)
 
     def integers(self, upper: int, size: int) -> np.ndarray:
-        """`size` values below upper (<= 2^31) as int64: the tape's next
-        ones, moving it past them, or a draw block's rows, row by row; a
-        draw past a stream's end is refused before anything is computed."""
+        """`size` values below upper (<= 2^31) as int64: size / k off each
+        of the k tapes, tape by tape, moving each past the values it gave;
+        a draw past a stream's end is refused before anything is computed."""
         if not 1 <= upper <= _MAX_UPPER:
             raise ValueError(f"tape bound {upper} out of range")
-        tapes, firsts, width = self._rows or ((self,), (self.position,), size)
-        firsts = np.asarray(firsts, dtype=np.int64)
-        if len(firsts) * width != size:
-            raise ValueError(f"size {size} is not {len(firsts)} rows of "
-                             f"{width}")
-        if len(firsts) and int(firsts.max()) + width > 2 * _STREAM_VALUES:
+        k = len(self._starts)
+        width = size // k if k else 0
+        if k * width != size:
+            raise ValueError(f"size {size} is not {k} rows of equal width")
+        firsts = self.position
+        if k and int(firsts.max()) + width > 2 * _STREAM_VALUES:
             raise ValueError("draw past the end of a tape's stream")
-        if self._rows is None:
-            self.position += size
-        starts = np.array([tape._start for tape in tapes], dtype=np.uint64)
-        starts += (firsts >> 1).astype(np.uint64) * _GAMMA
+        starts = self._starts + (firsts >> 1).astype(np.uint64) * _GAMMA
         odd = (firsts & 1).astype(bool)
         halves = _stream_words(starts, (width + 1 + odd.any()) // 2).astype(
             "<u8", copy=False).view("<u4")
         chosen = halves[:, :width]
         if odd.any():
             chosen = np.where(odd[:, None], halves[:, 1:width + 1], chosen)
+        self.position = firsts + width
         values = np.multiply(chosen, upper, dtype=np.int64)
         values >>= 32
         return values.reshape(-1)
@@ -317,9 +318,9 @@ class Protocol:
     one_way: ClassVar[bool] = False
 
     def run(self, X: np.ndarray, Y: np.ndarray, profile: SymmetricProfile,
-            channel: Channel, tapes: list[RandomTape]) -> np.ndarray:
+            channel: Channel, tapes: RandomTape) -> np.ndarray:
         """Run a block of trials: row t of X and Y is trial t's input and
-        tapes[t] its tape.  Returns the T outputs."""
+        tape t of the block `tapes` its tape.  Returns the T outputs."""
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -327,10 +328,10 @@ class Protocol:
 
 
 def _run_block(protocol: Protocol, profile: SymmetricProfile, X, Y,
-               tapes: list[RandomTape]) -> tuple[np.ndarray, Channel]:
-    """Run one block, row t of X and Y and tapes[t] being trial t's; return
-    its outputs and its channel, Bob's answers counted."""
-    channel = Channel(one_way=protocol.one_way, trials=len(tapes))
+               tapes: RandomTape) -> tuple[np.ndarray, Channel]:
+    """Run one block, row t of X and Y and tape t of `tapes` being trial
+    t's; return its outputs and its channel, Bob's answers counted."""
+    channel = Channel(one_way=protocol.one_way, trials=len(X))
     out = np.asarray(protocol.run(X, Y, profile, channel, tapes),
                      dtype=np.int64)
     channel._final_answer()
@@ -367,9 +368,8 @@ def _run_blocks(protocol: Protocol, profile: SymmetricProfile, weights,
         for i in range(0, len(t), draw):
             X[i:i + draw], Y[i:i + draw] = _weighted_pairs(
                 n, weights[cell[i:i + draw]], starts[i:i + draw])
-        tapes = [RandomTape._at(start) for start in
-                 _stream_starts(keys[cell], t, _TAPE).tolist()]
-        out, channel = _run_block(protocol, profile, X, Y, tapes)
+        out, channel = _run_block(protocol, profile, X, Y, RandomTape._of(
+            _stream_starts(keys[cell], t, _TAPE)))
         yield out, s[np.count_nonzero(X != Y, axis=1)], channel
 
 
@@ -379,7 +379,7 @@ def run_protocol(protocol: Protocol, pair: InputPair,
     if pair.n != profile.n:
         raise ProfileError(f"pair length {pair.n} != profile n {profile.n}")
     out, channel = _run_block(protocol, profile, pair.x[None], pair.y[None],
-                              [RandomTape(seed)])
+                              RandomTape(seed))
     return int(out[0]), channel.transcript()
 
 

@@ -1,10 +1,11 @@
 """Concrete protocols for symmetric XOR problems.
 
 Every protocol runs a block of trials at once (see engine): row t of X and
-Y is trial t's input, tapes[t] its own tape, and run returns the T outputs.
-Each step that a trial takes is one array operation over the block; a step
-that only some trials take (xor2way's middle-region parity, its search
-probes) runs over those trials alone.
+Y is trial t's input, tape t of the block `tapes` (one engine.RandomTape)
+its own tape, and run returns the T outputs.  Each step that a trial takes
+is one array operation over the block; a step that only some trials take
+(xor2way's middle-region parity, its search probes) runs over those trials
+alone.
 
 The Hamming-distance subprotocol here is a bucket-parity sketch with
 one-sided error, standing in for the O(d log d) protocol the two-way and
@@ -24,10 +25,10 @@ how many positions have Alice's bit and Bob's differ.  The rows that Bob
 reads, in every trial of the block, are counted by one kernel,
 _bucket_parities: the (trial, row) pairs are one axis, split into whole-row
 draw blocks of at most _DRAW_BLOCK tape values, each row drawn from its
-trial's tape at its own tape index, and each draw block drawn by one
-RandomTape.integers call and counted by one bincount.
-The sends and votes still follow the protocol's order; xor2way's probes
-are each sent, and voted on by Bob, one at a time.
+trial's tape at its own tape index, and each draw block (tapes.rows, a
+block of one tape a row) drawn by one RandomTape.integers call and counted
+by one bincount.  The sends and votes still follow the protocol's order;
+xor2way's probes are each sent, and voted on by Bob, one at a time.
 
 A trial draws only the rows whose counts can change Bob's output, though
 Alice still sends, and the channel still charges, every row.  Each row a
@@ -36,16 +37,14 @@ were every row drawn, and the outputs and transcripts are those of a run
 that counts every row.  Every amplified test is an ANY-vote, and a count
 never exceeds the distance, so a test's repetitions after one that voted
 ">threshold" cannot change its vote.  _any_votes runs a phase of such tests
-(xor2way's region tests and each of its probes, xor1way's region tests and
-its enumeration tests): it draws repetition 0 of every (trial, test) pair,
-and the others only where it voted "<= threshold"; each tape still ends
-past the whole phase, as it would had every row been drawn.  xor1way draws
-its enumeration rows only in the tail trials (a middle trial's output
-reads none of them), and only its side's: a lower trial the rows on x,
-the first half, and an upper trial, skipping those, the rows on the
-complement.  ham's phase is its tape's last use, so it stops there: it
-draws the other R - 1 repetitions only in the trials whose first one voted
-"<= d", and its tape ends past the rows it drew.
+(ham's repetitions, xor2way's region tests and each of its probes,
+xor1way's region tests and its enumeration tests): it draws repetition 0
+of every (trial, test) pair, and the others only where it voted
+"<= threshold"; each tape still ends past the whole phase, as it would had
+every row been drawn.  xor1way draws its enumeration rows only in the
+tail trials (a middle trial's output reads none of them), and only its
+side's: a lower trial the rows on x, the first half, and an upper trial,
+skipping those, the rows on the complement.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -75,51 +74,36 @@ def _flag(default, flag: str):
 
 
 def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
-                     tapes: list[RandomTape], trials=None,
-                     at=None) -> np.ndarray:
-    """Count Alice's bucket-parity rows in each trial that `trials` lists
-    (an index array; None: every trial): return each row's count of
-    differing buckets, shape (k, R) for k trials.  It charges nothing; the
-    caller charges the phase's send.
+                     tapes: RandomTape, trials: np.ndarray,
+                     at: np.ndarray) -> np.ndarray:
+    """Count Alice's bucket-parity rows, b < n buckets, in each trial that
+    `trials` lists (an index array, which may list a trial more than once):
+    return each row's count of differing buckets, shape (k, R) for k
+    trials.  It charges nothing and moves no tape; the caller charges the
+    phase's send and sets where each tape ends.
 
     Each of a trial's R rows hashes the n positions into b buckets and
     compares Alice's bucket parities with Bob's, who uses y.  Alice uses x,
     or its complement where flips is true, which turns a test on
     |x xor y| into one on n - |x xor y|; flips has shape (R,), shared by the
     trials, or (k, R).  A repetition votes ">d" iff its count exceeds d.
+    Row (i, j) is the n values of tape trials[i] from tape index at[i, j].
 
-    `at` holds each row's tape index, shape (k, R): row (i, j) is the n
-    values of trial trials[i]'s tape from at[i, j], and no tape moves, so
-    a trial may be listed more than once.  None: a trial's rows are the
-    next R rows of its tape, which moves past them.
-
-    When b >= n the bucket map is the identity: nothing is drawn and the
-    count is the distance itself.  Otherwise the (trial, row) pairs form
-    one axis, trial-major, split into draw blocks of whole rows, each drawn
-    by one RandomTape.integers call.
+    The (trial, row) pairs form one axis, trial-major, split into draw
+    blocks of whole rows, each drawn by one RandomTape.integers call.
     """
-    if trials is None:
-        trials = np.arange(len(X))
     k, n = len(trials), X.shape[1]
     flips = np.asarray(flips, dtype=bool)
     R = flips.shape[-1]
     flips = np.broadcast_to(flips, (k, R))
-    if b >= n:
-        distance = np.count_nonzero(X[trials] != Y[trials], axis=1)[:, None]
-        return np.where(flips, n - distance, distance)
-    if at is None:
-        at = np.array([tapes[t].position for t in trials.tolist()],
-                      dtype=np.int64)[:, None] + n * np.arange(R)
-        for t in trials.tolist():
-            tapes[t].position += R * n
     # Position j's code on a row of trial t is Alice's bit xor Bob's: x xor
     # y, or its complement on a flipped row, where Alice uses 1 - x.  Row i
     # of the phase is a row of trial own[trial_of[i]], flipped iff
-    # flip_of[i], at tape index at_of[i].
+    # flip_of[i], at index at_of[i] of tape tape_of[i].
     own, trial_of = np.unique(trials, return_inverse=True)
     differ = X[own] ^ Y[own]
-    own_tapes = [tapes[t] for t in own.tolist()]
     trial_of = np.repeat(trial_of, R)
+    tape_of = np.repeat(trials, R)
     flip_of = flips.reshape(-1, 1)
     at_of = np.asarray(at, dtype=np.int64).reshape(-1)
     diffs = np.empty(k * R, dtype=np.int64)
@@ -127,9 +111,8 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     offsets = b * np.arange(step)[:, None]
     for lo in range(0, k * R, step):
         hi = min(lo + step, k * R)
-        slot = RandomTape.rows(
-            [own_tapes[i] for i in trial_of[lo:hi].tolist()], at_of[lo:hi],
-            n).integers(b, size=(hi - lo) * n).reshape(hi - lo, n)
+        slot = tapes.rows(tape_of[lo:hi], at_of[lo:hi]).integers(
+            b, size=(hi - lo) * n).reshape(hi - lo, n)
         # Position j of block row i counts into cell ((i*b + slot) << 1) +
         # code: one bincount gives, per row and bucket, how many positions
         # have Alice's bit equal to Bob's and how many differ.  The
@@ -144,7 +127,7 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
 
 
 def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
-               b: int, tapes: list[RandomTape], trials=None,
+               b: int, tapes: RandomTape, trials=None,
                skip=0) -> np.ndarray:
     """Run one phase of m amplified tests, each an ANY-vote of `reps`
     repetitions, in each trial that `trials` lists (an index array; None:
@@ -159,12 +142,14 @@ def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
     rows i * reps ... (i + 1) * reps - 1, and each row is read at its fixed
     tape index, the tape's position plus n times the row.
 
-    A count never exceeds the distance it tests, so once repetition 0 of a
-    test votes ">threshold" the others cannot change its vote: repetition 0 of
-    every (trial, test) pair is drawn, and the others only where it voted
-    "<= threshold".  Every count is the one a draw of every row gives, and
-    each tape ends past the phase's rows, as it would had every row been
-    drawn (when b >= n nothing is drawn and no tape moves).
+    When b >= n the bucket map is the identity: each count is the distance
+    itself (n minus it on a flipped row), nothing is drawn and no tape
+    moves.  Otherwise, a count never exceeds the distance it tests, so once
+    repetition 0 of a test votes ">threshold" the others cannot change its
+    vote: repetition 0 of every (trial, test) pair is drawn, and the others
+    only where it voted "<= threshold".  Every count is the one a draw of
+    every row gives, and each tape ends past the phase's rows, as it would
+    had every row been drawn.
     """
     if trials is None:
         trials = np.arange(len(X))
@@ -174,14 +159,13 @@ def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
     m = flips.shape[-1]
     flips = np.broadcast_to(flips, (k, m))
     thresholds = np.broadcast_to(thresholds, (k, m))
-    if b >= n:  # exact counts, the same in every repetition; none drawn
-        return _bucket_parities(X, Y, flips, b, tapes, trials) > thresholds
-    start = np.array([tapes[t].position for t in trials.tolist()],
-                     dtype=np.int64) + n * np.broadcast_to(skip, (k,))
+    if b >= n:
+        distance = np.count_nonzero(X[trials] != Y[trials], axis=1)[:, None]
+        return np.where(flips, n - distance, distance) > thresholds
+    start = tapes.position[trials] + n * np.broadcast_to(skip, (k,))
     first = start[:, None] + reps * n * np.arange(m)
     votes = _bucket_parities(X, Y, flips, b, tapes, trials, first) > thresholds
-    for t, end in zip(trials.tolist(), (start + m * reps * n).tolist()):
-        tapes[t].position = end
+    tapes.position[trials] = start + m * reps * n
     pair, test = np.nonzero(~votes)
     if reps > 1 and len(pair):
         at = first[pair, test][:, None] + n * np.arange(1, reps)
@@ -256,14 +240,7 @@ class HamProtocol(Protocol):
         b = self.buckets or default_buckets(d, n)
         R = self.repetitions
         channel.a_to_b(bits=R * b)
-        # an ANY-vote: Bob reads the other R - 1 repetitions only where the
-        # first one voted "<= d"
-        votes = _bucket_parities(X, Y, [False], b, tapes)[:, 0] > d
-        rest = np.flatnonzero(~votes)
-        if R > 1:
-            votes[rest] = (_bucket_parities(X, Y, [False] * (R - 1), b, tapes,
-                                            rest) > d).any(axis=1)
-        return votes
+        return _any_votes(X, Y, [False], d, R, b, tapes)[:, 0]
 
 
 def _probe_reps(r: int, factor: int) -> int:

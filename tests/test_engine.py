@@ -188,24 +188,39 @@ class TestTape:
                                   b.integers(1 << 30, size=16))
 
     def test_draw_block_equals_each_tape_alone(self):
+        # a block of k tapes against each of its trials' tapes alone and
+        # against the reference, from position 0 and then from odd
+        # positions, so that draws begin mid-word
+        seed, k = 4, 5
+        block = RandomTape(seed, np.arange(k))
+        alone = [RandomTape(seed, t) for t in range(k)]
+        want = [ref.ReferenceTape(seed, t) for t in range(k)]
+        end = 0
+        for upper, width in ((50, 3), (2 ** 31, 4), (7, 1)):
+            got = block.integers(upper, size=k * width)
+            assert np.array_equal(got, np.concatenate(
+                [tape.integers(upper, size=width) for tape in alone]))
+            assert np.array_equal(got, np.concatenate(
+                [tape.integers(upper, size=width) for tape in want]))
+            end += width
+            assert block.position.tolist() == [end] * k
         # rows of three tapes in one call, each at its own tape index (odd
         # ones too, and one tape's rows apart and out of order), against
         # each tape drawing its own values from that index
-        blocked = [RandomTape(4, t) for t in range(3)]
         rows, width = [(0, 0), (0, 5), (1, 3), (2, 0), (2, 17), (2, 6)], 5
-        block = RandomTape.rows([blocked[t] for t, _ in rows],
-                                [at for _, at in rows], width)
-        got = block.integers(50, size=30)
+        drawn = block.rows([t for t, _ in rows], [at for _, at in rows])
+        got = drawn.integers(50, size=30)
         want = []
         for t, at in rows:
-            alone = RandomTape(4, t)
-            alone.position = at
+            alone = RandomTape(seed, t)
+            alone.position[:] = at
             want.append(alone.integers(50, size=width))
         assert np.array_equal(got, np.concatenate(want))
-        # a draw block moves no tape
-        assert [t.position for t in blocked] == [0, 0, 0]
+        assert drawn.position.tolist() == [at + width for _, at in rows]
+        # a draw block moves none of the block's tapes
+        assert block.position.tolist() == [end] * k
         with pytest.raises(ValueError, match="rows of"):
-            block.integers(50, size=29)
+            drawn.integers(50, size=29)
 
     def test_identity_sweep_computes_no_tape(self, monkeypatch):
         # b >= n everywhere: no tape value is computed
@@ -228,14 +243,17 @@ class TestTape:
         for upper in (0, 2 ** 31 + 1):
             with pytest.raises(ValueError, match="bound"):
                 tape.integers(upper, size=1)
-        tape.position = 2 ** 33 - 1
+        tape.position[:] = 2 ** 33 - 1
+        block = RandomTape(1, np.arange(2))
+        block.position[1] = 2 ** 33 - 1
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="end"):
                 tape.integers(10, size=2)
             with pytest.raises(ValueError, match="end"):
-                RandomTape.rows([RandomTape(2), tape], [0, tape.position],
-                                2).integers(10, size=4)
+                tape.rows([0, 0], [0, 2 ** 33 - 1]).integers(10, size=4)
+            with pytest.raises(ValueError, match="end"):
+                block.integers(10, size=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -243,6 +261,7 @@ class TestTape:
         assert tape.position == 2 ** 33 - 1
         assert tape.integers(10, size=1).shape == (1,)
         assert tape.position == 2 ** 33
+        assert block.position.tolist() == [0, 2 ** 33 - 1]
         # trial 2^31 would take counters past 2^64: refused, a tape at once
         # and a trial loop before its first block
         with pytest.raises(ValueError, match="trial"):
@@ -250,6 +269,17 @@ class TestTape:
         with pytest.raises(ValueError, match="trials"):
             next(run_trials(ParityProtocol(), parse_profile("parity", 4), 1,
                             2 ** 31 + 1, seed=0))
+
+    @pytest.mark.parametrize("trial", [
+        1.5, 1.0, True, np.True_, np.float64(2), "1", None, 2 ** 70,
+        np.array([0.0, 1.0]), np.array([True, False]), np.array([[0, 1]]),
+        np.array([3, -1]), np.array([0, 5, 2 ** 31])])
+    def test_non_integer_trial_refused(self, trial):
+        # a float or a bool must not be truncated to another trial's tape
+        # (1.5 and True would replay trial 1), and every entry of an array
+        # of trials is checked
+        with pytest.raises(ValueError, match="trial"):
+            RandomTape(3, trial)
 
 
 # Seeds of every shape the engine takes: one word, several words, the empty
@@ -351,7 +381,7 @@ class TestStreams:
         for t, (out, truth, transcript) in enumerate(runs[0]):
             x, y = ref.pair(40, 5, (3, 1), t)
             alone, channel = engine._run_block(
-                proto, profile, x[None], y[None], [RandomTape((3, 1), t)])
+                proto, profile, x[None], y[None], RandomTape((3, 1), t))
             assert (int(alone[0]), channel.transcript()) == (out, transcript)
 
     def test_every_mask_has_weight_m(self):
@@ -398,12 +428,11 @@ class TestStreams:
         # 200,000 tape values off 40 tapes, drawn in rows of n = 257 (odd,
         # so half the rows start mid-word) in one draw block; Pearson's
         # X^2 with b - 1 degrees of freedom
-        tapes = [RandomTape((11, b), t) for t in range(40)]
+        tapes = RandomTape((11, b), np.arange(40))
         rows = -(-200000 // (40 * 257))
-        values = RandomTape.rows(
-            [tape for tape in tapes for _ in range(rows)],
-            [257 * j for _ in tapes for j in range(rows)], 257).integers(
-                b, size=40 * rows * 257)
+        values = tapes.rows(np.repeat(np.arange(40), rows),
+                            np.tile(257 * np.arange(rows), 40)).integers(
+            b, size=40 * rows * 257)
         expected = len(values) / b
         stat = ((np.bincount(values, minlength=b) - expected) ** 2).sum()
         assert stat / expected < chi2_critical(b - 1, self.ALPHA)

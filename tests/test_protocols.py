@@ -14,7 +14,8 @@ from xorcomm.engine import (MCResult, RandomTape, Transcript,
 from xorcomm.oracle import profile_of_index
 from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
                                HamProtocol, OneWayXorProtocol, ParityProtocol,
-                               TwoWayXorProtocol, _bucket_parities, _enum_reps,
+                               TwoWayXorProtocol, _any_votes,
+                               _bucket_parities, _enum_reps,
                                _middle_representative, _probe_reps,
                                default_buckets, make_protocol)
 from xorcomm.symfun import (InputPair, SymmetricProfile, TrivialClass,
@@ -183,12 +184,21 @@ def _reference_amplified_ham(x, y, d, b, reps, channel, tape, flip=False):
 
 
 def _phase_votes(x, y, tests, b, channel, tape):
-    """Run the amplified tests (flip, d, reps), in order, as one phase of
-    _bucket_parities, a block of one trial that sends, and counts, every
-    row; return each test's vote."""
+    """Run the amplified tests (flip, d, reps), in order, as one phase of a
+    block of one trial that sends every row; return each test's vote.
+    With b < n, one _bucket_parities call counts every row, each at its
+    index from the tape's position, which then moves past the phase; with
+    b >= n, _any_votes counts exactly and draws nothing."""
+    n = len(x)
     flips = [flip for flip, _, reps in tests for _ in range(reps)]
     channel.a_to_b(bits=len(flips) * b)
-    diffs = _bucket_parities(x[None], y[None], flips, b, [tape])
+    if b >= n:
+        return [bool(_any_votes(x[None], y[None], [flip], d, reps, b,
+                                tape)[0, 0]) for flip, d, reps in tests]
+    at = tape.position[:, None] + n * np.arange(len(flips))
+    diffs = _bucket_parities(x[None], y[None], flips, b, tape, np.arange(1),
+                             at)
+    tape.position += len(flips) * n
     assert diffs.shape == (1, len(flips))
     diffs = diffs[0]
     votes, lo = [], 0
@@ -274,7 +284,7 @@ class TestAmplifiedHam:
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for b in (2, 5, 9):
             tape = RandomTape(3)
-            diffs = _bucket_parities(x[None], x[None], [], b, [tape])
+            diffs = _any_votes(x[None], x[None], [], 0, 1, b, tape)
             assert diffs.size == 0
             assert tape.position == 0
             assert np.array_equal(tape.integers(1 << 31, size=3),
@@ -283,13 +293,16 @@ class TestAmplifiedHam:
 
     def test_identity_map_counts_exactly(self):
         # b >= n: the count is the distance, n minus it on a flipped row;
-        # nothing is drawn
+        # nothing is drawn.  A test votes ">d" iff its count exceeds d, so
+        # a count is the number of thresholds d = 0..n it exceeds.
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
         tape = RandomTape(0)
-        diffs = _bucket_parities(x[None], y[None], [True, False, True, False],
-                                 8, [tape])
-        assert diffs.tolist() == [[3, 2, 3, 2]]
+        flips, d = [True, False, True, False], np.arange(len(x) + 1)
+        votes = _any_votes(x[None], y[None], np.repeat(flips, len(d)),
+                           np.tile(d, len(flips)), 1, 8, tape)
+        assert votes.reshape(len(flips), -1).sum(axis=1).tolist() == [
+            3, 2, 3, 2]
         assert tape.position == 0
 
 
@@ -301,8 +314,9 @@ class TestAmplifiedHam:
 # last use, Alice sends every row but only the rows Bob reads are hashed:
 # ham's repetitions after a first one that voted ">d", and xor1way's
 # enumeration tests in a middle trial and on the other side of a tail
-# trial, are sent by _reference_unread; an upper trial skips the rows on x
-# on its tape (when they would be drawn, b < n).
+# trial, are sent by _reference_unread; ham's tape still ends past all its
+# repetitions, and an upper trial skips the rows on x on its tape (when
+# they would be drawn, b < n).
 
 
 def _reference_parity(x, y, channel):
@@ -337,6 +351,8 @@ def _reference_body(protocol, x, y, profile, channel, tape):
         b = protocol.buckets or default_buckets(d, n)
         if _reference_amplified_ham(x, y, d, b, 1, channel, tape):
             _reference_unread(channel, reps - 1, b)
+            if b < n:
+                tape.position += (reps - 1) * n
             return 1
         return int(_reference_amplified_ham(x, y, d, b, reps - 1, channel,
                                             tape))
@@ -415,28 +431,26 @@ def _reference_mc(rows, trials):
         rounds_mean=sum(t.rounds for _, _, t, _ in rows) / trials)
 
 
-class _LoggedTape(RandomTape):
-    """A tape that keeps every instance, those the trial loop makes and
-    run_protocol's, so a test can read them."""
+def _logged_blocks(mp):
+    """The list of the tape blocks that every engine._run_block call runs,
+    those of the trial loop and run_protocol's, so a test can read them."""
+    made, run_block = [], engine._run_block
 
-    made = []
+    def logged(protocol, profile, X, Y, tapes):
+        made.append(tapes)
+        return run_block(protocol, profile, X, Y, tapes)
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.made.append(self)
-
-    @classmethod
-    def _at(cls, start):
-        tape = super()._at(start)
-        cls.made.append(tape)
-        return tape
+    mp.setattr(engine, "_run_block", logged)
+    return made
 
 
-def _same_tape(got, want):
-    assert got.position == want.position
-    # the stream continues exactly where the reference left it
-    assert np.array_equal(got.integers(1 << 31, size=3),
-                          want.integers(1 << 31, size=3))
+def _same_tape(tapes, i, want):
+    """Tape i of the block `tapes` ends where the reference tape `want`
+    does, and its stream continues exactly where the reference left it."""
+    assert tapes.position[i] == want.position
+    assert np.array_equal(
+        tapes.rows([i], tapes.position[[i]]).integers(1 << 31, size=3),
+        want.integers(1 << 31, size=3))
 
 
 def profile_spec(profile):
@@ -457,15 +471,18 @@ def check_loop(protocol, profile, weights, trials, seed, trial_block,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_TRIAL_BLOCK", trial_block)
         mp.setattr(engine, "_DRAW_BLOCK", draw_block)
-        mp.setattr(engine, "RandomTape", _LoggedTape)
-        _LoggedTape.made = []
+        made = _logged_blocks(mp)
         rows = engine.sweep({n: (profile, protocol)}, profile_spec(profile),
                             trials, seed, weights=weights)
-        tapes = {tape._start: tape for tape in _LoggedTape.made}
-        assert len(tapes) == len(_LoggedTape.made) == len(weights) * trials
+        # (block, index) of each tape of the sweep, by its counter start
+        tapes = {start: (block, i) for block in made
+                 for i, start in enumerate(block._starts.tolist())}
+        assert len(tapes) == sum(len(block._starts) for block in made) == (
+            len(weights) * trials)
         tapes = {(m, t): tapes[ref.tape_start((seed, n, m), t)]
                  for m in weights for t in range(trials)}
-        positions = {key: tape.position for key, tape in tapes.items()}
+        positions = {key: int(block.position[i])
+                     for key, (block, i) in tapes.items()}
         for row, m in zip(rows, sorted(weights)):
             res = _reference_mc(want[m], trials)
             assert (row["weight"], row["success_rate"], row["mean_bits"],
@@ -473,16 +490,19 @@ def check_loop(protocol, profile, weights, trials, seed, trial_block,
                 m, res.success_rate, res.mean_bits, res.max_bits,
                 res.rounds_mean)
             for t, (*_, tape) in enumerate(want[m]):
-                _same_tape(tapes[m, t], tape)
+                _same_tape(*tapes[m, t], tape)
 
         m = weights[0]
         want = list(_reference_trials(protocol, profile, m, trials, seed))
-        _LoggedTape.made = []
+        made.clear()
         got = list(engine.run_trials(protocol, profile, m, trials, seed))
         assert got == [(out, truth, transcript)
                        for out, truth, transcript, _ in want]
-        for tape, (*_, want_tape) in zip(_LoggedTape.made, want):
-            _same_tape(tape, want_tape)
+        got_tapes = [(block, i) for block in made
+                     for i in range(len(block._starts))]
+        assert len(got_tapes) == trials
+        for got_tape, (*_, want_tape) in zip(got_tapes, want):
+            _same_tape(*got_tape, want_tape)
         assert engine.mc_error_estimate(protocol, profile, m, trials,
                                         seed) == _reference_mc(want, trials)
 
@@ -493,10 +513,10 @@ def check_loop(protocol, profile, weights, trials, seed, trial_block,
         out = int(_reference_body(protocol, pair.x, pair.y, profile,
                                   ref_channel, ref_tape))
         ref_channel._count(False, (out,))
-        _LoggedTape.made = []
+        made.clear()
         assert engine.run_protocol(protocol, pair, profile, (seed, 1)) == (
             out, ref_channel.transcript())
-        _same_tape(_LoggedTape.made[0], ref_tape)
+        _same_tape(made[0], 0, ref_tape)
     return positions
 
 
@@ -570,18 +590,25 @@ class TestBatchedLoop:
         # never votes ">d"); a trial at weight 5 or 9 draws no more after a
         # first one that votes ">d", and every repetition after one that
         # misses (about 0.23 a trial at weight 5 with 40 buckets).  Both
-        # happen at this seed; check_loop has matched every position with
-        # the reference's.
-        n, d = 601, 4
+        # happen at this seed, as the reference's first repetitions show;
+        # check_loop has matched every position with the reference's, and
+        # every tape ends past all the repetitions.
+        n, d, b, seed = 601, 4, 40, 2
         reps = 2 * (engine._DRAW_BLOCK // n) + 7
         assert reps * n > 2 * engine._DRAW_BLOCK
-        positions = check_loop(HamProtocol(d=d, buckets=40, repetitions=reps),
+        positions = check_loop(HamProtocol(d=d, buckets=b, repetitions=reps),
                                parse_profile(f"threshold:{d}", n), [3, 5, 9],
-                               3, 2, engine._TRIAL_BLOCK, engine._DRAW_BLOCK)
+                               3, seed, engine._TRIAL_BLOCK,
+                               engine._DRAW_BLOCK)
         assert len(positions) == 9
-        for (m, _), position in positions.items():
-            assert position in ((reps * n,) if m == 3 else (n, reps * n))
-        assert n in positions.values()
+        assert set(positions.values()) == {reps * n}
+        first = {(m, t): _reference_amplified_ham(
+            *ref.pair(n, m, (seed, n, m), t), d, b, 1,
+            _ReferenceChannel(True), ref.ReferenceTape((seed, n, m), t))
+            for m, t in positions}
+        assert not any(first[3, t] for t in range(3))
+        assert {first[m, t] for m in (5, 9) for t in range(3)} == {False,
+                                                                   True}
 
     @pytest.mark.parametrize("protocol", [
         TwoWayXorProtocol(), HamProtocol(d=3, buckets=10, repetitions=3)])
@@ -623,19 +650,26 @@ class TestUnreadRows:
         pair = pair_of_weight(profile.n, m, seed)
         tape = RandomTape(seed)
         out, channel = engine._run_block(protocol, profile, pair.x[None],
-                                         pair.y[None], [tape])
-        return int(out[0]), tape.position, channel.transcript().content_bits
+                                         pair.y[None], tape)
+        return (int(out[0]), int(tape.position[0]),
+                channel.transcript().content_bits)
 
-    def test_ham_stops_after_a_far_first_repetition(self):
+    def test_ham_stops_after_a_far_first_repetition(self, tape_draws):
+        # the tape ends past every repetition either way, as it would had
+        # every row been drawn; the stop shows in the values drawn
         n, d, reps = 64, 2, 4
         proto, p = HamProtocol(d=d, repetitions=reps), parse_profile(
             f"threshold:{d}", n)
         bits = reps * default_buckets(d, n)
         for seed in range(10):
             # weight 40 >> d: the first repetition votes ">d" and decides
-            assert self.run_one(proto, p, 40, seed) == (1, n, bits)
+            tape_draws.clear()
+            assert self.run_one(proto, p, 40, seed) == (1, reps * n, bits)
+            assert sum(tape_draws) == n
             # weight d: no repetition votes ">d", so each one is drawn
+            tape_draws.clear()
             assert self.run_one(proto, p, d, seed) == (0, reps * n, bits)
+            assert sum(tape_draws) == reps * n
 
     def test_xor1way_middle_trial_draws_only_the_region_rows(self, regions):
         n, proto = 64, OneWayXorProtocol()
@@ -720,13 +754,21 @@ class _BothSides(OneWayXorProtocol):
         reps = _enum_reps(r, self.search_rep_factor)
         enum_flips = [False] * (r * reps) + [True] * (r * reps)
         channel.a_to_b(bits=(len(region_flips) + len(enum_flips)) * b)
-        region_diffs = _bucket_parities(X, Y, region_flips, b, tapes)
+
+        def next_rows(flips, trials):
+            # the next len(flips) rows of each trial's tape, which moves
+            # past them
+            at = tapes.position[trials, None] + n * np.arange(len(flips))
+            tapes.position[trials] += len(flips) * n
+            return _bucket_parities(X, Y, flips, b, tapes, trials, at)
+
+        region_diffs = next_rows(region_flips, np.arange(len(X)))
         region = protocols._region(
             (region_diffs > r - 1).reshape(len(X), 2, -1).any(axis=2))
         out = _middle_representative(profile, r, parity)
         tail = np.flatnonzero(region != MIDDLE)
         k = len(tail)
-        diffs = _bucket_parities(X, Y, enum_flips, b, tapes, tail)
+        diffs = next_rows(enum_flips, tail)
         flip = region[tail] == UPPER
         tests = (diffs.reshape(k, 2, r, reps)
                  > np.arange(r)[:, None]).any(axis=3)[np.arange(k), flip * 1]
@@ -755,9 +797,9 @@ def test_xor1way_tail_trial_reads_only_its_side(regions, spec, n):
         np.arange(len(weights)), 0))
     runs = []
     for proto in (OneWayXorProtocol(), _BothSides()):
-        tapes = [RandomTape(7, t) for t in range(len(weights))]
+        tapes = RandomTape(7, np.arange(len(weights)))
         out, channel = engine._run_block(proto, p, X, Y, tapes)
-        runs.append((out, channel, [tape.position for tape in tapes]))
+        runs.append((out, channel, tapes.position))
     (out, channel, ends), (both_out, both_channel, both_ends) = runs
     assert np.array_equal(out, both_out)
     for field in ("bits_a_to_b", "bits_b_to_a", "rounds"):
@@ -781,7 +823,7 @@ class TestXorPhases:
             pair = pair_of_weight(n, m, m)
             channel, tape = recorder(), RandomTape(m)
             out, = TwoWayXorProtocol().run(pair.x[None], pair.y[None], p,
-                                           channel, [tape])
+                                           channel, tape)
             assert out == evaluate_F(p, pair)
             assert tape.position == 2 * reps * n
             # one charge for the region phase's 2 * reps rows of b = 2 bits,
@@ -814,7 +856,7 @@ class TestXorPhases:
         p = parse_profile("mod:3:0", 512)
         pair = pair_of_weight(512, 10, 0)
         channel = recorder()
-        proto.run(pair.x[None], pair.y[None], p, channel, [RandomTape(0)])
+        proto.run(pair.x[None], pair.y[None], p, channel, RandomTape(0))
         reps = _probe_reps(256, proto.search_rep_factor)
         assert [bits for d, bits in channel.log if d == "a2b"] == (
             [2 * proto.region_reps * b] + [reps * b] * 8)
