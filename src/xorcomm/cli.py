@@ -193,7 +193,7 @@ VERIFY_SUITES = {
     "lemma --exhaustive": (_verify_lemma_exhaustive,
                            {"--n": (12, 2, oracle.MAX_SCAN_N)}),
     "lemma": (_verify_lemma, {"--n": (12, 2, oracle.MAX_SAMPLED_SCAN_N),
-                              "--samples": (10000, 1, None)}),
+                              "--samples": (10000, 1, oracle.MAX_SAMPLES)}),
     "ham-onesided": (_verify_ham_onesided,
                      {"--n": (12, 1, MAX_HAM_ONESIDED_N),
                       "--trials": (100, 1, None)}),

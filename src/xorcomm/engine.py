@@ -12,16 +12,8 @@ _TRIAL_BLOCK // n trials, so peak memory does not grow with the number of
 trials, and a block samples its inputs, and draws each phase's tape
 values, in draw blocks of at most _DRAW_BLOCK bits or values (or one row).
 
-Every random stream is counter-based (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011): value i of stream s (0: input, 1:
-tape) of trial t in a cell seeded `seed` is mix64(_cell_key(seed) +
-((2t + s) * 2^32 + i) * GAMMA mod 2^64), mix64 being SplitMix64's output
-function, a bijection (Steele, Lea & Flood, OOPSLA 2014).  GAMMA is odd, so
-a cell's streams never overlap; a stream holds 2^32 values, and a draw past
-them is refused.  Trial t is a pure function of (seed, t), the same in any
-block, so it replays on its own.  Each draw block of a block's inputs is
-one array expression (_weighted_pairs), and so is each draw block of a
-phase (RandomTape).
+Trial t of a cell takes its input from stream 0 and its tape from stream 1
+(_streams), so it is the same in any block and replays on its own.
 
 Bits are counted, not transmitted: a send is a bit count, which the
 channel charges to the trials it lists, keeping running totals per
@@ -33,9 +25,12 @@ to the transcript so both parties know the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator
 
 from ._np import np
+from ._streams import (_GAMMA, _INPUT, _MASK64, _MAX_TRIALS, _STREAM_VALUES,
+                       _TAPE, _cell_key, _cell_keys, _low_bits,
+                       _stream_starts, _stream_words, _trial_starts)
 from .symfun import InputPair, ProfileError, SymmetricProfile, gap_params
 
 # Most input bits one block of trials holds (trials * n).  Each phase of a
@@ -80,96 +75,8 @@ class Transcript:
         return self.total_bits - 1
 
 
-# SplitMix64's increment and output multipliers (Steele, Lea & Flood 2014).
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
-# A trial's streams: s = 0 its input, s = 1 its tape.  Each holds 2^32
-# values, and 2t + s < 2^32 keeps trial t's counters below 2^64.
-_INPUT, _TAPE = 0, 1
-_STREAM_VALUES = 1 << 32
-_MAX_TRIALS = 1 << 31
 # The largest tape bound: (half * upper) >> 32 is then exact in int64.
 _MAX_UPPER = 1 << 31
-
-
-def _seed_words(seed) -> Sequence[int]:
-    """seed's uint32 words: a non-negative int is its 32-bit words, least
-    significant first (0 is [0]), and a sequence is its items' words in
-    turn.  Negative ints, strings and other types are refused."""
-    if type(seed) is tuple and all(type(item) is int and 0 <= item <= _MASK32
-                                   for item in seed):
-        return seed  # a word an item, as the engine's seeds mostly are
-    if isinstance(seed, (int, np.integer)):
-        seed = int(seed)
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        words = [seed & _MASK32]
-        while seed := seed >> 32:
-            words.append(seed & _MASK32)
-        return words
-    if isinstance(seed, (tuple, list, range, np.ndarray)):
-        return [word for item in seed for word in _seed_words(item)]
-    raise TypeError(f"seed must be an integer or a sequence of integers, "
-                    f"not {seed!r}")
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64's output function of a word below 2^64, on Python ints."""
-    z = (z ^ z >> 30) * _MIX_A & _MASK64
-    z = (z ^ z >> 27) * _MIX_B & _MASK64
-    return z ^ z >> 31
-
-
-def _cell_key(seed) -> int:
-    """The 64-bit key of a cell seed: its words folded by _mix64."""
-    key = 0
-    for word in _seed_words(seed):
-        key = _mix64((key + _GAMMA + word) & _MASK64)
-    return key
-
-
-def _mix64_array(words: np.ndarray) -> np.ndarray:
-    """_mix64 of each word of a uint64 array, in place, with one scratch
-    buffer; returns words."""
-    scratch = np.empty_like(words)
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
-        np.right_shift(words, shift, out=scratch)
-        words ^= scratch
-        if mult is not None:
-            words *= mult
-    return words
-
-
-def _cell_keys(seed, weights) -> np.ndarray:
-    """_cell_key((*seed, m)) for each m of weights, as uint64: seed's words
-    folded once, then one mix per weight.  A weight _cell_key refuses is
-    refused, as is one of 2^32 or more (two words)."""
-    words = _seed_words(tuple(weights))
-    if len(words) != len(weights):
-        raise ValueError(f"a weight of {weights} is 2^32 or more")
-    keys = np.array(words, dtype=np.uint64)
-    keys += np.uint64((_cell_key(seed) + _GAMMA) & _MASK64)
-    return _mix64_array(keys)
-
-
-def _stream_starts(keys: np.ndarray, trials: np.ndarray,
-                   stream: int) -> np.ndarray:
-    """The counter of value 0 of trial t's stream for each (key, t),
-    key + (2t + stream) * 2^32 * GAMMA mod 2^64, as uint64."""
-    starts = (trials.astype(np.uint64) * 2 + stream) << 32
-    starts *= _GAMMA
-    starts += keys
-    return starts
-
-
-def _stream_words(starts: np.ndarray, width: int) -> np.ndarray:
-    """The (k, width) uint64 array mix64(starts[r] + i * GAMMA), i < width:
-    `width` values of each row's stream, starts[r] the counter of its first.
-    The mix runs in place (_mix64_array)."""
-    words = np.arange(width, dtype=np.uint64)
-    words *= _GAMMA
-    return _mix64_array(starts[:, None] + words)
 
 
 def _weighted_pairs(n: int, weights: np.ndarray,
@@ -181,8 +88,7 @@ def _weighted_pairs(n: int, weights: np.ndarray,
     position in the low bits (so none tie), rank lowest."""
     head = -(-n // 64)
     words = _stream_words(starts, head + n)
-    X = np.unpackbits(words[:, :head].astype("<u8", copy=False).view(np.uint8),
-                      axis=1, count=n, bitorder="little")
+    X = _low_bits(words[:, :head], n)
     keys = words[:, head:]
     keys &= ~((1 << (n - 1).bit_length()) - 1) & _MASK64
     keys |= np.arange(n, dtype=np.uint64)
@@ -212,13 +118,7 @@ class RandomTape:
     """
 
     def __init__(self, seed, trial=0):
-        trials = np.asarray(trial)
-        if (trials.dtype.kind not in "iu" or trials.ndim > 1
-                or (trials.size and not 0 <= trials.min() <= trials.max()
-                    < _MAX_TRIALS)):
-            raise ValueError(f"trial {trial!r} is not an integer in [0, 2^31)")
-        self._starts = _stream_starts(np.array(_cell_key(seed), np.uint64),
-                                      trials.reshape(-1), _TAPE)
+        self._starts = _trial_starts(seed, trial, _TAPE)
         self.position = np.zeros(len(self._starts), dtype=np.int64)
 
     @classmethod
@@ -405,15 +305,14 @@ class MCResult:
     rounds_mean: float
 
 
-def weighted_pair(n: int, m: int, rng: np.random.Generator) -> InputPair:
-    """Uniform x and y = x xor (uniform weight-m mask): _weighted_pairs on
-    the input stream whose value 0 is at a counter drawn from rng."""
+def weighted_pair(n: int, m: int, seed, trial: int = 0) -> InputPair:
+    """Uniform x and y = x xor (uniform weight-m mask): the input run_trials
+    gives trial `trial` (an int in [0, 2^31)) in the cell seeded `seed`."""
     if not 0 <= m <= n:
         raise ValueError(f"weight m={m} out of range for n={n}")
-    start = rng.integers(0, 1 << 64, size=1, dtype=np.uint64)
-    X, Y = _weighted_pairs(n, np.array([m]), start)
-    # fresh 0/1 uint8 rows of length n: InputPair's copy and checks would
-    # find nothing
+    X, Y = _weighted_pairs(n, np.array([m]), _trial_starts(seed, trial,
+                                                            _INPUT, 0))
+    # fresh 0/1 uint8 rows: InputPair's copy and checks would find nothing
     x, y = X[0], Y[0]
     x.flags.writeable = y.flags.writeable = False
     return InputPair._of_bits(x, y)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
+from ._streams import _INPUT, _low_bits, _stream_words, _trial_starts
 
 # The Monte-Carlo trial loop lives in engine.  perfbench/tracer.py still
 # binds oracle.weighted_pair and oracle.mc_error_estimate, whose metrics
@@ -36,6 +37,8 @@ MAX_SCAN_N = 39
 # sampled_lemma_scan reads krawtchouk_matrix(n), which stays cached: 13.8 MB
 # and about 0.03 s to build at n = 512, and its size grows as n^3 bits.
 MAX_SAMPLED_SCAN_N = 512
+MAX_SAMPLES = 1 << 24  # most samples a scan takes (README gives times)
+_SCAN_BATCH = 4096  # candidates drawn a batch; no candidate depends on it
 
 
 @dataclass(frozen=True)
@@ -394,10 +397,10 @@ def _subset_sums_mod(cols: list[int], p: int) -> np.ndarray:
 
 def _column_fingerprints(rows, n: int, p: int) -> list[int]:
     """The fingerprints sum_k w[k] rows[k][t] mod p of the columns
-    t = 0..n, with weights w from _FINGERPRINT_SEED (never a caller's
-    seed)."""
-    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
-        0, p, size=len(rows)).tolist()
+    t = 0..n, with weights w the words of a stream of the cell seeded
+    _FINGERPRINT_SEED (never a caller's seed) mod p."""
+    weights = (_stream_words(_trial_starts(_FINGERPRINT_SEED, 0, _INPUT),
+                             len(rows))[0] % p).tolist()
     return [sum(w * row[t] for w, row in zip(weights, rows)) % p
             for t in range(n + 1)]
 
@@ -469,32 +472,34 @@ def exhaustive_lemma_scan(n: int) -> list[SymmetricProfile]:
 def sampled_lemma_scan(n: int, samples: int, seed) -> int:
     """Count of random nontrivial profiles failing the window check.
 
-    Profiles are drawn with i.i.d. uniform bits, rejecting the 2-periodic
-    (trivial) ones.  One random-linear fingerprint of the window vector mod
-    2^31 - 1, a single mat-vec per batch, clears almost every profile; a
-    profile whose window vanishes has fingerprint 0, and each such suspect
-    gets the exact big-integer recheck.
+    Candidate i has s[k] = bit k, low first, of stream 0 of trial i in the
+    cell seeded (seed, n) (_streams); the first `samples` that are not
+    2-periodic (trivial) are checked.  One random-linear fingerprint of the
+    window vector mod 2^31 - 1, a single mat-vec per batch, clears almost
+    every profile; a profile whose window vanishes has fingerprint 0, and
+    each such suspect gets the exact big-integer recheck.
     """
-    if n < 2:  # the rejection loop would never end
-        raise ValueError(f"every profile at n={n} is trivial; "
-                         f"sampling needs n >= 2")
-    if n > MAX_SAMPLED_SCAN_N:
-        raise ValueError(f"sampled scan limited to n <= {MAX_SAMPLED_SCAN_N}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if not 2 <= n <= MAX_SAMPLED_SCAN_N:  # every profile at n <= 1 is trivial
+        raise ValueError(f"sampled scan needs 2 <= n <= {MAX_SAMPLED_SCAN_N}, "
+                         f"got n={n}")
+    if type(samples) is not int or not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples {samples!r} not an int in 1..{MAX_SAMPLES}")
     lo, hi = window_bounds(n)
     rows = krawtchouk_matrix(n)[lo:hi + 1]
     zero = [0] * len(rows)
     p = 2_147_483_647
     # a sum of n+1 residues below 2^31 stays inside int64
     cols = np.array(_column_fingerprints(rows, n, p), dtype=np.int64)
-    count = drawn = 0
+    count = drawn = first = 0
     while drawn < samples:
-        take = min(4096, 4 * (samples - drawn) + 16)
-        P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
+        take = min(_SCAN_BATCH, 4 * (samples - drawn) + 16)
+        P = _low_bits(_stream_words(_trial_starts((seed, n), np.arange(
+            first, first + take), _INPUT), -(-(n + 1) // 64)), n + 1)
+        first += take
         trivial = (P[:, 2:] == P[:, :-2]).all(axis=1)
-        # every drawn row is fingerprinted in place, so the kept rows are
-        # never copied out of P
-        fp = P @ cols
+        # every drawn row is fingerprinted, so no kept row is copied out of
+        # P; int64 @ int64 runs faster than uint8 @ int64
+        fp = P.astype(np.int64) @ cols
         fp %= p
         keep = np.flatnonzero(~trivial)[:samples - drawn]
         drawn += keep.size

@@ -1,6 +1,7 @@
 """The engine's counter-based streams restated on plain Python ints, one
 value at a time, apart from the engine's array code: the reference that
-tests/test_engine.py and tests/test_protocols.py check the engine against.
+tests/test_engine.py, tests/test_protocols.py and tests/test_oracle.py
+check the engine and the sampled lemma scan against.
 
 Value i of stream s (0: input, 1: tape) of trial t in a cell seeded `seed`
 is mix64(key + ((2t + s) * 2^32 + i) * GAMMA mod 2^64), key folding the
@@ -66,6 +67,14 @@ def pair(n, m, seed, t):
     for j in sorted(range(n), key=keys.__getitem__)[:m]:
         y[j] ^= 1
     return (np.array(x, dtype=np.uint8), np.array(y, dtype=np.uint8))
+
+
+def profile_bits(seed, n, i):
+    """Candidate i of the sampled lemma scan at n: s[k] is bit k, low bit
+    first, of the first ceil((n+1)/64) values of stream 0 of trial i in
+    the cell seeded (seed, n)."""
+    vals = [value((seed, n), i, 0, j) for j in range(-(-(n + 1) // 64))]
+    return [(vals[k // 64] >> (k % 64)) & 1 for k in range(n + 1)]
 
 
 class ReferenceTape:

@@ -6,6 +6,7 @@ reproducible by simulation, so the gate combines exact oracle equivalence
 with the measurable upper-bound protocol behavior.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -156,21 +157,24 @@ def test_07_end_to_end_success(protocol_name, n, tape_draws):
 
 
 def test_08_bit_accounting(regions):
-    rng = np.random.default_rng(80)
+    trials = itertools.count()
+
+    def next_pair(n, m):  # pair i is trial i's input in the cell seeded 80
+        return weighted_pair(n, m, 80, trial=next(trials))
     # parity: exactly 1 content bit
     p = parse_profile("parity", 40)
     for m in (0, 11, 40):
-        _, t = run_protocol(ParityProtocol(), weighted_pair(40, m, rng), p, 0)
+        _, t = run_protocol(ParityProtocol(), next_pair(40, m), p, 0)
         assert t.content_bits == 1
     # full send: exactly n
     p = parse_profile("exact:0", 40)
-    _, t = run_protocol(FullSendProtocol(), weighted_pair(40, 3, rng), p, 0)
+    _, t = run_protocol(FullSendProtocol(), next_pair(40, 3), p, 0)
     assert t.content_bits == 40
     # ham: repetitions * min(2(d+1)^2, n)
     for n, d, reps in ((64, 3, 1), (64, 3, 5), (32, 7, 2), (256, 8, 4)):
         proto = HamProtocol(d=d, repetitions=reps)
         prof = parse_profile(f"threshold:{d}", n)
-        _, t = run_protocol(proto, weighted_pair(n, d, rng), prof, seed=1)
+        _, t = run_protocol(proto, next_pair(n, d), prof, seed=1)
         assert t.content_bits == reps * default_buckets(d, n)
     # xor2way: per-transcript totals match the phase-sum closed form
     proto = TwoWayXorProtocol()
@@ -178,7 +182,7 @@ def test_08_bit_accounting(regions):
                     ("parity", 48)):
         prof = parse_profile(spec, n)
         for m in range(0, n + 1, 3):
-            pair = weighted_pair(n, m, rng)
+            pair = next_pair(n, m)
             taken = len(regions)
             _, t = run_protocol(proto, pair, prof, seed=(m, 8))
             # a trivial profile (r = 0) runs no region test

@@ -12,7 +12,8 @@ import pytest
 from xorcomm import engine, oracle, spectral
 from xorcomm.cli import (MAX_ANALYZE_N, MAX_HAM_ONESIDED_N, build_parser,
                          main)
-from xorcomm.oracle import MAX_RANK_N, MAX_SAMPLED_SCAN_N, MAX_TABLE_N
+from xorcomm.oracle import (MAX_RANK_N, MAX_SAMPLED_SCAN_N, MAX_SAMPLES,
+                            MAX_TABLE_N)
 from xorcomm.spectral import CACHE_MAX_N
 
 
@@ -374,6 +375,13 @@ class TestBadNumericInput:
             ("simulate", "--protocol", "xor2way", "--profile", "threshold:2",
              "--n", "8", "--weight", "1", "--trials", str(2 ** 31 + 1)),
             "trials must be 1 to 2^31", id="argv43-trials past 2^31"),
+        # 2.5 died inside numpy and -5 checked nothing; above the limit a
+        # scan would run for minutes, and its candidates near 2^31 trials
+        pytest.param(
+            ("verify", "--suite", "lemma", "--n", "512", "--samples",
+             str(MAX_SAMPLES + 1)),
+            f"--samples {MAX_SAMPLES + 1} is above the limit of {MAX_SAMPLES}",
+            id="argv44---samples above the limit"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

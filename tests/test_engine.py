@@ -8,7 +8,7 @@ import stream_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xorcomm import engine
+from xorcomm import _streams, engine
 from xorcomm.engine import (Channel, Protocol, RandomTape, ScheduleViolation,
                             make_report, mc_error_estimate, run_protocol,
                             run_trials, sweep, weight_estimates)
@@ -314,27 +314,27 @@ class TestStreams:
     def test_splitmix64_known_answers(self):
         # SplitMix64 seeded 0 (Steele, Lea & Flood 2014) outputs
         # mix64(i * GAMMA) for i = 1, 2, 3
-        got = engine._stream_words(np.zeros(1, dtype=np.uint64), 4)[0]
+        got = _streams._stream_words(np.zeros(1, dtype=np.uint64), 4)[0]
         assert got.tolist() == [0, 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                                 0x06C45D188009454F]
 
     def test_values_match_int_reference(self):
         # every seed shape; the first, second and last trial; both streams
         for seed in SEEDS:
-            key = engine._cell_key(seed)
+            key = _streams._cell_key(seed)
             assert key == ref.cell_key(ref_seed(seed))
             for t in (0, 1, 2 ** 31 - 1):
                 for s in (0, 1):
-                    start = engine._stream_starts(
+                    start = _streams._stream_starts(
                         np.array([key], dtype=np.uint64), np.array([t]), s)
-                    assert engine._stream_words(start, 5)[0].tolist() == [
+                    assert _streams._stream_words(start, 5)[0].tolist() == [
                         ref.value(ref_seed(seed), t, s, i) for i in range(5)]
 
     def test_inputs_and_tapes_match_int_reference(self):
         # odd and even draw sizes, so draws start at odd positions, and n
         # below, at and above a multiple of 64
         for seed in (0, 2 ** 70, (7, 64, 3), ((1, 2), 2 ** 33)):
-            key = engine._cell_key(seed)
+            key = _streams._cell_key(seed)
             for t in (0, 3):
                 tape, want = RandomTape(seed, t), ref.ReferenceTape(seed, t)
                 for upper, size in ((2, 1), (1000, 3), (2 ** 31, 5), (7, 64),
@@ -344,7 +344,7 @@ class TestStreams:
                 for n, m in ((1, 0), (1, 1), (5, 2), (64, 10), (65, 65),
                              (130, 7)):
                     X, Y = engine._weighted_pairs(
-                        n, np.array([m]), engine._stream_starts(
+                        n, np.array([m]), _streams._stream_starts(
                             np.array([key], dtype=np.uint64), np.array([t]),
                             0))
                     x, y = ref.pair(n, m, seed, t)
@@ -353,9 +353,9 @@ class TestStreams:
     def test_distinct_counters_distinct_values(self):
         # mix64 is a bijection and GAMMA is odd: no two counters of a cell
         # share a value, here the first 4 values of 500 trials' streams
-        key = np.array([engine._cell_key((5, 6))], dtype=np.uint64)
-        values = [engine._stream_words(
-            engine._stream_starts(np.repeat(key, 500), np.arange(500), s), 4)
+        key = np.array([_streams._cell_key((5, 6))], dtype=np.uint64)
+        values = [_streams._stream_words(
+            _streams._stream_starts(np.repeat(key, 500), np.arange(500), s), 4)
             for s in (0, 1)]
         assert len(np.unique(np.concatenate(values, axis=None))) == 4000
 
@@ -388,8 +388,8 @@ class TestStreams:
         # every weight at each n, all in one block per n
         for n in (1, 2, 63, 64, 65, 130):
             weights = np.tile(np.arange(n + 1), 8)
-            starts = engine._stream_starts(
-                np.full(len(weights), engine._cell_key(n), dtype=np.uint64),
+            starts = _streams._stream_starts(
+                np.full(len(weights), _streams._cell_key(n), dtype=np.uint64),
                 np.arange(len(weights)), 0)
             X, Y = engine._weighted_pairs(n, weights, starts)
             assert X.dtype == Y.dtype == np.uint8
@@ -409,8 +409,8 @@ class TestStreams:
         # Binomial(T, 1/2), independently, so sum (c - T/2)^2 / (T/4) is
         # chi-square with n.  Two gates; m = 5 checks the bits.
         n, T = 32, 20000
-        starts = engine._stream_starts(
-            np.full(T, engine._cell_key((9, m)), dtype=np.uint64),
+        starts = _streams._stream_starts(
+            np.full(T, _streams._cell_key((9, m)), dtype=np.uint64),
             np.arange(T), 0)
         X, Y = engine._weighted_pairs(n, np.full(T, m), starts)
         p = m / n
@@ -450,12 +450,12 @@ class TestSeedDerivation:
         with pytest.raises(Exception) as want:
             np.random.SeedSequence(seed)
         with pytest.raises(want.type):
-            engine._cell_key(seed)
+            _streams._cell_key(seed)
 
     @pytest.mark.parametrize("seed", ["5", ("5", 1), b"5"])
     def test_rejects_strings(self, seed):
         with pytest.raises(TypeError):
-            engine._cell_key(seed)
+            _streams._cell_key(seed)
 
     @pytest.mark.parametrize("seed", [(0,), (7,), (2 ** 32 - 1, 5), (),
                                       (2 ** 32,), (3, 2 ** 70),
@@ -466,15 +466,15 @@ class TestSeedDerivation:
         # more: the one-pass keys of the cell seeds (*seed, m) are the
         # folded ones, at weights of one word, in any order
         weights = [0, 1, 5, 513, 2 ** 31, 2 ** 32 - 1, 2]
-        assert engine._cell_keys(seed, weights).tolist() == [
-            engine._cell_key((*seed, m)) for m in weights]
+        assert _streams._cell_keys(seed, weights).tolist() == [
+            _streams._cell_key((*seed, m)) for m in weights]
 
     @pytest.mark.parametrize("weight, error", [
         (-1, ValueError), (1.5, TypeError), ("1", TypeError),
         (2 ** 32, ValueError)])
     def test_array_keys_refuse_bad_weights(self, weight, error):
         with pytest.raises(error):
-            engine._cell_keys((3,), [0, weight])
+            _streams._cell_keys((3,), [0, weight])
 
     @pytest.mark.parametrize("seed, error", [
         ((3, -1), ValueError), (-1, ValueError), ((3, 1.5), TypeError),

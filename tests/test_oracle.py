@@ -1,18 +1,19 @@
-import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import stream_reference as ref
 
-from xorcomm import oracle, spectral
-from xorcomm.engine import mc_error_estimate, weighted_pair
+from xorcomm import _streams, oracle, spectral
+from xorcomm.engine import (mc_error_estimate, run_protocol, run_trials,
+                            weighted_pair)
 from xorcomm.oracle import (MAX_SAMPLED_SCAN_N, MAX_SCAN_N, TruthTable,
                             all_profiles_matrix, brute_fourier, brute_rank,
                             brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, profile_of_index,
                             sampled_lemma_scan, xor_matrix)
-from xorcomm.protocols import FullSendProtocol, ParityProtocol
+from xorcomm.protocols import FullSendProtocol, ParityProtocol, make_protocol
 from xorcomm.spectral import weight_spectrum
 from xorcomm.symfun import (SymmetricProfile, TrivialClass, classify,
                             parse_profile)
@@ -600,6 +601,18 @@ class TestFallbackPrimes:
         assert math.prod(used[:-1]) ** 2 * 4 ** m <= need
 
 
+def reference_scan_rows(seed, n, samples):
+    """The first `samples` candidates of the sampled scan that are not
+    2-periodic, from tests/stream_reference.py (reference only)."""
+    accepted, i = [], 0
+    while len(accepted) < samples:
+        row = ref.profile_bits(seed, n, i)
+        if row[2:] != row[:-2]:
+            accepted.append(row)
+        i += 1
+    return accepted
+
+
 class TestScans:
     def test_profile_matrix_and_trivial_rows(self):
         n = 3
@@ -635,13 +648,50 @@ class TestScans:
         b = sampled_lemma_scan(40, 2000, seed=5)
         assert a == b
 
-    def test_sampled_counts_planted_violation_style(self):
-        # sanity: at tiny n random nontrivial profiles exist and scan runs
-        assert sampled_lemma_scan(4, 500, seed=1) >= 0
+    def test_sampled_counts_planted_violation_style(self, monkeypatch):
+        # With window rows (1, 1, 0, 0, 0), the planted "violations" are the
+        # accepted rows with s[0] = s[1] = 0: the scan counts exactly the
+        # reference's, among the first 500 nontrivial candidates at n = 4.
+        n, samples, seed = 4, 500, 1
+        fake = ((1, 1, 0, 0, 0),) * (n + 1)
+        monkeypatch.setattr(oracle, "krawtchouk_matrix", lambda m: fake)
+        want = sum(s[0] == s[1] == 0
+                   for s in reference_scan_rows(seed, n, samples))
+        assert 0 < want < samples
+        assert sampled_lemma_scan(n, samples, seed) == want
 
     def test_sampled_cap(self):
         with pytest.raises(ValueError):
             sampled_lemma_scan(MAX_SAMPLED_SCAN_N + 1, 1, seed=1)
+
+    # 2.5 died inside numpy with a TypeError, and -5 returned 0, as if it
+    # had checked something
+    @pytest.mark.parametrize("samples", [
+        pytest.param(2.5, id="float"), pytest.param(True, id="bool"),
+        pytest.param("5", id="str"), pytest.param(None, id="none"),
+        pytest.param(-5, id="negative"), pytest.param(0, id="zero"),
+        pytest.param(oracle.MAX_SAMPLES + 1, id="above-limit")])
+    def test_sampled_refuses_bad_samples(self, samples):
+        with pytest.raises(ValueError):
+            sampled_lemma_scan(8, samples, seed=1)
+
+    def test_sampled_limit_runs(self, monkeypatch):
+        # the limit itself is accepted, one more refused
+        monkeypatch.setattr(oracle, "MAX_SAMPLES", 500)
+        assert sampled_lemma_scan(2, 500, seed=1) == 0
+        with pytest.raises(ValueError):
+            sampled_lemma_scan(2, 501, seed=1)
+
+    def test_sampled_refuses_candidates_past_the_last_trial(self,
+                                                            monkeypatch):
+        # with the trial limit at 300 and one candidate a batch, the 300
+        # candidates at n = 4 hold more than 200 nontrivial ones but fewer
+        # than 300: the draw past them is refused, never wrapped to trial 0
+        monkeypatch.setattr(_streams, "_MAX_TRIALS", 300)
+        monkeypatch.setattr(oracle, "_SCAN_BATCH", 1)
+        assert sampled_lemma_scan(4, 200, seed=2) == 0
+        with pytest.raises(ValueError, match=r"2\^31"):
+            sampled_lemma_scan(4, 300, seed=2)
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_sampled_refuses_n_without_nontrivial_profiles(self, n):
@@ -656,22 +706,21 @@ class TestScans:
         n, samples, seed = 3, 3000, 9
         fake = ((1, 0, 0, 0),) * (n + 1)
         monkeypatch.setattr(oracle, "krawtchouk_matrix", lambda m: fake)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
         trivial = {(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0)}
-        accepted = []
+        accepted, i = [], 0
         while len(accepted) < samples:
-            take = min(4096, 4 * (samples - len(accepted)) + 16)
-            P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
-            keep = [tuple(int(b) for b in row) for row in P]
-            keep = [s for s in keep if s not in trivial]
-            accepted += keep[:samples - len(accepted)]
+            s = tuple(ref.profile_bits(seed, n, i))
+            if s not in trivial:
+                accepted.append(s)
+            i += 1
         want = sum(s[0] == 0 for s in accepted)
         assert 0 < want < samples
         assert sampled_lemma_scan(n, samples, seed) == want
 
     def test_sampled_rechecks_every_suspect_in_draw_order(self, monkeypatch):
         # zero column fingerprints make every drawn row a suspect, so the
-        # exact recheck sees exactly the accepted rows, in draw order
+        # exact recheck sees exactly the accepted rows, in draw order, the
+        # same at each batch size
         n, samples, seed = 6, 5000, 4
         monkeypatch.setattr(oracle, "_column_fingerprints",
                             lambda rows, m, p: [0] * (m + 1))
@@ -681,17 +730,14 @@ class TestScans:
             seen.append(ones)
             return False
         monkeypatch.setattr(oracle, "_window_equals", record)
-        assert sampled_lemma_scan(n, samples, seed) == 0
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        accepted = []
-        while len(accepted) < samples:
-            take = min(4096, 4 * (samples - len(accepted)) + 16)
-            P = rng.integers(0, 2, size=(take, n + 1), dtype=np.int64)
-            keep = [row for row in P.tolist() if row[2:] != row[:-2]]
-            accepted += keep[:samples - len(accepted)]
-        assert len(seen) == samples
-        assert seen == [[t for t, b in enumerate(row) if b]
-                        for row in accepted]
+        accepted = reference_scan_rows(seed, n, samples)
+        for batch in (1, 7, 4096):
+            monkeypatch.setattr(oracle, "_SCAN_BATCH", batch)
+            seen.clear()
+            assert sampled_lemma_scan(n, samples, seed) == 0
+            assert len(seen) == samples
+            assert seen == [[t for t, b in enumerate(row) if b]
+                            for row in accepted], batch
 
 
 def window_vector(n, i):
@@ -798,15 +844,11 @@ class TestMeetInTheMiddle:
 
 class TestMC:
     def test_weighted_pair_exact_weight(self):
-        # weighted_pair builds its pair unchecked; these digests of the
-        # x + y bytes are those of the checked InputPair(x, y) build, so
-        # they pin the stream and the bits.  Re-pinned when every stream
-        # became counter-based.
-        digests = {0: "f3f7311dba863e3a", 1: "b75634e4a32ee033",
-                   7: "efdfcd44532b0525", 16: "8b2f594eab2037a3"}
-        rng = np.random.default_rng(3)
-        for m in (0, 1, 7, 16):
-            pair = weighted_pair(16, m, rng)
+        # weighted_pair builds its pair unchecked; the reference's pair, the
+        # input of trial t in the cell seeded 3, pins the stream and the
+        # bits
+        for t, m in enumerate((0, 1, 7, 16)):
+            pair = weighted_pair(16, m, 3, trial=t)
             assert pair.xor_weight() == m
             for bits in (pair.x, pair.y):
                 assert bits.dtype == np.uint8 and bits.shape == (16,)
@@ -814,8 +856,30 @@ class TestMC:
                 with pytest.raises(ValueError):
                     bits[0] = 0
             assert int(np.count_nonzero(pair.x ^ pair.y)) == m
-            digest = hashlib.sha256(pair.x.tobytes() + pair.y.tobytes())
-            assert digest.hexdigest()[:16] == digests[m]
+            x, y = ref.pair(16, m, 3, t)
+            assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+
+    @pytest.mark.parametrize("name, spec, n, m", [
+        ("xor2way", "threshold:3", 40, 5), ("ham", "threshold:2", 64, 3),
+        ("xor1way", "mod:3:1", 48, 7)])
+    @pytest.mark.parametrize("seed", [0, 9, (2, 2 ** 40)])
+    def test_weighted_pair_replays_run_trials(self, name, spec, n, m, seed):
+        # run_protocol on weighted_pair(n, m, seed) is the first row of
+        # run_trials(..., m, 1, seed): the same input and the same tape
+        profile = parse_profile(spec, n)
+        proto = make_protocol(name, profile)
+        out, transcript = run_protocol(proto, weighted_pair(n, m, seed),
+                                       profile, seed)
+        (want_out, truth, want_transcript), = run_trials(proto, profile, m,
+                                                         1, seed)
+        assert (out, transcript) == (want_out, want_transcript)
+
+    @pytest.mark.parametrize("trial", [
+        -1, 2 ** 31, 2 ** 70, 1.5, True, "1", None, np.array([0, 1])])
+    def test_weighted_pair_refuses_trial(self, trial):
+        # refused as RandomTape refuses a trial, and an array of trials too
+        with pytest.raises(ValueError):
+            weighted_pair(8, 2, 0, trial=trial)
 
     def test_parity_protocol_exact(self):
         res = mc_error_estimate(ParityProtocol(), parse_profile("parity", 20),

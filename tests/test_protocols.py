@@ -8,7 +8,7 @@ import stream_reference as ref
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xorcomm import engine, protocols
+from xorcomm import _streams, engine, protocols
 from xorcomm.engine import (MCResult, RandomTape, Transcript,
                             mc_error_estimate, run_protocol, weighted_pair)
 from xorcomm.oracle import profile_of_index
@@ -22,26 +22,22 @@ from xorcomm.symfun import (InputPair, SymmetricProfile, TrivialClass,
                             evaluate_F, gap_params, parse_profile)
 
 
-def pair_of_weight(n, m, seed):
-    rng = np.random.default_rng(seed)
-    return weighted_pair(n, m, rng)
-
-
 class TestParity:
     def test_equal_inputs(self):
         p = parse_profile("parity", 8)
-        out, _ = run_protocol(ParityProtocol(), pair_of_weight(8, 0, 0), p, 0)
+        out, _ = run_protocol(ParityProtocol(), weighted_pair(8, 0, 0), p, 0)
         assert out == 0
 
     def test_three_flips(self):
         p = parse_profile("parity", 8)
-        out, _ = run_protocol(ParityProtocol(), pair_of_weight(8, 3, 1), p, 0)
+        out, _ = run_protocol(ParityProtocol(), weighted_pair(8, 3, 1), p, 0)
         assert out == 1
 
     def test_one_content_bit_always(self):
         p = parse_profile("parity", 10)
         for m in range(11):
-            _, t = run_protocol(ParityProtocol(), pair_of_weight(10, m, m), p, 0)
+            _, t = run_protocol(ParityProtocol(), weighted_pair(10, m, m), p,
+                                0)
             assert t.content_bits == 1
 
     @pytest.mark.parametrize("n", [3, 8, 17])
@@ -78,13 +74,13 @@ class TestHam:
         proto = HamProtocol(d=0)
         p = parse_profile("threshold:0", 16)
         for s in range(20):
-            out, _ = run_protocol(proto, pair_of_weight(16, 0, s), p, seed=s)
+            out, _ = run_protocol(proto, weighted_pair(16, 0, s), p, seed=s)
             assert out == 0
 
     def test_d_at_least_n_is_silent(self):
         proto = HamProtocol(d=16)
         p = parse_profile("threshold:16", 16)
-        out, t = run_protocol(proto, pair_of_weight(16, 7, 0), p, seed=0)
+        out, t = run_protocol(proto, weighted_pair(16, 7, 0), p, seed=0)
         assert out == 0
         assert t.content_bits == 0
 
@@ -95,7 +91,7 @@ class TestHam:
         p = parse_profile(f"threshold:{d}", n)
         for m in range(d + 1):
             for s in range(200):
-                out, _ = run_protocol(proto, pair_of_weight(n, m, s), p, seed=s)
+                out, _ = run_protocol(proto, weighted_pair(n, m, s), p, seed=s)
                 assert out == 0
 
     def test_exact_when_buckets_cover_positions(self):
@@ -124,7 +120,7 @@ class TestHam:
         for d, reps in ((3, 1), (3, 4), (8, 2)):
             proto = HamProtocol(d=d, repetitions=reps)
             p = parse_profile(f"threshold:{d}", n)
-            _, t = run_protocol(proto, pair_of_weight(n, d + 2, 0), p, seed=1)
+            _, t = run_protocol(proto, weighted_pair(n, d + 2, 0), p, seed=1)
             assert t.content_bits == reps * default_buckets(d, n)
 
     def test_amplification_monotone(self):
@@ -506,8 +502,7 @@ def check_loop(protocol, profile, weights, trials, seed, trial_block,
         assert engine.mc_error_estimate(protocol, profile, m, trials,
                                         seed) == _reference_mc(want, trials)
 
-        rng = np.random.default_rng(seed)
-        pair = weighted_pair(n, m, rng)
+        pair = weighted_pair(n, m, seed)
         ref_tape = ref.ReferenceTape((seed, 1))
         ref_channel = _ReferenceChannel(protocol.one_way)
         out = int(_reference_body(protocol, pair.x, pair.y, profile,
@@ -647,7 +642,7 @@ class TestUnreadRows:
 
     @staticmethod
     def run_one(protocol, profile, m, seed):
-        pair = pair_of_weight(profile.n, m, seed)
+        pair = weighted_pair(profile.n, m, seed)
         tape = RandomTape(seed)
         out, channel = engine._run_block(protocol, profile, pair.x[None],
                                          pair.y[None], tape)
@@ -792,8 +787,8 @@ def test_xor1way_tail_trial_reads_only_its_side(regions, spec, n):
     r = gap_params(p).r
     assert 2 * r * r < n
     weights = np.repeat(np.arange(n + 1), 3)
-    X, Y = engine._weighted_pairs(n, weights, engine._stream_starts(
-        np.full(len(weights), engine._cell_key(7), dtype=np.uint64),
+    X, Y = engine._weighted_pairs(n, weights, _streams._stream_starts(
+        np.full(len(weights), _streams._cell_key(7), dtype=np.uint64),
         np.arange(len(weights)), 0))
     runs = []
     for proto in (OneWayXorProtocol(), _BothSides()):
@@ -820,7 +815,7 @@ class TestXorPhases:
         n, reps = 40, TwoWayXorProtocol().region_reps
         p = parse_profile("exact:0", n)
         for m in (0, n):
-            pair = pair_of_weight(n, m, m)
+            pair = weighted_pair(n, m, m)
             channel, tape = recorder(), RandomTape(m)
             out, = TwoWayXorProtocol().run(pair.x[None], pair.y[None], p,
                                            channel, tape)
@@ -838,7 +833,7 @@ class TestXorPhases:
         # 0.15 MB (warm) now that no row is built.  The R x b row matrix
         # would take 1 GB.
         p = parse_profile("mod:3:0", 512)
-        pair = pair_of_weight(512, 10, 0)
+        pair = weighted_pair(512, 10, 0)
         tracemalloc.start()
         try:
             run_protocol(OneWayXorProtocol(), pair, p, 0)
@@ -854,7 +849,7 @@ class TestXorPhases:
         # per probe once cost 8 MB more peak RSS at n = 4096.
         proto, b = TwoWayXorProtocol(), 2 * 256 ** 2
         p = parse_profile("mod:3:0", 512)
-        pair = pair_of_weight(512, 10, 0)
+        pair = weighted_pair(512, 10, 0)
         channel = recorder()
         proto.run(pair.x[None], pair.y[None], p, channel, RandomTape(0))
         reps = _probe_reps(256, proto.search_rep_factor)
@@ -876,7 +871,7 @@ class TestTwoWay:
         for spec in ("const0", "const1", "parity", "notparity"):
             p = parse_profile(spec, n)
             for m in range(n + 1):
-                pair = pair_of_weight(n, m, m)
+                pair = weighted_pair(n, m, m)
                 out, t = run_protocol(proto, pair, p, seed=m)
                 assert out == evaluate_F(p, pair)
                 assert t.content_bits <= 2
@@ -898,7 +893,7 @@ class TestTwoWay:
                             ("mod:4:0", 32, (0, 9, 16, 25, 32))):
             p = parse_profile(spec, n)
             for m in ms:
-                pair = pair_of_weight(n, m, m + 1)
+                pair = weighted_pair(n, m, m + 1)
                 _, t = run_protocol(proto, pair, p, seed=(m, 3))
                 region = {LOWER: "lower", MIDDLE: "middle",
                           UPPER: "upper"}[regions[-1][0]]
@@ -914,7 +909,7 @@ class TestTwoWay:
 class TestOneWay:
     def test_no_backward_content(self, recorder):
         p = parse_profile("exact:0", 32)
-        run_protocol(OneWayXorProtocol(), pair_of_weight(32, 5, 0), p, 0)
+        run_protocol(OneWayXorProtocol(), weighted_pair(32, 5, 0), p, 0)
         b2a = [bits for direction, bits in recorder.channels[-1].log
                if direction == "b2a"]
         assert b2a == [1]  # answer only
@@ -925,7 +920,7 @@ class TestOneWay:
         for spec in ("const0", "parity"):
             p = parse_profile(spec, n)
             for m in range(n + 1):
-                pair = pair_of_weight(n, m, m)
+                pair = weighted_pair(n, m, m)
                 out, _ = run_protocol(proto, pair, p, seed=m)
                 assert out == evaluate_F(p, pair)
 
@@ -938,7 +933,7 @@ class TestOneWay:
         proto = OneWayXorProtocol()
         for spec, n, m in (("threshold:3", 48, 10), ("exact:0", 32, 2)):
             p = parse_profile(spec, n)
-            _, t = run_protocol(proto, pair_of_weight(n, m, 0), p, seed=2)
+            _, t = run_protocol(proto, weighted_pair(n, m, 0), p, seed=2)
             assert t.content_bits == proto.expected_content_bits(p)
 
 

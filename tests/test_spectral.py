@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -256,7 +258,7 @@ class TestBounds:
         cheapest always-correct protocol: xor2way and xor1way on a constant
         (nothing sent); parity on parity, and xor2way and xor1way on parity
         and notparity (one bit); fullsend on any other profile (n bits)."""
-        rng = np.random.default_rng(n)
+        rng, trial = np.random.default_rng(n), itertools.count()
         for spec, names in (("const0", ("xor2way", "xor1way")),
                             ("const1", ("xor2way", "xor1way")),
                             ("parity", ("parity", "xor2way", "xor1way")),
@@ -266,7 +268,8 @@ class TestBounds:
             p = parse_profile(spec, n)
             upper = deterministic_bounds(p, weight_spectrum(p))[1]
             for name in names:
-                pair = weighted_pair(n, int(rng.integers(n + 1)), rng)
+                pair = weighted_pair(n, int(rng.integers(n + 1)), n,
+                                     trial=next(trial))
                 out, t = run_protocol(make_protocol(name, p), pair, p, 0)
                 assert out == evaluate_F(p, pair), (spec, n, name)
                 assert upper == t.content_bits, (spec, n, name)
@@ -283,9 +286,8 @@ class TestBounds:
         p = parse_profile(spec, n)
         upper = deterministic_bounds(p, weight_spectrum(p))[1]
         assert upper == {"xor2way": 0, "parity": 1, "fullsend": n}[name]
-        rng = np.random.default_rng(8)
         for m in range(n + 1):
-            pair = weighted_pair(n, m, rng)
+            pair = weighted_pair(n, m, 8, trial=m)
             out, t = run_protocol(make_protocol(name, p), pair, p, m)
             assert out == evaluate_F(p, pair), m
             assert t.content_bits == upper, m
