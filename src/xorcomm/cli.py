@@ -43,8 +43,8 @@ MAX_ANALYZE_N = 4096
 # and --region-reps are capped at MAX_ANALYZE_N, --search-rep-factor at
 # this (README gives the worst cases at the caps).
 MAX_SEARCH_REP_FACTOR = 16
-# verify --suite ham-onesided runs (n+1)(n+2)/2 * --trials protocol runs of
-# O(n) work each, so its time grows as n^3 (README gives measured times).
+# verify --suite ham-onesided counts (n+1)(n+2)/2 * --trials rows of O(n)
+# work each, so its time grows as n^3 (README gives measured times).
 MAX_HAM_ONESIDED_N = 64
 
 
@@ -171,14 +171,28 @@ def _verify_lemma(seed, n, samples) -> tuple[int, int]:
 
 
 def _verify_ham_onesided(seed, n, trials) -> tuple[int, int]:
+    """Check that no ham row's count overshoots its threshold d at a
+    distance m <= d: the rows ham would hash at threshold:d, one repetition
+    of default_buckets(d, n) buckets, in each trial of the cells
+    (seed, d, m), their inputs and tapes laid out as the trial loop lays
+    them out.  ham itself draws none of them (a test whose distance is at
+    most its threshold cannot vote ">d"), so the suite counts them with the
+    sketch's kernel; at b >= n the bucket map is the identity and the count
+    is the distance itself.  Each trial is one row checked, and a mismatch
+    a row whose count exceeds d."""
     checked = bad = 0
     for d in range(n + 1):
-        profile = symfun.parse_profile(f"threshold:{d}", n)
-        proto = protocols.make_protocol("ham", profile)
-        for res in engine.weight_estimates(proto, profile, range(d + 1),
-                                           trials, (seed, d)):
-            checked += res.trials
-            bad += res.trials - res.successes
+        b = protocols.default_buckets(d, n)
+        for X, Y, tapes in engine._cell_blocks(n, range(d + 1), trials,
+                                               (seed, d), prefix=True):
+            if b < n:
+                counts = protocols._bucket_parities(
+                    X, Y, [False], b, tapes, np.arange(len(X)),
+                    tapes.position[:, None])
+            else:
+                counts = np.count_nonzero(X != Y, axis=1)
+            checked += len(X)
+            bad += int(np.count_nonzero(counts > d))
     return checked, bad
 
 

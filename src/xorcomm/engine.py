@@ -5,9 +5,10 @@ Protocols run a block of trials at once: X and Y hold one trial's input per
 row, one RandomTape holds every trial's shared tape (tape t is trial t's,
 its counter start and its position two arrays) and the channel counts each
 trial's bits and rounds in arrays.  _run_block runs one block (run_protocol
-a block of one); _run_blocks, the one trial loop and the one place that
-lays out trial streams, runs every other trial: run_trials,
-mc_error_estimate, weight_estimates and sweep.  A block holds at most
+a block of one); _run_blocks, the one trial loop, runs every other trial
+(run_trials, mc_error_estimate, weight_estimates and sweep) on the blocks
+of _cell_blocks, the one place that lays out trial streams, which verify
+--suite ham-onesided reads too.  A block holds at most
 _TRIAL_BLOCK // n trials, so peak memory does not grow with the number of
 trials, and a block samples its inputs, and draws each phase's tape
 values, in draw blocks of at most _DRAW_BLOCK bits or values (or one row).
@@ -238,17 +239,16 @@ def _run_block(protocol: Protocol, profile: SymmetricProfile, X, Y,
     return out, channel
 
 
-def _run_blocks(protocol: Protocol, profile: SymmetricProfile, weights,
-                trials: int, seed, prefix: bool = False) -> Iterator[tuple]:
-    """The trial loop: run `trials` trials of a cell at each weight m of
-    weights, cell by cell, in blocks of at most _TRIAL_BLOCK // n trials,
-    and yield each block's (outputs, truths, channel), row t of each being
-    the block's trial t.  The cell at m has the cell seed (*seed, m) if
-    prefix, else seed.  Its trial t takes its input (_weighted_pairs at
-    weight m, a draw block of trials a call) from its stream 0 and its tape
-    from its stream 1.  trials, every m and the seed are checked before the
-    first block runs."""
-    n = profile.n
+def _cell_blocks(n: int, weights, trials: int, seed,
+                 prefix: bool = False) -> Iterator[tuple]:
+    """The one layout of trial streams: `trials` trials of a cell at each
+    weight m of weights, cell by cell, in blocks of at most
+    _TRIAL_BLOCK // n trials; yield each block's (X, Y, tapes), row t of X
+    and Y and tape t of `tapes` (at tape index 0) being the block's trial
+    t.  The cell at m has the cell seed (*seed, m) if prefix, else seed.
+    Its trial t takes its input (_weighted_pairs at weight m, a draw block
+    of trials a call) from its stream 0 and its tape from its stream 1.
+    trials, every m and the seed are checked before the first block."""
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be 1 to 2^31, got {trials}")
     for m in weights:
@@ -257,7 +257,6 @@ def _run_blocks(protocol: Protocol, profile: SymmetricProfile, weights,
     keys = (_cell_keys(seed, weights) if prefix else
             np.full(len(weights), _cell_key(seed), dtype=np.uint64))
     weights = np.array(weights, dtype=np.int64)
-    s = np.array(profile.s)
     total, size = len(weights) * trials, max(1, _TRIAL_BLOCK // n)
     draw = max(1, _DRAW_BLOCK // n)
     for lo in range(0, total, size):
@@ -268,8 +267,18 @@ def _run_blocks(protocol: Protocol, profile: SymmetricProfile, weights,
         for i in range(0, len(t), draw):
             X[i:i + draw], Y[i:i + draw] = _weighted_pairs(
                 n, weights[cell[i:i + draw]], starts[i:i + draw])
-        out, channel = _run_block(protocol, profile, X, Y, RandomTape._of(
-            _stream_starts(keys[cell], t, _TAPE)))
+        yield X, Y, RandomTape._of(_stream_starts(keys[cell], t, _TAPE))
+
+
+def _run_blocks(protocol: Protocol, profile: SymmetricProfile, weights,
+                trials: int, seed, prefix: bool = False) -> Iterator[tuple]:
+    """The trial loop: run the blocks of _cell_blocks (the same arguments,
+    at the profile's n) and yield each block's (outputs, truths, channel),
+    row t of each being the block's trial t."""
+    s = np.array(profile.s)
+    for X, Y, tapes in _cell_blocks(profile.n, weights, trials, seed,
+                                    prefix):
+        out, channel = _run_block(protocol, profile, X, Y, tapes)
         yield out, s[np.count_nonzero(X != Y, axis=1)], channel
 
 

@@ -35,16 +35,20 @@ Alice still sends, and the channel still charges, every row.  Each row a
 trial draws keeps its tape index, so it holds the values it would hold
 were every row drawn, and the outputs and transcripts are those of a run
 that counts every row.  Every amplified test is an ANY-vote, and a count
-never exceeds the distance, so a test's repetitions after one that voted
+never exceeds the distance the test tests (|x xor y|, or n - |x xor y| on
+Alice's complement), which the simulator counts once per block: so a test
+whose tested distance is at most its threshold votes "<= threshold" in
+every repetition, and a test's repetitions after one that voted
 ">threshold" cannot change its vote.  _any_votes runs a phase of such tests
 (ham's repetitions, xor2way's region tests and each of its probes,
-xor1way's region tests and its enumeration tests): it draws repetition 0
-of every (trial, test) pair, and the others only where it voted
-"<= threshold"; each tape still ends past the whole phase, as it would had
-every row been drawn.  xor1way draws its enumeration rows only in the
-tail trials (a middle trial's output reads none of them), and only its
-side's: a lower trial the rows on x, the first half, and an upper trial,
-skipping those, the rows on the complement.
+xor1way's region tests and its enumeration tests) on both halves of that
+rule: it draws nothing for a (trial, test) pair whose tested distance is
+at most its threshold, repetition 0 of every other pair, and the others
+only where repetition 0 voted "<= threshold"; each tape still ends past
+the whole phase, as it would had every row been drawn.  xor1way draws its
+enumeration rows only in the tail trials (a middle trial's output reads
+none of them), and only its side's: a lower trial the rows on x, the first
+half, and an upper trial, skipping those, the rows on the complement.
 
 A protocol is its parameters: a frozen dataclass (as engine.Protocol is)
 that validates its fields and returns them as params().  A field made by
@@ -126,14 +130,15 @@ def _bucket_parities(X: np.ndarray, Y: np.ndarray, flips, b: int,
     return diffs.reshape(k, R)
 
 
-def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
-               b: int, tapes: RandomTape, trials=None,
+def _any_votes(X: np.ndarray, Y: np.ndarray, distance: np.ndarray, flips,
+               thresholds, reps: int, b: int, tapes: RandomTape, trials=None,
                skip=0) -> np.ndarray:
     """Run one phase of m amplified tests, each an ANY-vote of `reps`
     repetitions, in each trial that `trials` lists (an index array; None:
-    every trial): return the votes, shape (k, m), true where a repetition's
-    count exceeds the test's threshold.  It charges nothing; the caller
-    charges the phase's send.
+    every trial), `distance` being each listed trial's |x xor y|: return
+    the votes, shape (k, m), true where a repetition's count exceeds the
+    test's threshold.  It charges nothing; the caller charges the phase's
+    send.
 
     Test i flips Alice's input where flips does and has threshold
     thresholds[i]; flips and thresholds broadcast to (k, m), so either may
@@ -142,14 +147,17 @@ def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
     rows i * reps ... (i + 1) * reps - 1, and each row is read at its fixed
     tape index, the tape's position plus n times the row.
 
-    When b >= n the bucket map is the identity: each count is the distance
-    itself (n minus it on a flipped row), nothing is drawn and no tape
-    moves.  Otherwise, a count never exceeds the distance it tests, so once
-    repetition 0 of a test votes ">threshold" the others cannot change its
-    vote: repetition 0 of every (trial, test) pair is drawn, and the others
-    only where it voted "<= threshold".  Every count is the one a draw of
-    every row gives, and each tape ends past the phase's rows, as it would
-    had every row been drawn.
+    A (trial, test) pair tests the distance, n minus it where it flips.  A
+    count never exceeds the tested distance, so only an open pair, whose
+    tested distance exceeds its threshold, can vote ">threshold".  When
+    b >= n the bucket map is the identity, each count is the tested
+    distance, and the votes are the open pairs: nothing is drawn and no
+    tape moves.  Otherwise a closed pair votes "<= threshold" and draws
+    nothing; repetition 0 of every open pair is drawn, and the others only
+    where it voted "<= threshold", since a later repetition cannot change a
+    ">threshold" vote.  Every vote is the one a draw of every row gives,
+    and each tape ends past the phase's rows, as it would had every row
+    been drawn.
     """
     if trials is None:
         trials = np.arange(len(X))
@@ -159,21 +167,25 @@ def _any_votes(X: np.ndarray, Y: np.ndarray, flips, thresholds, reps: int,
     m = flips.shape[-1]
     flips = np.broadcast_to(flips, (k, m))
     thresholds = np.broadcast_to(thresholds, (k, m))
+    distance = np.asarray(distance)[:, None]
+    votes = np.where(flips, n - distance, distance) > thresholds
     if b >= n:
-        distance = np.count_nonzero(X[trials] != Y[trials], axis=1)[:, None]
-        return np.where(flips, n - distance, distance) > thresholds
+        return votes
     start = tapes.position[trials] + n * np.broadcast_to(skip, (k,))
-    first = start[:, None] + reps * n * np.arange(m)
-    votes = _bucket_parities(X, Y, flips, b, tapes, trials, first) > thresholds
     tapes.position[trials] = start + m * reps * n
-    pair, test = np.nonzero(~votes)
-    if reps > 1 and len(pair):
-        at = first[pair, test][:, None] + n * np.arange(1, reps)
+    pair, test = np.nonzero(votes)
+    first = start[pair] + reps * n * test
+    flip, threshold = flips[pair, test], thresholds[pair, test]
+    vote = _bucket_parities(X, Y, flip[:, None], b, tapes, trials[pair],
+                            first[:, None])[:, 0] > threshold
+    miss = np.flatnonzero(~vote)
+    if reps > 1 and len(miss):
+        at = first[miss, None] + n * np.arange(1, reps)
         counts = _bucket_parities(
-            X, Y, np.broadcast_to(flips[pair, test][:, None], at.shape), b,
-            tapes, trials[pair], at)
-        votes[pair, test] = (counts > thresholds[pair, test][:, None]).any(
-            axis=1)
+            X, Y, np.broadcast_to(flip[miss, None], at.shape), b, tapes,
+            trials[pair[miss]], at)
+        vote[miss] = (counts > threshold[miss, None]).any(axis=1)
+    votes[pair, test] = vote
     return votes
 
 
@@ -240,7 +252,8 @@ class HamProtocol(Protocol):
         b = self.buckets or default_buckets(d, n)
         R = self.repetitions
         channel.a_to_b(bits=R * b)
-        return _any_votes(X, Y, [False], d, R, b, tapes)[:, 0]
+        distance = np.count_nonzero(X != Y, axis=1)
+        return _any_votes(X, Y, distance, [False], d, R, b, tapes)[:, 0]
 
 
 def _probe_reps(r: int, factor: int) -> int:
@@ -337,8 +350,9 @@ class TwoWayXorProtocol(_XorProtocol):
         n, r = profile.n, gp.r
         s = np.array(profile.s)
         b = 2 * r * r
+        distance = np.count_nonzero(X != Y, axis=1)
         channel.a_to_b(bits=2 * self.region_reps * b)
-        region = _region(_any_votes(X, Y, _REGION_FLIPS, r - 1,
+        region = _region(_any_votes(X, Y, distance, _REGION_FLIPS, r - 1,
                                     self.region_reps, b, tapes))
         channel.b_to_a(bits=2)  # Bob's report of the region
         out = np.empty(len(X), dtype=np.int64)
@@ -355,8 +369,8 @@ class TwoWayXorProtocol(_XorProtocol):
         for _ in range(_probe_count(r)):
             mid = (lo + hi) // 2
             channel.a_to_b(bits=reps * b, trials=tail)
-            vote = _any_votes(X, Y, flip[:, None], mid[:, None], reps, b,
-                              tapes, tail)[:, 0]
+            vote = _any_votes(X, Y, distance[tail], flip[:, None],
+                              mid[:, None], reps, b, tapes, tail)[:, 0]
             channel.b_to_a(bits=1, trials=tail)
             searching = lo < hi
             lo, hi = (np.where(searching & vote, mid + 1, lo),
@@ -400,19 +414,20 @@ class OneWayXorProtocol(_XorProtocol):
         s = np.array(profile.s)
         b = 2 * r * r
         parity = _distance_parity(X, Y, channel)
+        distance = np.count_nonzero(X != Y, axis=1)
         reps = _enum_reps(r, self.search_rep_factor)
         # one phase: the region rows, then the tests at d = 0..r-1 on x and
         # then on its complement, of which a tail trial reads its side's
         channel.a_to_b(bits=(2 * self.region_reps + 2 * r * reps) * b)
-        region = _region(_any_votes(X, Y, _REGION_FLIPS, r - 1,
+        region = _region(_any_votes(X, Y, distance, _REGION_FLIPS, r - 1,
                                     self.region_reps, b, tapes))
         out = _middle_representative(profile, r, parity)
         tail = np.flatnonzero(region != MIDDLE)
         flip = region[tail] == UPPER
         # tests[t, v]: tail trial t's amplified vote ">v", on its side; an
         # upper trial skips the rows on x
-        tests = _any_votes(X, Y, flip[:, None], np.arange(r), reps, b, tapes,
-                           tail, skip=flip * r * reps)
+        tests = _any_votes(X, Y, distance[tail], flip[:, None], np.arange(r),
+                           reps, b, tapes, tail, skip=flip * r * reps)
         # candidate v is consistent iff the test at v-1 (none at v = 0)
         # says above and the one at v says at most v
         above_prev = np.ones_like(tests)

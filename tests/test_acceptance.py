@@ -14,15 +14,16 @@ import sys
 import numpy as np
 import pytest
 
-from xorcomm.engine import (mc_error_estimate, run_protocol, sweep,
-                            weighted_pair)
+from xorcomm.engine import (_cell_blocks, mc_error_estimate, run_protocol,
+                            sweep, weighted_pair)
 from xorcomm.oracle import (TruthTable, all_profiles_matrix, brute_fourier,
                             brute_rank, brute_symmetric_fourier_matrix,
                             exhaustive_lemma_scan, paired_brute_ranks,
                             profile_of_index, sampled_lemma_scan)
 from xorcomm.protocols import (LOWER, MIDDLE, UPPER, FullSendProtocol,
                                HamProtocol, OneWayXorProtocol, ParityProtocol,
-                               TwoWayXorProtocol, default_buckets)
+                               TwoWayXorProtocol, _bucket_parities,
+                               default_buckets)
 from xorcomm.spectral import (deterministic_bounds, krawtchouk_matrix,
                               parseval_check, weight_spectrum)
 from xorcomm.symfun import SymmetricProfile, gap_params, parse_profile
@@ -103,18 +104,29 @@ def test_05_ham_one_sidedness(tape_draws):
         for m in range(d + 1):
             res = mc_error_estimate(proto, profile, m, per_m, seed=(51, d, m))
             assert res.successes == res.trials, f"n=256 d={d} m={m}"
-    # d = 16 has b = 578 >= n, the identity map, so the sketch runs only at
-    # d = 4 above.  d = 8 has b = 162 < n; at 3 repetitions, every trial's
-    # first one votes "<= d", so it also draws the other two.  About 0.7 s.
+    # d = 16 has b = 578 >= n, the identity map.  d = 8 has b = 162 < n,
+    # but ham at m <= d draws no row: its tested distance is at most its
+    # threshold, so no repetition can vote ">d".  The sketch is checked on
+    # the rows ham would have drawn instead: each trial's 3 repetitions, at
+    # tape indices 0, n and 2n, counted by _bucket_parities, whose counts
+    # never exceed m.  About 0.7 s.
     d, reps = 8, 3
+    b = default_buckets(d, n)
     proto = HamProtocol(d=d, repetitions=reps)
     profile = parse_profile(f"threshold:{d}", n)
-    assert default_buckets(d, n) == 162
+    assert b == 162
     per_m = -(-10000 // (d + 1))
     for m in range(d + 1):
         tape_draws.clear()
         res = mc_error_estimate(proto, profile, m, per_m, seed=(52, d, m))
         assert res.successes == res.trials, f"n=256 d={d} m={m} reps={reps}"
+        assert sum(tape_draws) == 0
+        for X, Y, tapes in _cell_blocks(n, [m], per_m, (52, d, m)):
+            counts = _bucket_parities(X, Y, [False] * reps, b, tapes,
+                                      np.arange(len(X)),
+                                      np.broadcast_to(n * np.arange(reps),
+                                                      (len(X), reps)))
+            assert counts.max() <= m, f"n=256 d={d} m={m} reps={reps}"
         assert sum(tape_draws) == per_m * reps * n
     _ok("5 ham one-sidedness (exhaustive n=12 + sampled n=256, zero tolerance)")
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from xorcomm import engine, oracle, spectral
+from xorcomm import engine, oracle, protocols, spectral
 from xorcomm.cli import (MAX_ANALYZE_N, MAX_HAM_ONESIDED_N, build_parser,
                          main)
 from xorcomm.oracle import (MAX_RANK_N, MAX_SAMPLED_SCAN_N, MAX_SAMPLES,
@@ -182,6 +182,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "ham-onesided",
                                "--n", "8", "--trials", "20", "--seed", "1")
         assert code == 0
+
+    def test_ham_onesided_checks_the_sketch(self, capsys, monkeypatch):
+        # ham hashes no row at a weight m <= d, so the suite counts the
+        # rows itself: a sketch that overshoots by one fails it on every
+        # sketched row.  At n = 8 only d = 0 has b = 2 < n, so its 20 rows
+        # (m = 0) are the mismatches of the 45 * 20 checked.  About 0.01 s.
+        def overshoot(*args):
+            return bucket_parities(*args) + 1
+
+        bucket_parities = protocols._bucket_parities
+        monkeypatch.setattr(protocols, "_bucket_parities", overshoot)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "ham-onesided",
+                               "--n", "8", "--trials", "20", "--seed", "1")
+        assert code == 1
+        assert out == "suite=ham-onesided checked=900 mismatches=20 FAIL\n"
 
     # Each limit is checked before any work: above it, a suite used to run
     # every smaller n (hours for rank) before failing, or cached an exact

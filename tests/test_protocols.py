@@ -189,8 +189,9 @@ def _phase_votes(x, y, tests, b, channel, tape):
     flips = [flip for flip, _, reps in tests for _ in range(reps)]
     channel.a_to_b(bits=len(flips) * b)
     if b >= n:
-        return [bool(_any_votes(x[None], y[None], [flip], d, reps, b,
-                                tape)[0, 0]) for flip, d, reps in tests]
+        distance = np.count_nonzero(x != y, keepdims=True)
+        return [bool(_any_votes(x[None], y[None], distance, [flip], d, reps,
+                                b, tape)[0, 0]) for flip, d, reps in tests]
     at = tape.position[:, None] + n * np.arange(len(flips))
     diffs = _bucket_parities(x[None], y[None], flips, b, tape, np.arange(1),
                              at)
@@ -280,7 +281,7 @@ class TestAmplifiedHam:
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for b in (2, 5, 9):
             tape = RandomTape(3)
-            diffs = _any_votes(x[None], x[None], [], 0, 1, b, tape)
+            diffs = _any_votes(x[None], x[None], [0], [], 0, 1, b, tape)
             assert diffs.size == 0
             assert tape.position == 0
             assert np.array_equal(tape.integers(1 << 31, size=3),
@@ -295,11 +296,109 @@ class TestAmplifiedHam:
         y = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
         tape = RandomTape(0)
         flips, d = [True, False, True, False], np.arange(len(x) + 1)
-        votes = _any_votes(x[None], y[None], np.repeat(flips, len(d)),
-                           np.tile(d, len(flips)), 1, 8, tape)
+        distance = np.count_nonzero(x != y, keepdims=True)
+        votes = _any_votes(x[None], y[None], distance,
+                           np.repeat(flips, len(d)), np.tile(d, len(flips)),
+                           1, 8, tape)
         assert votes.reshape(len(flips), -1).sum(axis=1).tolist() == [
             3, 2, 3, 2]
         assert tape.position == 0
+
+
+class TestOpenPairs:
+    """A count never exceeds the distance its row tests, so _any_votes
+    draws no row of a closed (trial, test) pair, one whose tested distance
+    is at most its threshold."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_count_never_exceeds_tested_distance(self, data):
+        # b < n; trials listed in any order, some twice; rows at any tape
+        # index.  About 0.5 s for the 60 examples.
+        n = data.draw(st.integers(2, 70), label="n")
+        b = data.draw(st.integers(1, n - 1), label="b")
+        k = data.draw(st.integers(1, 4), label="k")
+        rows = st.lists(st.integers(0, 2 ** n - 1), min_size=k, max_size=k)
+        X, Y = ((np.array(data.draw(rows, label=name), dtype=object)[:, None]
+                 >> np.arange(n) & 1).astype(np.uint8)
+                for name in ("X", "Y"))
+        trials = np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=1, max_size=6), label="trials"))
+        R = data.draw(st.integers(1, 3), label="R")
+        shape = (len(trials), R)
+        flips = np.array(data.draw(st.lists(
+            st.booleans(), min_size=R * len(trials), max_size=R * len(trials)),
+            label="flips")).reshape(shape)
+        at = np.array(data.draw(st.lists(
+            st.integers(0, 2 ** 20), min_size=R * len(trials),
+            max_size=R * len(trials)), label="at")).reshape(shape)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        counts = _bucket_parities(X, Y, flips, b,
+                                  RandomTape(seed, np.arange(k)), trials, at)
+        distance = np.count_nonzero(X != Y, axis=1)[trials, None]
+        assert (counts <= np.where(flips, n - distance, distance)).all()
+
+    def test_closed_pairs_draw_nothing(self, tape_draws):
+        # A block of 8 trials at distances from 0 to n: a phase of 4 tests
+        # on every trial (as the region tests), then a phase on 5 of them,
+        # each skipping 2 rows, of one test a trial at a threshold of its
+        # own (as xor2way's probes on its tail trials).  Offsets 0 and 1
+        # put a threshold at or above the tested distance (closed), as a
+        # probe's midpoint can reach it; -1 and -3 below it (open).  Votes,
+        # draws and tape ends match a draw of every row by the reference,
+        # test by test.  About 0.02 s.
+        n, b, reps, seed = 40, 12, 3, 9
+        weights = [0, 1, 3, 6, 20, 34, 39, 40]
+        pairs = [ref.pair(n, m, seed, t) for t, m in enumerate(weights)]
+        X = np.array([x for x, _ in pairs])
+        Y = np.array([y for _, y in pairs])
+        distance = np.count_nonzero(X != Y, axis=1)
+        tapes = RandomTape(seed, np.arange(len(X)))
+        ends = np.zeros(len(X), dtype=np.int64)
+        phases = [
+            # (trials, flips, threshold offsets, skip)
+            (np.arange(len(X)), np.array([[True, False, True, False]]),
+             np.array([[0, -1, -3, 1]]), 0),
+            (np.array([0, 2, 3, 5, 7]), np.array([[False], [True], [False],
+                                                   [True], [False]]),
+             np.array([[0], [-1], [1], [-3], [-1]]), 2),
+        ]
+        closed = 0
+        for trials, flips, offsets, skip in phases:
+            flips = np.broadcast_to(flips, (len(trials), flips.shape[1]))
+            tested = np.where(flips, n - distance[trials, None],
+                              distance[trials, None])
+            thresholds = np.maximum(tested + offsets, 0)
+            tape_draws.clear()
+            votes = _any_votes(X, Y, distance[trials], flips, thresholds,
+                               reps, b, tapes, trials, skip=skip)
+            want_votes, want_draws = np.zeros_like(votes), 0
+            for i, t in enumerate(trials.tolist()):
+                for j, (flip, d) in enumerate(zip(flips[i], thresholds[i])):
+                    row = ends[t] + n * (skip + reps * j)
+                    full, first = (self.reference_vote(
+                        pairs[t], seed, t, row, flip, d, b, rows)
+                        for rows in (reps, 1))
+                    want_votes[i, j] = full
+                    if tested[i, j] > d:
+                        want_draws += n if first else reps * n
+                    else:
+                        closed += 1
+                        assert not full
+            ends[trials] += n * (skip + reps * flips.shape[1])
+            assert np.array_equal(votes, want_votes)
+            assert sum(tape_draws) == want_draws
+            assert np.array_equal(tapes.position, ends)
+        assert closed >= 10
+
+    @staticmethod
+    def reference_vote(pair, seed, t, row, flip, d, b, reps):
+        """The ANY-vote of trial t's `reps` repetitions from tape index
+        `row`, each drawn in full by the reference."""
+        tape = ref.ReferenceTape(seed, t)
+        tape.position = row
+        return _reference_amplified_ham(*pair, d, b, reps,
+                                        _ReferenceChannel(True), tape, flip)
 
 
 # --- The per-trial reference of the batched trial loop ----------------------
@@ -649,22 +748,44 @@ class TestUnreadRows:
         return (int(out[0]), int(tape.position[0]),
                 channel.transcript().content_bits)
 
+    @staticmethod
+    def first_vote(n, m, seed, d, b, row, flip=False):
+        """Whether the repetition at tape row `row` of run_one's trial at
+        weight m votes ">d", by the reference's own draw."""
+        x, y = ref.pair(n, m, seed, 0)
+        tape = ref.ReferenceTape(seed)
+        tape.position = row * n
+        return _reference_amplified_ham(x, y, d, b, 1,
+                                        _ReferenceChannel(True), tape, flip)
+
     def test_ham_stops_after_a_far_first_repetition(self, tape_draws):
-        # the tape ends past every repetition either way, as it would had
+        # the tape ends past every repetition each way, as it would had
         # every row been drawn; the stop shows in the values drawn
         n, d, reps = 64, 2, 4
+        b = default_buckets(d, n)
         proto, p = HamProtocol(d=d, repetitions=reps), parse_profile(
             f"threshold:{d}", n)
-        bits = reps * default_buckets(d, n)
+        bits = reps * b
+        firsts = set()
         for seed in range(10):
             # weight 40 >> d: the first repetition votes ">d" and decides
             tape_draws.clear()
             assert self.run_one(proto, p, 40, seed) == (1, reps * n, bits)
             assert sum(tape_draws) == n
-            # weight d: no repetition votes ">d", so each one is drawn
+            # weight d: no repetition can vote ">d", so none is drawn
             tape_draws.clear()
             assert self.run_one(proto, p, d, seed) == (0, reps * n, bits)
-            assert sum(tape_draws) == reps * n
+            assert sum(tape_draws) == 0
+            # weight d + 1: the first repetition decides where it votes
+            # ">d"; where it misses (3 positions in 2 of 18 buckets), every
+            # repetition is drawn
+            first = self.first_vote(n, d + 1, seed, d, b, 0)
+            firsts.add(first)
+            tape_draws.clear()
+            _, position, content = self.run_one(proto, p, d + 1, seed)
+            assert (position, content) == (reps * n, bits)
+            assert sum(tape_draws) == (n if first else reps * n)
+        assert firsts == {False, True}
 
     def test_xor1way_middle_trial_draws_only_the_region_rows(self, regions):
         n, proto = 64, OneWayXorProtocol()
@@ -719,6 +840,7 @@ class TestUnreadRows:
         drawn = self.region_draws(monkeypatch, tape_draws)
         bits = (proto.expected_content_bits(p, "middle")
                 if proto.name == "xor2way" else proto.expected_content_bits(p))
+        firsts = set()
         for seed in range(10):
             # weight n/2 is in the middle: each test's first repetition
             # votes ">4" and decides it, so the phase draws one row a test,
@@ -728,11 +850,22 @@ class TestUnreadRows:
             assert drawn[-1] == sum(tape_draws) == 2 * n
             assert (position, content) == (2 * R * n, bits)
             # weight 0: the upper test's count (n - 0 > 4) decides at its
-            # first repetition; the lower test's count is always 0, so it
-            # draws all R
+            # first repetition; the lower test tests distance 0 <= 4, so
+            # it draws nothing
             tape_draws.clear()
             self.run_one(proto, p, 0, seed)
-            assert drawn[-1] == (R + 1) * n
+            assert drawn[-1] == n
+            # weight r = 5: the upper test (59 > 4) decides at its first
+            # repetition; the lower one (5 > 4) decides at its first, row
+            # R of the phase, where that votes ">4", and draws all R where
+            # it misses (5 positions in fewer than 5 of 50 buckets)
+            assert self.first_vote(n, r, seed, r - 1, 2 * r * r, 0, True)
+            first = self.first_vote(n, r, seed, r - 1, 2 * r * r, R)
+            firsts.add(first)
+            tape_draws.clear()
+            self.run_one(proto, p, r, seed)
+            assert drawn[-1] == n + (n if first else R * n)
+        assert firsts == {False, True}
 
 
 class _BothSides(OneWayXorProtocol):
